@@ -136,15 +136,14 @@ APPLY_BENCH_ROUTE_EPSILON = 0.5
 APPLY_BENCH_ROUTE_MAX_ITERATIONS = 200
 
 #: name -> (nodes, query count, reps) for the serving rows: Q
-#: sequential one-shot `almost_route` calls vs one stacked
-#: `almost_route_batch` call on the same (serial-pinned) instance the
-#: apply rows use. Like the sharded rows these are live pairs — both
-#: columns measured in one session, plain solver, fixed iteration
-#: budget — so the row tracks the batched kernel's own cost trend
-#: (bit-identity makes the comparison pure scheduling/memory, never
-#: accuracy). The headline serving speedup (accelerated solver, chunked
-#: batches, ≥3x at Q=64) lives in BENCH_serving.json instead, since it
-#: compares across solvers.
+#: sequential one-shot `almost_route` calls vs one `almost_route_batch`
+#: call (itself Q one-shot solves, one per column, on one reused
+#: workspace) on the same (serial-pinned) instance the apply rows use.
+#: Like the sharded rows these are live pairs — both columns measured in
+#: one session, plain solver, fixed iteration budget — so the ratio
+#: sits near 1 and the row tracks the per-column routing cost trend.
+#: The headline serving speedup (accelerated solver, ≥3x at Q=64) lives
+#: in BENCH_serving.json instead, since it compares across solvers.
 SERVING_BENCH_CONFIG = {
     "route_batch_q8_n1024": (1024, 8, 3),
     "route_batch_q64_n1024": (1024, 64, 3),
@@ -340,12 +339,11 @@ def measure_serving_benchmarks() -> dict[str, dict[str, float]]:
 
     Returns ``name -> {"sequential_s": ..., "batched_s": ...}`` where
     sequential is Q one-shot ``almost_route`` calls and batched is one
-    ``almost_route_batch`` call over the same ``(Q, n)`` demand plane
-    (also invoked by tools/bench_regression.py for the CI gate). Both
-    run the plain solver with a fixed iteration budget on the
-    serial-pinned apply-bench instance, so the pair isolates the
-    stacked kernel's per-column cost from solver and scheduling
-    choices.
+    ``almost_route_batch`` call over the same ``(Q, n)`` demand plane —
+    Q one-shot solves sharing one workspace (also invoked by
+    tools/bench_regression.py for the CI gate). Both run the plain
+    solver with a fixed iteration budget on the serial-pinned
+    apply-bench instance.
     """
     from repro.core.almost_route import almost_route_batch
 
@@ -496,8 +494,8 @@ def pytest_sessionfinish(session, exitstatus):
             "speedup": round(pair["serial_s"] / pair["sharded_s"], 2),
         }
     for name, pair in serving_rows.items():
-        # before = Q sequential one-shot solves, after = one stacked
-        # batch, both from this session: the live batching ratio.
+        # before = Q sequential one-shot solves, after = one batch call
+        # (the same solves on one workspace), both from this session.
         metrics[name] = {
             "before_s": pair["sequential_s"],
             "after_s": pair["batched_s"],
@@ -522,13 +520,15 @@ def pytest_sessionfinish(session, exitstatus):
             "one core serializes the pool; the CI gate tracks the "
             "sharded column against itself, not against serial). "
             "route_batch_q{8,64}_n1024 rows: median-of-N, Q sequential "
-            "one-shot plain almost_route solves vs one stacked "
-            "almost_route_batch call over the same (Q, n) plane, fixed "
-            "60-iteration budget, serial-pinned — per-column "
-            "bit-identical by contract, so the ratio is the stacked "
-            "kernel's per-column cost trend (the gate tracks the "
-            "batched column against itself; the cross-solver serving "
-            "speedup is recorded in BENCH_serving.json)."
+            "one-shot plain almost_route solves vs one "
+            "almost_route_batch call over the same (Q, n) plane (the "
+            "same Q one-shot solves, one per column, on one reused "
+            "workspace), fixed 60-iteration budget, serial-pinned — "
+            "per-column bit-identical by contract, so the ratio sits "
+            "near 1 and tracks the per-column routing cost (the gate "
+            "tracks the batched column against itself; the "
+            "cross-solver serving speedup is recorded in "
+            "BENCH_serving.json)."
         ),
         "metrics": metrics,
     }

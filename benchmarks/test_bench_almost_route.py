@@ -1,5 +1,10 @@
 """E7 — apply-path benchmarks: flat stacked operator vs per-tree loop.
 
+The per-tree side is the test-suite reference
+(``tests/parallel_harness.per_tree_reference``: the approximator's
+products run block by block through ``TreeOperator.apply`` /
+``apply_transpose``); the flat side is the library's only product path.
+
 ISSUE 3's tentpole: R·b and Rᵀ·g are the inner loop of the Sherman
 descent, so fusing the per-tree blocks into one stacked pass must make
 the *products* (not just the approximator build) faster, and the win
@@ -32,15 +37,18 @@ from benchmarks.conftest import (
     _median_time,
 )
 from repro.core.almost_route import almost_route
+from tests.parallel_harness import per_tree_reference
 
 
 def _mode_medians(approx, fn, reps):
+    """Median of ``fn(a)`` on the per-tree reference and the flat path."""
     out = {}
-    for mode in ("per_tree", "flat"):
-        approx.operator_mode = mode
-        fn()  # warm (builds the stacked operator on first flat call)
-        out[mode] = _median_time(fn, reps)
-    approx.operator_mode = "adaptive"
+    for mode, variant in (
+        ("per_tree", per_tree_reference(approx)),
+        ("flat", approx),
+    ):
+        fn(variant)  # warm (builds the stacked operator on first flat call)
+        out[mode] = _median_time(lambda: fn(variant), reps)
     return out
 
 
@@ -49,9 +57,9 @@ def test_e7_apply_products(benchmark):
     for n in APPLY_BENCH_CONFIG:
         _, _, _, _, op_reps, _ = APPLY_BENCH_CONFIG[n]
         g, approx, demand, row_values = apply_bench_instance(n)
-        apply_t = _mode_medians(approx, lambda: approx.apply(demand), op_reps)
+        apply_t = _mode_medians(approx, lambda a: a.apply(demand), op_reps)
         transpose_t = _mode_medians(
-            approx, lambda: approx.apply_transpose(row_values), op_reps
+            approx, lambda a: a.apply_transpose(row_values), op_reps
         )
         print(
             f"    n={n}: apply {apply_t['per_tree']:.3e}s -> "
@@ -66,11 +74,8 @@ def test_e7_apply_products(benchmark):
         assert apply_t["flat"] * 1.3 < apply_t["per_tree"]
         assert transpose_t["flat"] * 1.3 < transpose_t["per_tree"]
         # And both paths must agree bit-for-bit while we are here.
-        approx.operator_mode = "per_tree"
-        reference = approx.apply_transpose(row_values)
-        approx.operator_mode = "flat"
+        reference = per_tree_reference(approx).apply_transpose(row_values)
         assert np.array_equal(reference, approx.apply_transpose(row_values))
-        approx.operator_mode = "adaptive"
 
     _, approx256, demand256, _ = apply_bench_instance(256)
     benchmark(lambda: approx256.apply(demand256))
@@ -82,10 +87,10 @@ def test_e7_almost_route_end_to_end(benchmark):
         _, _, _, _, _, route_reps = APPLY_BENCH_CONFIG[n]
         g, approx, demand, _ = apply_bench_instance(n)
 
-        def solve():
+        def solve(variant):
             return almost_route(
                 g,
-                approx,
+                variant,
                 demand,
                 APPLY_BENCH_ROUTE_EPSILON,
                 max_iterations=APPLY_BENCH_ROUTE_MAX_ITERATIONS,
@@ -102,11 +107,8 @@ def test_e7_almost_route_end_to_end(benchmark):
         # absorbs shared-runner jitter so tier-1's -x cannot flake.
         assert medians["flat"] < medians["per_tree"] * 1.15
         # Identical iterates regardless of path (end-to-end golden).
-        approx.operator_mode = "per_tree"
-        reference = solve()
-        approx.operator_mode = "flat"
-        flat = solve()
-        approx.operator_mode = "adaptive"
+        reference = solve(per_tree_reference(approx))
+        flat = solve(approx)
         assert reference.iterations == flat.iterations
         assert np.array_equal(reference.flow, flat.flow)
 

@@ -36,7 +36,7 @@ def main() -> None:
 
     server = FlowServer(network, epsilon=0.3, solver="accelerated", rng=72)
     print(f"server up: {server.approximator.num_trees}-tree approximator, "
-          f"solver={server.solver}, max_batch={server.max_batch}")
+          f"solver={server.solver}")
 
     # --- serve a mixed query stream --------------------------------
     rng = np.random.default_rng(73)

@@ -116,12 +116,12 @@ def main() -> None:
           f"incremental {totals['incremental'] * 1e3:.0f} ms "
           f"({speedup:.1f}x) across {DRIFT_CYCLES} cycles")
 
-    pooled_singles, pooled_batches = servers["incremental"].pool.pooled_counts()
+    pool = servers["incremental"].pool
     print(f"workspace pool survived every epoch: "
-          f"{servers['incremental'].pool.created_batches} batch workspace(s) "
+          f"{pool.created_singles} workspace(s) "
           f"created for {DRIFT_CYCLES + 1} epochs "
-          f"({pooled_batches} idle now)")
-    assert servers["incremental"].pool.created_batches == 1
+          f"({pool.pooled_counts()} idle now)")
+    assert pool.created_singles == 1
 
     # A structural change ends the journal's reach: the next sync
     # falls back to a full rebuild, exactly once.

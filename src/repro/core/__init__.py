@@ -17,7 +17,6 @@ from repro.core.approximator import (
 from repro.core.almost_route import (
     AlmostRouteResult,
     BatchAlmostRouteResult,
-    BatchRouteWorkspace,
     RouteWorkspace,
     almost_route,
     almost_route_batch,
@@ -51,7 +50,6 @@ __all__ = [
     "racke_sample_trees",
     "AlmostRouteResult",
     "BatchAlmostRouteResult",
-    "BatchRouteWorkspace",
     "RouteWorkspace",
     "almost_route",
     "almost_route_batch",

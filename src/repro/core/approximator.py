@@ -15,12 +15,12 @@ implemented with Euler-tour index arithmetic — O(n) NumPy work per tree
 per product, the centralized mirror of the Õ(√n + D)-round distributed
 convergecast/downcast of Corollary 9.3.
 
-Two bit-identical execution paths compute the products (the adaptive
-small-instance convention of the substrate): a per-tree loop over
-:class:`TreeOperator` blocks, and — for anything beyond tiny graphs —
-the flat fused :class:`~repro.core.stacked.StackedTreeOperator`, which
-runs the whole stack as one gather / segmented-cumsum / scatter pass
-(see that module's docstring for the stacked-segment layout).
+Both products are one gather / segmented-cumsum / scatter pass of the
+flat fused :class:`~repro.core.stacked.StackedTreeOperator` (see that
+module's docstring for the stacked-segment layout). Each
+:class:`TreeOperator` keeps a per-block ``apply`` / ``apply_transpose``
+as the readable reference the golden tests compare the flat pass
+against, bit for bit.
 """
 
 from __future__ import annotations
@@ -81,8 +81,9 @@ class TreeOperator:
                 "must be connected"
             )
         self.row_capacity = caps
-        # Precomputed once so both the per-tree and the flat stacked
-        # path scale rows with the same multiply (bit-identical folds).
+        # Precomputed once so the per-tree reference and the flat
+        # stacked pass scale rows with the same multiply (bit-identical
+        # folds).
         self.row_inv_capacity = 1.0 / caps
         self._graph_edge_ids: np.ndarray | None = None
 
@@ -174,11 +175,6 @@ class TreeCongestionApproximator:
         alpha: The α used by the gradient descent (an upper bound on the
             worst-case ratio opt(b) / ‖Rb‖_∞; estimated or supplied).
         method: Which construction produced the trees (diagnostics).
-        operator_mode: Which product implementation to run —
-            ``"adaptive"`` (flat stacked pass beyond tiny graphs, the
-            substrate's small-instance convention), ``"flat"`` or
-            ``"per_tree"`` (forced; the two are golden-tested
-            bit-identical, so forcing is for tests/benchmarks only).
         parallel: Optional sharded-execution config for the flat
             operator's products (``None`` defers to the
             ``REPRO_WORKERS`` process default). Never changes results —
@@ -189,7 +185,6 @@ class TreeCongestionApproximator:
     operators: list[TreeOperator]
     alpha: float
     method: str = "hierarchy"
-    operator_mode: str = "adaptive"
     parallel: ParallelConfig | None = None
     _stacked: StackedTreeOperator | None = field(
         default=None, repr=False, compare=False
@@ -210,13 +205,12 @@ class TreeCongestionApproximator:
             operators=self.operators,
             alpha=self.alpha,
             method=self.method,
-            operator_mode=self.operator_mode,
             parallel=parallel,
         )
         # Build the stacked operator on the original (cached there for
         # every future twin) before sharing, so per-call wrapping never
         # pays the fuse twice.
-        twin._stacked = self.stacked() if self._use_flat() else self._stacked
+        twin._stacked = self.stacked()
         return twin
 
     @property
@@ -236,99 +230,27 @@ class TreeCongestionApproximator:
             )
         return self._stacked
 
-    def _use_flat(self) -> bool:
-        if self.operator_mode == "flat":
-            return True
-        if self.operator_mode == "per_tree":
-            return False
-        if self.operator_mode != "adaptive":
-            raise GraphError(
-                f"unknown operator_mode {self.operator_mode!r}"
-            )
-        return not self.graph.is_tiny()
-
     def apply(
         self, demand: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Compute R·b (concatenated over trees).
-
-        ``out=`` (shape ``(num_rows,)``) makes the flat path allocation
-        free; the per-tree path copies into it.
-        """
-        demand = np.asarray(demand, dtype=float)
-        if self._use_flat():
-            return self.stacked().apply(demand, out=out, parallel=self.parallel)
-        blocks = [op.apply(demand) for op in self.operators]
-        result = np.concatenate(blocks) if blocks else np.zeros(0)
-        if out is None:
-            return result
-        out[:] = result
-        return out
+        """Compute R·b (concatenated over trees); ``out=`` (shape
+        ``(num_rows,)``) makes the call allocation free."""
+        return self.stacked().apply(
+            np.asarray(demand, dtype=float), out=out, parallel=self.parallel
+        )
 
     def apply_transpose(
         self, row_values: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Compute Rᵀ·g as node potentials."""
-        row_values = np.asarray(row_values, dtype=float)
-        if self._use_flat():
-            return self.stacked().apply_transpose(
-                row_values, out=out, parallel=self.parallel
-            )
-        if out is None:
-            out = np.zeros(self.graph.num_nodes)
-        else:
-            out[:] = 0.0
-        offset = 0
-        for op in self.operators:
-            block = row_values[offset : offset + op.num_rows]
-            out += op.apply_transpose(block)
-            offset += op.num_rows
-        return out
+        return self.stacked().apply_transpose(
+            np.asarray(row_values, dtype=float), out=out, parallel=self.parallel
+        )
 
     def estimate(self, demand: np.ndarray) -> float:
         """‖Rb‖_∞ — the lower-bound congestion estimate for ``demand``."""
-        if self._use_flat():
-            return self.stacked().estimate(
-                np.asarray(demand, dtype=float), parallel=self.parallel
-            )
-        return float(np.abs(self.apply(demand)).max(initial=0.0))
-
-    # ------------------------------------------------------------------
-    # Multi-RHS batch products. Always the flat stacked operator —
-    # the batch paths exist only there, and they are golden-tested
-    # bit-identical per query to both 1-D paths, so there is nothing
-    # to dispatch on.
-    # ------------------------------------------------------------------
-    def apply_batch(
-        self, demand_plane: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``R·b`` for ``Q`` stacked demands: ``(Q, n) → (Q, num_rows)``,
-        each row bit-identical to :meth:`apply` on that demand."""
-        return self.stacked().apply_batch(
-            np.asarray(demand_plane, dtype=float),
-            out=out,
-            parallel=self.parallel,
-        )
-
-    def apply_transpose_batch(
-        self, row_plane: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``Rᵀ·g`` for ``Q`` stacked row vectors: ``(Q, num_rows) →
-        (Q, n)``, each row bit-identical to :meth:`apply_transpose`."""
-        return self.stacked().apply_transpose_batch(
-            np.asarray(row_plane, dtype=float),
-            out=out,
-            parallel=self.parallel,
-        )
-
-    def estimate_batch(
-        self, demand_plane: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Per-query ``‖R·b_q‖_∞`` as a ``(Q,)`` vector."""
-        return self.stacked().estimate_batch(
-            np.asarray(demand_plane, dtype=float),
-            out=out,
-            parallel=self.parallel,
+        return self.stacked().estimate(
+            np.asarray(demand, dtype=float), parallel=self.parallel
         )
 
     def trees(self) -> list[RootedTree]:
@@ -361,8 +283,8 @@ class TreeCongestionApproximator:
         was resampled (shard views keep aliasing the same base vector;
         their shared-memory export tags advance) and dropped for lazy
         rebuild otherwise — row counts are stable either way (every
-        spanning tree has n-1 rows), so existing
-        ``RouteWorkspace``/``BatchRouteWorkspace`` objects stay valid.
+        spanning tree has n-1 rows), so existing ``RouteWorkspace``
+        objects stay valid.
 
         ``alpha`` is deliberately kept: the estimate's safety factor
         absorbs small-delta drift, and refreshing rows to exact cuts

@@ -79,19 +79,20 @@ class PoolFailureError(ReproError):
 
 class ServingError(ReproError):
     """Raised by :class:`repro.serve.FlowServer` when a request cannot
-    be served: a poisoned demand column, or pool loss that persists
-    through every circuit-breaker degradation step.
+    be served: a poisoned demand column, a solve failure that survives
+    its retry, or pool loss that persists through every
+    circuit-breaker degradation step.
 
     Error isolation contract: in batched routing a ``ServingError``
     scopes to the one demand column that failed (its cause chained as
-    ``__cause__``), never to the whole miss batch."""
+    ``__cause__``), never to the whole batch."""
 
 
 class DeadlineExceededError(ServingError):
     """Raised when a :class:`repro.serve.FlowServer` request exceeds its
-    configured per-request deadline.  Checked cooperatively at chunk
-    boundaries, so an in-flight solve completes before the deadline is
-    observed."""
+    configured per-request deadline.  Checked cooperatively before
+    every solve attempt, so an in-flight solve completes before the
+    deadline is observed."""
 
 
 class FaultSpecError(ReproError):

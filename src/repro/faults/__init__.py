@@ -6,8 +6,13 @@ Quick tour::
 
     plan = FaultPlan(["pool.worker:exit@1"])      # kill the first shard
     with use_faults(plan):
-        result = server.route_batch(demands)       # recovered, identical
+        results = server.route_batch(demands)      # recovered, identical
     assert plan.fired()["pool.worker"] == 1
+
+    plan = FaultPlan(["serve.miss@1"])            # crash the first solve
+    with use_faults(plan):
+        result = server.route(demand)              # retried, identical
+    assert server.health().miss_retries == 1
 
 or process-wide via the environment (strictly validated)::
 

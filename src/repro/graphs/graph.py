@@ -162,7 +162,6 @@ class Graph:
         self._uv_view: tuple[np.ndarray, np.ndarray] | None = None
         self._connected_cache: bool | None = None
         self._excess_plan: tuple[np.ndarray, ...] | None = None
-        self._excess_batch_plans: dict[int, tuple[np.ndarray, ...]] = {}
 
     def _grow(self, extra: int) -> None:
         need = self._m + extra
@@ -509,52 +508,21 @@ class Graph:
         out[:] = counts
         return out
 
-    def _scatter_plan_batch(self, num_queries: int) -> tuple[np.ndarray, ...]:
-        """Cached q-major incidence-scatter plan for ``excess_batch``:
-        the 1-D targets offset by ``q · n`` per query so one bincount
-        scatters all ``Q`` flow rows, plus a ``(Q, 2m)`` signed-flow
-        scratch plane. Keyed by Q; dropped on structural mutation."""
-        plan = self._excess_batch_plans.get(num_queries)
-        if plan is None:
-            idx, _ = self._scatter_plan()
-            offsets = np.arange(num_queries, dtype=WIDE_DTYPE) * self._n
-            flat_idx = (idx[None, :] + offsets[:, None]).ravel()
-            plan = (flat_idx, np.empty((num_queries, 2 * self._m)))
-            self._excess_batch_plans[num_queries] = plan
-        return plan
-
-    @hot_kernel
     def excess_batch(
         self, flow_plane: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Apply the incidence operator to ``Q`` stacked flows at once.
-
-        ``excess_batch(F)[q]`` is bit-identical to ``excess(F[q])``:
-        the flat scatter targets are the 1-D targets offset by
-        ``q · n`` in query-major order, so each output bin accumulates
-        its contributions in exactly the order the 1-D bincount does —
-        one ``np.bincount`` serves all queries.
-        """
+        """Apply the incidence operator to ``Q`` stacked flows: row
+        ``q`` is computed by :meth:`excess` on ``flow_plane[q]``."""
         flow_plane = np.asarray(flow_plane, dtype=float)
         if flow_plane.ndim != 2 or flow_plane.shape[1] != self._m:
             raise GraphError(
                 f"flow plane has shape {flow_plane.shape}, "
                 f"expected (Q, {self._m})"
             )
-        num_queries = flow_plane.shape[0]
         if out is None:
-            out = np.empty((num_queries, self._n))  # alloc-ok (unbuffered fallback)
-        if self._m == 0 or num_queries == 0:
-            out[:] = 0.0
-            return out
-        idx, signed = self._scatter_plan_batch(num_queries)
-        m = self._m
-        signed[:, :m] = flow_plane
-        np.negative(flow_plane, out=signed[:, m:])
-        counts = np.bincount(
-            idx, weights=signed.ravel(), minlength=num_queries * self._n
-        )
-        out[:] = counts.reshape(num_queries, self._n)
+            out = np.empty((flow_plane.shape[0], self._n))
+        for q in range(flow_plane.shape[0]):
+            self.excess(flow_plane[q], out=out[q])
         return out
 
     def congestion(self, flow: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """The hot-kernel registry: ``@hot_kernel`` marks allocation-free code.
 
 PR 3 made AlmostRoute's inner loop allocation-free on a reusable
-:class:`~repro.core.almost_route.RouteWorkspace`; PR 6 extended the
-contract to the batched plane solvers. The contract is easy to erode:
+:class:`~repro.core.almost_route.RouteWorkspace`. The contract is easy
+to erode:
 one innocuous ``np.zeros`` inside a gradient step reintroduces a
 per-iteration allocation (and first-touch page faulting) that the
 workspace design exists to avoid, and nothing crashes — the solve is

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.approximator import build_congestion_approximator
+from repro.core.approximator import (
+    TreeCongestionApproximator,
+    build_congestion_approximator,
+)
 from repro.graphs import kernels
 from repro.graphs.csr import INDEX_DTYPE, build_csr
 from repro.graphs.generators import grid, random_connected, torus
@@ -33,14 +36,55 @@ SEEDS = (101, 202, 303)
 SHARD_COUNTS = (2, 3, 4)
 BACKENDS = ("serial", "thread")
 
-#: name -> graph factory. Sizes chosen so every instance is beyond
-#: TINY_GRAPH_LIMIT (the operators take the flat path) while the whole
-#: matrix stays fast; ``min_size=0`` configs force sharding regardless.
+#: name -> graph factory. Sizes chosen so the whole matrix stays fast;
+#: ``min_size=0`` configs force sharding regardless of size.
 GENERATORS = {
     "random": lambda seed: random_connected(72, 0.08, rng=seed),
     "grid": lambda seed: grid(9, 9, rng=seed),
     "torus": lambda seed: torus(8, 8, rng=seed),
 }
+
+
+class PerTreeApproximator(TreeCongestionApproximator):
+    """An approximator whose R / Rᵀ products run tree by tree through
+    each :class:`~repro.core.approximator.TreeOperator` block — the
+    readable reference the flat stacked operator must match bit for
+    bit (same row order, same accumulation folds)."""
+
+    def apply(self, demand, out=None):
+        demand = np.asarray(demand, dtype=float)
+        blocks = [op.apply(demand) for op in self.operators]
+        result = np.concatenate(blocks) if blocks else np.zeros(0)
+        if out is None:
+            return result
+        out[:] = result
+        return out
+
+    def apply_transpose(self, row_values, out=None):
+        row_values = np.asarray(row_values, dtype=float)
+        if out is None:
+            out = np.zeros(self.graph.num_nodes)
+        else:
+            out[:] = 0.0
+        offset = 0
+        for op in self.operators:
+            out += op.apply_transpose(row_values[offset : offset + op.num_rows])
+            offset += op.num_rows
+        return out
+
+    def estimate(self, demand):
+        return float(np.abs(self.apply(demand)).max(initial=0.0))
+
+
+def per_tree_reference(approximator) -> PerTreeApproximator:
+    """The per-tree reference twin of ``approximator`` (same trees, α
+    and method)."""
+    return PerTreeApproximator(
+        graph=approximator.graph,
+        operators=approximator.operators,
+        alpha=approximator.alpha,
+        method=approximator.method,
+    )
 
 
 def forced(workers: int, backend: str = "serial") -> ParallelConfig:
@@ -277,8 +321,7 @@ def assert_operator_equivalent(
 
     # The per-tree reference path must agree too (transitively pins the
     # sharded path to the original per-tree operator semantics).
-    per_tree = approximator.with_parallel(None)
-    per_tree.operator_mode = "per_tree"
+    per_tree = per_tree_reference(approximator)
     assert_arrays_identical(
         "per_tree.apply", serial_apply, per_tree.apply(demand)
     )

@@ -1,14 +1,13 @@
 """Golden equivalence: batched multi-demand routing vs one-shot calls.
 
-The serving tentpole's contract is *bit-identity per column*: for any
-demand plane, :func:`almost_route_batch` (and its accelerated variant)
-must return, in column q, exactly the flow/residual/counters the
-one-shot call on demand q returns — same ufunc sequence, same fold
-order, same masked freezing of converged columns — under every
-execution config (serial, sharded thread, sharded process). These
-tests pin that contract across the standard sweep matrix, plus the
-batched kernel substrate (``Graph.excess_batch``,
-``check_demand_batch``) and the workspace ``ensure`` raise contract.
+The contract is *bit-identity per column*: for any demand plane,
+:func:`almost_route_batch` (and its accelerated variant) must return,
+in column q, exactly the flow/residual/counters the one-shot call on
+demand q returns — under every execution config (serial, sharded
+thread, sharded process). These tests pin that contract across the
+standard sweep matrix, plus the batched kernel substrate
+(``Graph.excess_batch``, ``check_demand_batch``) and the workspace
+``ensure`` raise contract.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from parallel_harness import (
     make_graph,
 )
 from repro.core import (
-    BatchRouteWorkspace,
+    RouteWorkspace,
     accelerated_almost_route,
     accelerated_almost_route_batch,
     almost_route,
@@ -196,42 +195,36 @@ class TestAcceleratedBatchGolden:
 
 
 # ----------------------------------------------------------------------
-# Batch workspace: reuse purity and the ensure raise contract
+# Batch workspace: one RouteWorkspace reused for every column
 # ----------------------------------------------------------------------
 class TestBatchWorkspace:
     def test_workspace_reuse_is_pure(self, medium):
-        """One batch workspace across calls == fresh workspaces."""
+        """One workspace across columns and calls, of any batch size,
+        == fresh workspaces."""
         g, approx = medium
-        ws = BatchRouteWorkspace(g, approx, 3)
+        ws = RouteWorkspace(g, approx)
         p1 = _demand_plane(g, 31, 3)
-        p2 = _demand_plane(g, 37, 3, zero_row=1)
-        for plane in (p1, p2):
-            reused = almost_route_batch(g, approx, plane, 0.4, workspace=ws)
-            fresh = almost_route_batch(g, approx, plane, 0.4)
-            assert_arrays_identical("flows", fresh.flows, reused.flows)
-            assert_arrays_identical(
-                "iterations", fresh.iterations, reused.iterations
-            )
+        p2 = _demand_plane(g, 37, 2, zero_row=1)
+        for solver in (almost_route_batch, accelerated_almost_route_batch):
+            for plane in (p1, p2):
+                reused = solver(g, approx, plane, 0.4, workspace=ws)
+                fresh = solver(g, approx, plane, 0.4)
+                assert_arrays_identical("flows", fresh.flows, reused.flows)
+                assert_arrays_identical(
+                    "iterations", fresh.iterations, reused.iterations
+                )
 
     def test_ensure_mismatch_raises(self, medium):
+        """A workspace sized for another (graph, approximator) pair is
+        rejected by both batch solvers, not silently rebuilt."""
         g, approx = medium
-        ws = BatchRouteWorkspace(g, approx, 3)
-        with pytest.raises(GraphError, match="shape mismatch"):
-            BatchRouteWorkspace.ensure(ws, g, approx, 4)
         other = random_connected(12, 0.4, rng=315)
         other_approx = build_test_approximator(other, 316)
-        with pytest.raises(GraphError, match="shape mismatch"):
-            BatchRouteWorkspace.ensure(ws, other, other_approx, 3)
-        assert BatchRouteWorkspace.ensure(ws, g, approx, 3) is ws
-        built = BatchRouteWorkspace.ensure(None, g, approx, 2)
-        assert built.shape_key == (
-            2, g.num_edges, g.num_nodes, approx.num_rows
-        )
-
-    def test_zero_queries_rejected(self, medium):
-        g, approx = medium
-        with pytest.raises(GraphError):
-            BatchRouteWorkspace(g, approx, 0)
+        stale = RouteWorkspace(other, other_approx)
+        plane = _demand_plane(g, 39, 2)
+        for solver in (almost_route_batch, accelerated_almost_route_batch):
+            with pytest.raises(GraphError, match="shape mismatch"):
+                solver(g, approx, plane, 0.4, workspace=stale)
 
 
 # ----------------------------------------------------------------------

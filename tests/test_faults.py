@@ -437,7 +437,7 @@ class TestServeRecovery:
         assert plan.fired()["serve.checkout"] >= 1
         assert server.health().workspace_fallbacks >= 1
 
-    def test_miss_failure_bisects_and_stays_bit_identical(
+    def test_miss_failure_retries_and_stays_bit_identical(
         self, graph, server
     ):
         plane = _plane(graph, 41, 4)
@@ -449,7 +449,54 @@ class TestServeRecovery:
             assert_arrays_identical(f"flow[{q}]", want.flow, have.flow)
             assert want.iterations == have.iterations
         assert plan.fired()["serve.miss"] == 1
-        assert server.health().batch_splits >= 1
+        assert server.health().miss_retries == 1
+        assert server.health().column_failures == 0
+
+    def test_miss_failure_on_route_is_retried(self, graph, server):
+        """A single route takes the same miss path: one injected
+        failure is retried on a fresh workspace, invisibly."""
+        demand = st_demand(graph, 0, graph.num_nodes - 1)
+        baseline = server.route(demand, use_cache=False)
+        plan = FaultPlan(["serve.miss@1"])
+        with use_faults(plan):
+            served = server.route(demand, use_cache=False)
+        assert_arrays_identical("flow", baseline.flow, served.flow)
+        assert_arrays_identical("residual", baseline.residual, served.residual)
+        assert served.iterations == baseline.iterations
+        assert plan.fired()["serve.miss"] == 1
+        assert server.health().miss_retries == 1
+
+    def test_persistent_miss_failure_on_route_is_typed(self, graph, server):
+        """A failure that survives the retry never escapes raw: route
+        wraps it in a ServingError carrying the fault as its cause."""
+        demand = st_demand(graph, 0, graph.num_nodes - 1)
+        with use_faults(FaultPlan(["serve.miss@1*2"])):
+            with pytest.raises(ServingError) as excinfo:
+                server.route(demand, use_cache=False)
+        assert isinstance(excinfo.value.__cause__, InjectedFault)
+        assert server.health().miss_retries == 1
+
+    def test_persistent_miss_failure_fails_only_its_column(
+        self, graph, server
+    ):
+        plane = _plane(graph, 44, 4)
+        baseline = server.route_batch(plane, use_cache=False)
+        plan = FaultPlan(["serve.miss@1*2"])
+        with use_faults(plan):
+            results = server.route_batch(
+                plane, use_cache=False, errors="return"
+            )
+        failure = results[0]
+        assert isinstance(failure, ServingError)
+        assert "column 0" in str(failure)
+        assert isinstance(failure.__cause__, InjectedFault)
+        for q in (1, 2, 3):
+            assert_arrays_identical(
+                f"flow[{q}]", baseline[q].flow, results[q].flow
+            )
+            assert baseline[q].iterations == results[q].iterations
+        assert plan.fired()["serve.miss"] == 2
+        assert server.health().column_failures == 1
 
     def test_poisoned_column_is_isolated_with_cause_chain(
         self, graph, server
@@ -509,8 +556,6 @@ class TestServeRecovery:
 
     @needs_fork
     def test_breaker_degrades_process_thread_serial(self):
-        # Beyond TINY_GRAPH_LIMIT so the adaptive operator actually
-        # takes the sharded path (tiny graphs never touch the pool).
         graph = random_connected(72, 0.08, rng=101)
         plan = FaultPlan(["pool.worker*inf"])
         flaky = FlowServer(

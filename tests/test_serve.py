@@ -3,7 +3,8 @@
 The serving layer's contracts under test:
 
 * batched serving is bit-identical per column to the one-shot
-  ``server.route`` answers (so the shared cache namespace is sound);
+  ``server.route`` answers (so the shared cache namespace is sound),
+  and a demand repeated within one batch is solved once;
 * a graph mutation (``set_capacity`` or ``add_edge``) after a cached
   query makes the next lookup miss, the cache invalidates **exactly
   once** per mutation, and an old-epoch result is never served;
@@ -98,24 +99,8 @@ class TestServing:
             FlowServer(graph, refresh="ignore")
         with pytest.raises(GraphError):
             FlowServer(graph, epsilon=0.0)
-        with pytest.raises(GraphError):
-            FlowServer(graph, max_batch=0)
-
-    def test_chunked_batches_are_bit_identical(self, graph):
-        """max_batch only regroups columns — results never change."""
-        plane = _plane(graph, 617, 5)
-        whole = FlowServer(graph, epsilon=EPS, rng=602, max_batch=None)
-        chunked = FlowServer(graph, epsilon=EPS, rng=602, max_batch=2)
-        for a, b in zip(
-            whole.route_batch(plane, use_cache=False),
-            chunked.route_batch(plane, use_cache=False),
-        ):
-            assert_arrays_identical("flow", a.flow, b.flow)
-            assert a.iterations == b.iterations
-            assert a.potential == b.potential
-        # Chunks of 2, 2, 1: two distinct batch-workspace sizes built,
-        # the size-2 one reused across chunks.
-        assert chunked.pool.created_batches == 2
+        with pytest.raises(TypeError):
+            FlowServer(graph, max_batch=8)  # no such option: batches route per column
 
 
 # ----------------------------------------------------------------------
@@ -142,8 +127,8 @@ class TestCacheHits:
         assert stats.hits == 2
 
     def test_mixed_hit_miss_batch(self, graph, server):
-        """Partial hits: only the misses are re-routed (as a smaller
-        batch) and their results still match full-batch answers."""
+        """Partial hits: only the misses are re-routed and their
+        results still match full-batch answers."""
         plane = _plane(graph, 608, 4)
         full = server.route_batch(plane)
         fresh = FlowServer(graph, epsilon=EPS, rng=602)
@@ -157,6 +142,16 @@ class TestCacheHits:
         stats = fresh.stats()
         assert stats.cache.hits == 2
         assert stats.batched_columns == 4
+
+    def test_repeated_demand_in_batch_is_solved_once(self, graph, server):
+        """A demand repeated within one batch misses once: the later
+        column is a cache hit on the earlier column's result."""
+        plane = _plane(graph, 618, 2)
+        repeated = np.stack([plane[0], plane[1], plane[0]])
+        results = server.route_batch(repeated)
+        assert results[2] is results[0]
+        stats = server.cache_stats()
+        assert stats.misses == 2 and stats.hits == 1
 
     def test_use_cache_false_bypasses(self, graph, server):
         demand = st_demand(graph, 2, 9)
@@ -322,25 +317,28 @@ class TestWorkspacePool:
             server.route(plane[q], use_cache=False)
         pool = server.pool
         assert pool.created_singles == 1
-        assert pool.pooled_counts() == (1, 0)
+        assert pool.pooled_counts() == 1
 
     def test_batch_workspace_reused_per_size(self, graph, server):
+        """Batches of every size route their columns on the one pooled
+        workspace that singles use too."""
+        server.route(st_demand(graph, 0, 7), use_cache=False)
         for seed in (612, 613):
             server.route_batch(_plane(graph, seed, 3), use_cache=False)
         server.route_batch(_plane(graph, 614, 2), use_cache=False)
         pool = server.pool
-        assert pool.created_batches == 2  # one for Q=3, one for Q=2
-        assert pool.pooled_counts() == (0, 2)
+        assert pool.created_singles == 1
+        assert pool.pooled_counts() == 1
 
     def test_rebind_drops_stale_shapes(self, graph, server):
         server.route(st_demand(graph, 0, 7), use_cache=False)
-        assert server.pool.pooled_counts()[0] == 1
+        assert server.pool.pooled_counts() == 1
         graph.add_edge(0, graph.num_nodes - 1, 1.0)
         server.route(st_demand(graph, 0, 7), use_cache=False)
         # The old m-shaped workspace was dropped; a new one was built
         # for the grown edge count and pooled.
         assert server.pool.created_singles == 2
-        assert server.pool.pooled_counts()[0] == 1
+        assert server.pool.pooled_counts() == 1
 
     def test_release_rejects_stale_workspace(self, graph):
         server = FlowServer(graph, epsilon=EPS, rng=602)
@@ -348,7 +346,7 @@ class TestWorkspacePool:
         graph.add_edge(0, graph.num_nodes - 1, 1.0)
         server.route(st_demand(graph, 0, 5))  # triggers rebind
         server.pool.release(ws)  # stale shape: silently dropped
-        pooled_singles = server.pool.pooled_counts()[0]
+        pooled_singles = server.pool.pooled_counts()
         assert all(
             pooled.shape_key
             == (graph.num_edges, graph.num_nodes, server.approximator.num_rows)
@@ -360,7 +358,7 @@ class TestWorkspacePool:
         server.route(st_demand(graph, 0, 7), use_cache=False)
         server.route_batch(_plane(graph, 615, 2), use_cache=False)
         server.pool.flush()
-        assert server.pool.pooled_counts() == (0, 0)
+        assert server.pool.pooled_counts() == 0
 
 
 # ----------------------------------------------------------------------

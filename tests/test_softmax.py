@@ -89,7 +89,7 @@ class TestGradient:
 
 class TestFusedExp:
     """The single-``np.exp`` pair-buffer path is golden bit-identical
-    to the split two-exp path and to the pre-fusion implementation."""
+    to the unbuffered call and to the pre-fusion implementation."""
 
     @staticmethod
     def _legacy_reference(y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -111,18 +111,11 @@ class TestFusedExp:
         out = np.empty(k)
         pair = np.empty(2 * k)
         value_pair, grad_pair = smax_and_gradient(y, out=out, scratch=pair)
-        split_out = np.empty(k)
-        split_scratch = np.empty(k)
-        value_split, grad_split = smax_and_gradient(
-            y, out=split_out, scratch=split_scratch
-        )
 
-        assert value_fused == golden_value == value_pair == value_split
+        assert value_fused == golden_value == value_pair
         assert grad_pair is out
-        assert grad_split is split_out
         assert np.array_equal(golden_grad, grad_fused)
         assert np.array_equal(golden_grad, grad_pair)
-        assert np.array_equal(golden_grad, grad_split)
 
     def test_pair_buffer_is_allocation_site(self):
         """With out= and a pair scratch the gradient lands in out and
@@ -142,11 +135,17 @@ class TestFusedExp:
         with pytest.raises(GraphError):
             smax_and_gradient(y, scratch=base)
 
+    @pytest.mark.parametrize("size", [8, 15, 17])
+    def test_rejects_wrong_scratch_shape(self, size):
+        """Only a (2k,) pair buffer is accepted: the (k,) shape that
+        once selected a split two-exp path is an error now."""
+        with pytest.raises(GraphError, match="scratch must have shape"):
+            smax_and_gradient(np.zeros(8), scratch=np.empty(size))
+
 
 class TestBatchPlane:
     """The ``(Q, k)`` plane form is golden bit-identical per row to the
-    1-D fused path (the contract the batched AlmostRoute loop rides
-    on)."""
+    1-D fused path."""
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 64), (7, 33), (16, 256)])
     def test_rows_bit_identical_to_1d(self, shape):

@@ -12,9 +12,10 @@ multi-source hop distances and the stacked MWU length evaluation under
 the ``REPRO_WORKERS=2`` thread-pool config, compared against the
 checked-in *sharded* medians; the live serial-vs-sharded ratio is
 printed alongside for visibility) and the serving rows
-``route_batch_q{8,64}_n1024`` (median wall-clock of one stacked
-``almost_route_batch`` call, compared against the checked-in *batched*
-medians with the live sequential-vs-batched ratio printed alongside)
+``route_batch_q{8,64}_n1024`` (median wall-clock of one
+``almost_route_batch`` call — ``Q`` one-shot solves, one per column —
+compared against the checked-in *batched* medians with the live
+sequential-vs-batched ratio printed alongside)
 and fails — exit code 1 — if any median regresses more than
 ``--factor`` (default 2×) versus the checked-in
 ``BENCH_graphcore.json`` baseline.
@@ -28,8 +29,9 @@ same run — against the recorded ``after_s`` rows under the same
 
 When a checked-in ``BENCH_serving.json`` exists (written by
 ``tools/bench_serving.py``), the gate also enforces that its recorded
-``batch_q64_speedup`` — batched serving throughput vs sequential
-one-shot routing — has not been committed below ``--serving-floor``
+``batch_q64_speedup`` — ``route_batch`` serving throughput vs
+sequential one-shot plain routing — has not been committed below
+``--serving-floor``
 (default 2.0; the acceptance run records ≥3×), and that the recorded
 ``update_latency_speedup`` — first-re-route latency after a ~1%
 capacity delta under ``refresh="rebuild"`` vs ``refresh="incremental"``

@@ -8,12 +8,12 @@ service is measured, in the standup → run → analysis → report shape:
    approximator build the serve-many economics amortize).
 2. **Run** —
    * *batch throughput*: route ``Q`` fresh demands at ``n`` through
-     ``server.route_batch`` (accelerated solver, chunked stacked
-     batches) and compare aggregate throughput against ``Q`` sequential
+     ``server.route_batch`` (accelerated solver, one one-shot solve per
+     column) and compare aggregate throughput against ``Q`` sequential
      one-shot ``almost_route`` calls on the **same approximator** — the
      pre-serving workflow — plus a solver-matched control of ``Q``
      sequential ``accelerated_almost_route`` calls, so the report
-     separates the solver's contribution from the batching's.
+     separates the solver's contribution from the serving layer's.
    * *sustained load*: an open-loop arrival process (Poisson, rate set
      as a fraction of the server's measured capacity, arrival times
      fixed in advance so queueing delay is charged to latency) over a
@@ -160,7 +160,6 @@ def run_batch_throughput(profile: str) -> dict:
         "num_queries": num_queries,
         "epsilon": epsilon,
         "solver": "accelerated",
-        "max_batch": server.max_batch,
         "approximator_build_s": round(build_s, 4),
         "sequential_plain_s": round(sequential_plain_s, 4),
         "sequential_plain_qps": round(num_queries / sequential_plain_s, 3),
@@ -198,7 +197,7 @@ def run_sustained_load(profile: str) -> dict:
         service.append(time.perf_counter() - t0)
     service.sort()
     # A batch request costs up to BATCH_COLUMNS single-query services
-    # (less after batching/caching), so offered load is calibrated on
+    # (less after caching), so offered load is calibrated on
     # expected columns per request — otherwise the queue is unstable
     # by construction and latency measures backlog, not the server.
     expected_columns = (1 - BATCH_FRACTION) + BATCH_FRACTION * BATCH_COLUMNS
