@@ -110,13 +110,13 @@ APPLY_BENCH_CONFIG = {
     1024: (0.012, 940, 941, 77, 100, 5),
 }
 
-#: nodes -> (edge probability, generator seed, build rng seed, data
-#: seed, operator reps, bfs reps, hop reps, mwu reps) for the sharded-
-#: execution rows: flat-serial vs sharded medians of R·b / Rᵀ·g,
-#: frontier BFS, multi-source hop distances and the stacked MWU length
-#: evaluation at the scale where sharding is on by default
+#: nodes -> (edge probability, generator seed, data seed, bfs reps,
+#: hop reps, mwu reps) for the sharded-execution rows: serial vs
+#: sharded medians of the construction kernels — frontier BFS,
+#: multi-source hop distances and the stacked MWU length evaluation —
+#: at the scale where sharding is on by default
 #: (n + 2m >> SMALL_GRAPH_LIMIT).
-SHARDED_BENCH_CONFIG = {4096: (0.003, 940, 941, 77, 60, 20, 5, 40)}
+SHARDED_BENCH_CONFIG = {4096: (0.003, 940, 77, 20, 5, 40)}
 #: Source count for the hop_distances_sharded_n* rows and sample-row
 #: count for the mwu_lengths_sharded_n* rows (the O(log n) stack the
 #: batched hierarchy evaluates).
@@ -186,20 +186,11 @@ def measure_approximator_benchmarks() -> dict[str, float]:
 
 def apply_bench_instance(n: int):
     """The (graph, approximator, demand, row_values) tuple every
-    apply-path benchmark row is measured on.
-
-    The approximator is pinned to serial execution: these rows measure
-    the flat-vs-per-tree fusion, so a ``REPRO_WORKERS`` environment
-    (e.g. the sharded CI tier-1 job) must not silently reroute the
-    "flat" column onto a worker pool.
-    """
-    from repro.parallel import ParallelConfig
-
+    apply-path benchmark row is measured on. The products run on the
+    calling thread whatever the ``REPRO_WORKERS`` default."""
     p, gseed, rseed, dseed, _, _ = APPLY_BENCH_CONFIG[n]
     g = random_connected(n, p, rng=gseed)
-    approx = build_congestion_approximator(
-        g, rng=rseed, alpha=1.0, parallel=ParallelConfig()
-    )
+    approx = build_congestion_approximator(g, rng=rseed, alpha=1.0)
     rng = np.random.default_rng(dseed)
     demand = rng.normal(size=n)
     demand -= demand.mean()
@@ -251,7 +242,7 @@ def measure_execution_backend_benchmarks() -> dict[str, dict[str, float]]:
     from repro.parallel import ParallelConfig
 
     out: dict[str, dict[str, float]] = {}
-    for n, (p, gseed, rseed, dseed, op_reps, bfs_reps, hop_reps, mwu_reps) in (
+    for n, (p, gseed, dseed, bfs_reps, hop_reps, mwu_reps) in (
         SHARDED_BENCH_CONFIG.items()
     ):
         config = ParallelConfig(
@@ -261,39 +252,7 @@ def measure_execution_backend_benchmarks() -> dict[str, dict[str, float]]:
         )
         serial = ParallelConfig()  # pin: immune to REPRO_WORKERS
         g = random_connected(n, p, rng=gseed)
-        approx = build_congestion_approximator(g, rng=rseed, alpha=1.0)
-        stacked = approx.stacked()
-        rng = np.random.default_rng(dseed)
-        demand = rng.normal(size=n)
-        demand -= demand.mean()
-        row_values = rng.normal(size=approx.num_rows)
-        row_out = np.empty(approx.num_rows)
-        node_out = np.empty(n)
         csr = g.csr()
-        out[f"approximator_apply_sharded_n{n}"] = {
-            "serial_s": _median_time(
-                lambda: stacked.apply(demand, out=row_out, parallel=serial),
-                op_reps,
-            ),
-            "sharded_s": _median_time(
-                lambda: stacked.apply(demand, out=row_out, parallel=config),
-                op_reps,
-            ),
-        }
-        out[f"approximator_apply_transpose_sharded_n{n}"] = {
-            "serial_s": _median_time(
-                lambda: stacked.apply_transpose(
-                    row_values, out=node_out, parallel=serial
-                ),
-                op_reps,
-            ),
-            "sharded_s": _median_time(
-                lambda: stacked.apply_transpose(
-                    row_values, out=node_out, parallel=config
-                ),
-                op_reps,
-            ),
-        }
         out[f"bfs_levels_sharded_n{n}"] = {
             "serial_s": _median_time(
                 lambda: kernels.bfs_levels(csr, 0, parallel=serial), bfs_reps

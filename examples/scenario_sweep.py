@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Scenario sweep: run a slice of the declarative scenario corpus.
 
-A scenario is one point of Topology x Demand x Failure x Backend
-(see ``repro.scenarios``). The runner executes each group — building
+A scenario is one point of Topology x Demand x Failure (see
+``repro.scenarios``). The runner executes each scenario — building
 the topology, applying the failure through the write-through
 ``set_capacity`` epoch machinery, routing the demand plane — and
 *asserts the correctness invariants* (demand conservation, congestion
 soundness and guarantee, max-flow value vs exact Dinic, planted-cut
-detection, cross-backend bit-identity) before reporting any numbers.
+detection, warm/cold re-route agreement) before reporting any
+numbers.
 
 Run:  PYTHONPATH=src python examples/scenario_sweep.py
 """
@@ -20,13 +21,11 @@ from repro.scenarios import build_matrix, run_matrix
 def main() -> None:
     # A small sweep: the planted-bottleneck topology under healthy and
     # degraded capacities, probed by a demand that straddles the cut
-    # and by churning hotspots. Serial + thread backends (their flows
-    # are checked bit-identical inside the runner).
+    # and by churning hotspots.
     matrix = build_matrix(
         topologies=("planted_60",),
         demands=("adversarial_cut", "hotspot"),
         failures=("none", "degrade"),
-        backends=("serial", "thread"),
         epsilon=0.5,
         num_queries=1,
     )
@@ -36,7 +35,7 @@ def main() -> None:
     for record in result.records:
         s = record.scenario
         print(
-            f"{s.topology} x {s.demand} x {s.failure} x {s.backend}: "
+            f"{s.topology} x {s.demand} x {s.failure}: "
             f"exact={record.exact_value:g} "
             f"approx={record.maxflow_value:.4g} "
             f"congestion={record.congestion:.4g} "
@@ -44,8 +43,7 @@ def main() -> None:
             f"checks={record.invariants_checked}"
         )
     print(
-        f"{result.groups} groups, {len(result.records)} scenarios, "
-        f"every invariant passed"
+        f"{len(result.records)} scenarios, every invariant passed"
     )
 
 

@@ -13,14 +13,15 @@ solver, and the workspace pool survives untouched — the shape key is
 epoch-independent.
 
 Warm-started answers carry the same guarantees as cold ones: exact
-conservation, the (1+eps)*alpha congestion bound, and bit-identity
-across execution backends. Structural changes (add_edge) or a journal
-overflow automatically fall back to the full rebuild.
+conservation and the (1+eps)*alpha congestion bound. Structural
+changes (add_edge) or a journal overflow automatically fall back to
+the full rebuild.
 
 Run:  python examples/streaming_updates.py
 
-Honors ``REPRO_WORKERS`` (the CI step runs this under
-``REPRO_WORKERS=2`` to exercise the sharded backends).
+Honors ``REPRO_WORKERS``: the approximator builds and tree resamples
+shard their construction kernels under it (the CI step runs this under
+``REPRO_WORKERS=2``); routing runs on the calling thread either way.
 """
 
 from __future__ import annotations

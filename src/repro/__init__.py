@@ -34,16 +34,11 @@ batch column is the one-shot solve, bit for bit)::
     server = FlowServer(graph, epsilon=0.25)
     results = server.route_batch(demands)     # list of AlmostRouteResult
 
-Sharded execution (multi-worker kernels, bit-identical to serial)::
-
-    from repro.parallel import ParallelConfig
-    result = max_flow(graph, s, t, parallel=ParallelConfig(4, "thread"))
-
-or set ``REPRO_WORKERS=4`` (and optionally ``REPRO_BACKEND``) in the
-environment to shard every beyond-threshold kernel process-wide.
-
-See README.md for a guided tour and DESIGN.md for the paper-to-module
-mapping.
+Sharded construction (multi-worker BFS, CSR and MWU kernels,
+bit-identical to serial): set ``REPRO_WORKERS=4`` (and optionally
+``REPRO_BACKEND``) in the environment to shard every beyond-threshold
+construction kernel process-wide. Routing always runs on the calling
+thread.
 """
 
 from repro.graphs import Graph, RootedTree

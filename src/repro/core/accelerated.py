@@ -42,7 +42,6 @@ from repro.core.almost_route import (
 from repro.core.approximator import TreeCongestionApproximator
 from repro.errors import ConvergenceError, GraphError
 from repro.graphs.graph import Graph
-from repro.parallel.config import ParallelConfig
 from repro.util.validation import check_demand
 
 __all__ = ["accelerated_almost_route", "accelerated_almost_route_batch"]
@@ -56,22 +55,18 @@ def accelerated_almost_route(
     max_iterations: int | None = None,
     raise_on_budget: bool = False,
     workspace: RouteWorkspace | None = None,
-    parallel: "ParallelConfig | None" = None,
     initial_flow: np.ndarray | None = None,
 ) -> AlmostRouteResult:
     """Momentum-accelerated Algorithm 2.
 
     Same contract as :func:`repro.core.almost_route.almost_route`
-    (including the optional sharded-execution ``parallel`` override and
-    the ``initial_flow=`` warm start — the seed primes both the iterate
-    and the momentum anchor ``f_prev``, so the first step is plain
-    gradient descent from the seed, zero momentum); on
+    (including the ``initial_flow=`` warm start — the seed primes both
+    the iterate and the momentum anchor ``f_prev``, so the first step
+    is plain gradient descent from the seed, zero momentum); on
     well-conditioned instances it converges in noticeably fewer
     iterations (the footnote-3 α²→α improvement shows up as a smaller
     effective step-count constant).
     """
-    if parallel is not None:
-        approximator = approximator.with_parallel(parallel)
     demand = check_demand(graph, demand)
     n = graph.num_nodes
     m = graph.num_edges
@@ -182,7 +177,6 @@ def accelerated_almost_route_batch(
     max_iterations: int | None = None,
     raise_on_budget: bool = False,
     workspace: RouteWorkspace | None = None,
-    parallel: "ParallelConfig | None" = None,
     initial_flows: np.ndarray | None = None,
 ) -> BatchAlmostRouteResult:
     """Momentum-accelerated Algorithm 2 on ``Q`` stacked demands.
@@ -202,6 +196,5 @@ def accelerated_almost_route_batch(
         max_iterations,
         raise_on_budget,
         workspace,
-        parallel,
         initial_flows,
     )

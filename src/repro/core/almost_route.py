@@ -51,7 +51,6 @@ from repro.errors import ConvergenceError, GraphError
 from repro.graphs.csr import WIDE_DTYPE
 from repro.graphs.graph import Graph
 from repro.hotpath import hot_kernel
-from repro.parallel.config import ParallelConfig
 from repro.util.validation import check_demand, check_demand_batch
 
 __all__ = [
@@ -251,7 +250,6 @@ def almost_route(
     max_iterations: int | None = None,
     raise_on_budget: bool = False,
     workspace: RouteWorkspace | None = None,
-    parallel: ParallelConfig | None = None,
     initial_flow: np.ndarray | None = None,
 ) -> AlmostRouteResult:
     """Run Algorithm 2.
@@ -271,9 +269,6 @@ def almost_route(
             built internally when omitted; a workspace sized for a
             different (graph, approximator) pair raises
             :class:`~repro.errors.GraphError`.
-        parallel: Optional sharded-execution config for the R products
-            (overrides the approximator's own; results are
-            bit-identical either way).
         initial_flow: Optional warm-start seed in *original* (unscaled)
             units — typically a previous epoch's flow for the same
             demand, rescaled to the current capacities via
@@ -288,8 +283,6 @@ def almost_route(
         An :class:`AlmostRouteResult`. ``flow`` is *not* necessarily
         feasible (soft capacity constraint); Algorithm 1 rescales.
     """
-    if parallel is not None:
-        approximator = approximator.with_parallel(parallel)
     demand = check_demand(graph, demand)
     n = graph.num_nodes
     m = graph.num_edges
@@ -435,7 +428,6 @@ def _route_columns(
     max_iterations: int | None,
     raise_on_budget: bool,
     workspace: RouteWorkspace | None,
-    parallel: ParallelConfig | None,
     initial_flows: np.ndarray | None,
 ) -> BatchAlmostRouteResult:
     """Route each row of ``demands`` with the one-shot ``solver`` and
@@ -462,7 +454,6 @@ def _route_columns(
             max_iterations=max_iterations,
             raise_on_budget=raise_on_budget,
             workspace=workspace,
-            parallel=parallel,
             initial_flow=None if seeds is None else seeds[q],
         )
         for q in range(num_queries)
@@ -493,7 +484,6 @@ def almost_route_batch(
     max_iterations: int | None = None,
     raise_on_budget: bool = False,
     workspace: RouteWorkspace | None = None,
-    parallel: ParallelConfig | None = None,
     initial_flows: np.ndarray | None = None,
 ) -> BatchAlmostRouteResult:
     """Run Algorithm 2 on ``Q`` stacked demands, one column at a time.
@@ -516,8 +506,6 @@ def almost_route_batch(
         workspace: Optional :class:`RouteWorkspace` for the (graph,
             approximator) pair, reused for every column; mismatched
             shapes raise :class:`~repro.errors.GraphError`.
-        parallel: Optional sharded-execution config for the R products
-            (results are bit-identical either way).
         initial_flows: Optional ``(Q, m)`` plane of warm-start seeds in
             original units; row ``q`` is column ``q``'s
             ``initial_flow`` (see :func:`almost_route`).
@@ -534,6 +522,5 @@ def almost_route_batch(
         max_iterations,
         raise_on_budget,
         workspace,
-        parallel,
         initial_flows,
     )

@@ -175,43 +175,15 @@ class TreeCongestionApproximator:
         alpha: The α used by the gradient descent (an upper bound on the
             worst-case ratio opt(b) / ‖Rb‖_∞; estimated or supplied).
         method: Which construction produced the trees (diagnostics).
-        parallel: Optional sharded-execution config for the flat
-            operator's products (``None`` defers to the
-            ``REPRO_WORKERS`` process default). Never changes results —
-            the sharded products are bit-identical to serial.
     """
 
     graph: Graph
     operators: list[TreeOperator]
     alpha: float
     method: str = "hierarchy"
-    parallel: ParallelConfig | None = None
     _stacked: StackedTreeOperator | None = field(
         default=None, repr=False, compare=False
     )
-
-    def with_parallel(
-        self, parallel: ParallelConfig | None
-    ) -> "TreeCongestionApproximator":
-        """A shallow twin running its products under ``parallel``.
-
-        Shares the operators and the cached stacked operator (both are
-        immutable after construction), so the twin costs nothing to
-        make — callers like ``almost_route`` use it to honor a per-call
-        config without mutating a shared approximator.
-        """
-        twin = TreeCongestionApproximator(
-            graph=self.graph,
-            operators=self.operators,
-            alpha=self.alpha,
-            method=self.method,
-            parallel=parallel,
-        )
-        # Build the stacked operator on the original (cached there for
-        # every future twin) before sharing, so per-call wrapping never
-        # pays the fuse twice.
-        twin._stacked = self.stacked()
-        return twin
 
     @property
     def num_trees(self) -> int:
@@ -235,23 +207,19 @@ class TreeCongestionApproximator:
     ) -> np.ndarray:
         """Compute R·b (concatenated over trees); ``out=`` (shape
         ``(num_rows,)``) makes the call allocation free."""
-        return self.stacked().apply(
-            np.asarray(demand, dtype=float), out=out, parallel=self.parallel
-        )
+        return self.stacked().apply(np.asarray(demand, dtype=float), out=out)
 
     def apply_transpose(
         self, row_values: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Compute Rᵀ·g as node potentials."""
         return self.stacked().apply_transpose(
-            np.asarray(row_values, dtype=float), out=out, parallel=self.parallel
+            np.asarray(row_values, dtype=float), out=out
         )
 
     def estimate(self, demand: np.ndarray) -> float:
         """‖Rb‖_∞ — the lower-bound congestion estimate for ``demand``."""
-        return self.stacked().estimate(
-            np.asarray(demand, dtype=float), parallel=self.parallel
-        )
+        return self.stacked().estimate(np.asarray(demand, dtype=float))
 
     def trees(self) -> list[RootedTree]:
         return [op.tree for op in self.operators]
@@ -277,14 +245,14 @@ class TreeCongestionApproximator:
           was chosen by a sampler that favored the old capacities, and
           a degraded on-tree edge makes the tree a poor router even
           with exact row capacities. Trees with unrealized parent pairs
-          are resampled conservatively.
+          are resampled conservatively. Resampling runs its
+          construction kernels under the ``REPRO_WORKERS`` process
+          default.
 
         The cached stacked operator is patched in place when no tree
-        was resampled (shard views keep aliasing the same base vector;
-        their shared-memory export tags advance) and dropped for lazy
-        rebuild otherwise — row counts are stable either way (every
-        spanning tree has n-1 rows), so existing ``RouteWorkspace``
-        objects stay valid.
+        was resampled and dropped for lazy rebuild otherwise — row
+        counts are stable either way (every spanning tree has n-1
+        rows), so existing ``RouteWorkspace`` objects stay valid.
 
         ``alpha`` is deliberately kept: the estimate's safety factor
         absorbs small-delta drift, and refreshing rows to exact cuts
@@ -310,7 +278,6 @@ class TreeCongestionApproximator:
                 len(resample),
                 rng=rng,
                 params=hierarchy_params,
-                parallel=self.parallel,
             )
             for t, sample in zip(resample, samples):
                 self.operators[t] = TreeOperator(sample.tree)
@@ -432,13 +399,13 @@ def build_congestion_approximator(
         alpha: Override for the α the descent uses; estimated from
             random s-t demands when omitted.
         hierarchy_params: Tunables for the "hierarchy" method.
-        parallel: Optional sharded-execution config stored on the
-            approximator: its R / Rᵀ products then run sharded on the
-            configured pool (bit-identical to serial), and the
-            hierarchy's stacked MWU length evaluations follow it during
-            construction. The remaining construction-time kernels (BFS,
-            contraction, CSR builds) follow the ``REPRO_WORKERS``
-            process default independently.
+        parallel: Optional sharded-execution config for the
+            hierarchy's stacked MWU length evaluations during
+            construction (bit-identical to serial; not stored). The
+            remaining construction kernels (BFS, contraction, CSR
+            builds) follow the ``REPRO_WORKERS`` process default. The
+            approximator's R / Rᵀ products always run on the calling
+            thread.
 
     Returns:
         A :class:`TreeCongestionApproximator`.
@@ -476,7 +443,6 @@ def build_congestion_approximator(
         operators=[TreeOperator(t) for t in trees],
         alpha=1.0,
         method=method,
-        parallel=parallel,
     )
     if alpha is None:
         approximator.alpha = estimate_alpha_st(graph, approximator, rng=rng)

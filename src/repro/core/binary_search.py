@@ -25,7 +25,6 @@ from repro.core.approximator import (
 from repro.core.maxflow import ApproxFlow, min_congestion_flow
 from repro.errors import ConvergenceError, InvalidDemandError
 from repro.graphs.graph import Graph
-from repro.parallel.config import ParallelConfig
 from repro.util.rng import as_generator
 from repro.util.validation import st_demand
 
@@ -61,7 +60,6 @@ def max_flow_binary_search(
     rng: np.random.Generator | int | None = None,
     tolerance: float = 0.05,
     max_steps: int = 30,
-    parallel: ParallelConfig | None = None,
 ) -> BinarySearchMaxFlow:
     """Approximate max flow by binary search over the demand value F.
 
@@ -78,8 +76,6 @@ def max_flow_binary_search(
         rng: Randomness for approximator construction.
         tolerance: Relative bracket width at which the search stops.
         max_steps: Hard cap on bisection steps.
-        parallel: Optional sharded-execution config for the R products
-            across the whole sweep (bit-identical to serial).
 
     Returns:
         A :class:`BinarySearchMaxFlow`; ``value`` matches the scaling
@@ -89,11 +85,7 @@ def max_flow_binary_search(
         raise InvalidDemandError("source and sink must differ")
     rng = as_generator(rng)
     if approximator is None:
-        approximator = build_congestion_approximator(
-            graph, rng=rng, parallel=parallel
-        )
-    elif parallel is not None:
-        approximator = approximator.with_parallel(parallel)
+        approximator = build_congestion_approximator(graph, rng=rng)
     # One AlmostRoute workspace serves the entire bisection sweep.
     workspace = RouteWorkspace(graph, approximator)
     unit = st_demand(graph, source, sink, 1.0)

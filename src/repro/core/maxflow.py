@@ -39,7 +39,6 @@ from repro.errors import InvalidDemandError
 from repro.flow.mst import maximum_spanning_tree
 from repro.graphs.graph import Graph
 from repro.graphs.trees import tree_route_demand
-from repro.parallel.config import ParallelConfig
 from repro.util.rng import as_generator
 from repro.util.validation import check_demand, st_demand
 
@@ -114,7 +113,6 @@ def min_congestion_flow(
     max_iterations: int | None = None,
     residual_rounds: int | None = None,
     workspace: RouteWorkspace | None = None,
-    parallel: ParallelConfig | None = None,
     initial_flow: np.ndarray | None = None,
 ) -> ApproxFlow:
     """Route ``demand`` with approximately minimal congestion.
@@ -133,8 +131,6 @@ def min_congestion_flow(
             once here and shared by every residual round (callers
             sweeping many demands — e.g. the binary search — pass one
             in to amortize it further).
-        parallel: Optional sharded-execution config for the R products
-            across every residual round (bit-identical to serial).
         initial_flow: Optional warm-start seed for the *first*
             AlmostRoute round (a previous epoch's flow for this demand,
             rescaled via :func:`repro.graphs.journal.rescale_flow`);
@@ -147,11 +143,7 @@ def min_congestion_flow(
     demand = check_demand(graph, demand)
     rng = as_generator(rng)
     if approximator is None:
-        approximator = build_congestion_approximator(
-            graph, rng=rng, parallel=parallel
-        )
-    elif parallel is not None:
-        approximator = approximator.with_parallel(parallel)
+        approximator = build_congestion_approximator(graph, rng=rng)
     workspace = RouteWorkspace.ensure(workspace, graph, approximator)
     m = graph.num_edges
     if residual_rounds is None:
@@ -212,7 +204,6 @@ def max_flow(
     rng: np.random.Generator | int | None = None,
     max_iterations: int | None = None,
     workspace: RouteWorkspace | None = None,
-    parallel: ParallelConfig | None = None,
 ) -> ApproxMaxFlow:
     """Compute a (1 + ε′)-approximate maximum s-t flow (Theorem 1.1).
 
@@ -226,8 +217,6 @@ def max_flow(
         max_iterations: Per-AlmostRoute gradient budget override.
         workspace: Optional preallocated AlmostRoute workspace, reused
             across the residual rounds (and by repeat callers).
-        parallel: Optional sharded-execution config for the R products
-            (bit-identical to serial; see :mod:`repro.parallel`).
 
     Returns:
         An :class:`ApproxMaxFlow` whose ``flow`` is exactly feasible and
@@ -241,10 +230,7 @@ def max_flow(
     graph.require_connected()
     rng = as_generator(rng)
     if approximator is None:
-        approximator = build_congestion_approximator(
-            graph, rng=rng, parallel=parallel
-        )
-        parallel = None  # already carried by the approximator
+        approximator = build_congestion_approximator(graph, rng=rng)
     demand = st_demand(graph, source, sink, 1.0)
     routed = min_congestion_flow(
         graph,
@@ -254,7 +240,6 @@ def max_flow(
         rng=rng,
         max_iterations=max_iterations,
         workspace=workspace,
-        parallel=parallel,
     )
     congestion = routed.congestion
     if congestion <= 0:

@@ -79,9 +79,8 @@ class PoolFailureError(ReproError):
 
 class ServingError(ReproError):
     """Raised by :class:`repro.serve.FlowServer` when a request cannot
-    be served: a poisoned demand column, a solve failure that survives
-    its retry, or pool loss that persists through every
-    circuit-breaker degradation step.
+    be served: a poisoned demand column or a solve failure that
+    survives its retry.
 
     Error isolation contract: in batched routing a ``ServingError``
     scopes to the one demand column that failed (its cause chained as

@@ -1,13 +1,13 @@
 """Worker-sharded execution backend for the array-native substrate.
 
-The paper's algorithm is distributed by construction: congestion-
-approximator products decompose into independent per-tree work and the
-BFS/contraction primitives into independent per-node-range work. This
-package is the centralized mirror of that decomposition — it partitions
-the *data* of the already-whole-array kernels across workers:
+The paper's algorithm is distributed by construction: the BFS,
+contraction and MWU primitives of approximator construction decompose
+into independent per-node-range (or per-sample) work. This package is
+the centralized mirror of that decomposition — it partitions the
+*data* of the already-whole-array construction kernels across workers:
 
 * :class:`ShardPlan` — balanced contiguous partitions of CSR ``indptr``
-  node ranges, BFS frontiers, and stacked-operator tree rows;
+  node ranges, BFS frontiers, and MWU sample rows;
 * :class:`ParallelConfig` — shard count / pool backend / adaptive
   threshold, defaulting process-wide from ``REPRO_WORKERS`` (and
   ``REPRO_BACKEND``); ``REPRO_WORKERS=2 pytest`` runs the entire suite
@@ -17,12 +17,16 @@ the *data* of the already-whole-array kernels across workers:
 
 The sharded kernels themselves live next to their serial twins
 (:mod:`repro.graphs.kernels`, :mod:`repro.graphs.csr`,
-:mod:`repro.core.stacked`) and are **bit-identical** to them by
+:mod:`repro.jtree.mwu`) and are **bit-identical** to them by
 construction: shards are contiguous index ranges whose outputs
 concatenate back into the exact serial element order, so every
 downstream fold (tie-breaking, ``bincount`` accumulation, floating-
 point summation) is unchanged. ``tests/parallel_harness.py`` sweeps a
 seed × generator × shard-count matrix asserting exact equality.
+
+Routing never shards: the approximator's R·b / Rᵀ·g products run on
+the calling thread (splitting them into tree blocks measured slower
+than one pass on a 2-vCPU host), so the pools serve construction only.
 """
 
 from repro.parallel.arena import (

@@ -1,8 +1,8 @@
 """Shard plans: balanced contiguous partitions of array index ranges.
 
 Every sharded kernel in the library splits *contiguous* index ranges —
-CSR ``indptr`` node ranges, BFS frontier slices, stacked-operator tree
-rows — never arbitrary subsets. Contiguity is what keeps the sharded
+CSR ``indptr`` node ranges, BFS frontier slices, MWU sample rows —
+never arbitrary subsets. Contiguity is what keeps the sharded
 paths bit-identical to the serial ones: concatenating shard outputs in
 shard order reproduces the exact element order the serial whole-array
 pass produces, so every downstream fold (``np.unique`` tie-breaks,

@@ -54,12 +54,11 @@ asymmetry, deliberately:
   :class:`~repro.errors.PoolFailureError` without retry: a timed-out
   thread cannot be preempted and may still be writing to caller-owned
   output views, so re-executing its shard would race it.  Callers that
-  hand threads shared scratch (``shares_memory``) must treat those
-  buffers as poisoned after a failure — :class:`repro.serve.FlowServer`
-  drops (never re-pools) workspaces from failed solves.
+  hand threads shared output buffers must treat them as poisoned after
+  a failure.
 * **Serial pool** — unsupervised by construction; it is the reference
-  path the other backends are pinned against, and the final circuit-
-  breaker fallback that must not itself have failure modes.
+  path the other backends are pinned against, so it must not itself
+  have failure modes.
 
 Shard exceptions that are :class:`~repro.errors.ReproError` subclasses
 propagate immediately without retry — they are deterministic library
@@ -259,7 +258,7 @@ class PoolStats:
 
     Recovery is invisible in results by design, so these counters are
     the observable: tests assert a fault both fired *and* was absorbed
-    here, and :meth:`repro.serve.FlowServer.health` surfaces them.
+    here.
 
     Attributes:
         retries: Retry waves executed across all maps.
@@ -297,11 +296,6 @@ class PoolStats:
 class WorkerPool:
     """Interface: ordered shard execution."""
 
-    #: Whether workers see the caller's memory (serial / thread pools).
-    #: In-process callers may then hand workers output views and cached
-    #: scratch buffers; process-pool callers must not.
-    shares_memory: bool = True
-
     def __init__(self) -> None:
         self.stats = PoolStats()
 
@@ -318,9 +312,9 @@ class SerialPool(WorkerPool):
     """Run every shard in the calling thread, in task order.
 
     Deliberately unsupervised: this is the reference path the other
-    backends are golden-tested against, and the terminal fallback of
-    the serving circuit-breaker — it must not have failure modes of
-    its own, so no fault site fires here and exceptions propagate raw.
+    backends are golden-tested against — it must not have failure
+    modes of its own, so no fault site fires here and exceptions
+    propagate raw.
     """
 
     def map(self, fn: Callable[..., Any], tasks: Sequence[tuple]) -> list[Any]:
@@ -523,8 +517,6 @@ def _process_invoke(payload: tuple) -> Any:
 
 class ProcessPool(WorkerPool):
     """Persistent fork-context process pool with shared-memory inputs."""
-
-    shares_memory = False
 
     def __init__(self, workers: int) -> None:
         import multiprocessing
@@ -748,8 +740,7 @@ def reset_fork_warning() -> None:
 
     The warn-once latch is a module global, so without this hook the
     warning is observable at most once per interpreter — repeated test
-    runs in one process, and the serving circuit-breaker's
-    process→thread degradation path, could never assert it fired."""
+    runs in one process could never assert it fired."""
     _FORK_WARNING[0] = False
 
 

@@ -1,4 +1,4 @@
-"""Declarative scenario corpus: Topology × Demand × Failure × Backend.
+"""Declarative scenario corpus: Topology × Demand × Failure.
 
 ``import repro.scenarios`` is enough to populate every axis registry
 (the demand and failure modules register their models at import time);
@@ -25,7 +25,6 @@ from repro.scenarios.runner import (
     run_matrix,
 )
 from repro.scenarios.spec import (
-    BACKENDS,
     DEMANDS,
     FAILURES,
     TOPOLOGIES,
@@ -35,7 +34,6 @@ from repro.scenarios.spec import (
     Scenario,
     TopologyInstance,
     TopologySpec,
-    backend_config,
     build_matrix,
     resolve_demand,
     resolve_failure,
@@ -44,7 +42,6 @@ from repro.scenarios.spec import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BENCH_SUBSET",
     "CORPUS_SEED",
     "DEMANDS",
@@ -59,7 +56,6 @@ __all__ = [
     "ScenarioRecord",
     "TopologyInstance",
     "TopologySpec",
-    "backend_config",
     "build_matrix",
     "default_approximator",
     "full_matrix",

@@ -4,21 +4,19 @@ The quick corpus is the matrix ``tools/run_scenarios.py --quick``
 executes and the CI ``scenarios`` job gates on. Gradient-iteration
 counts — and therefore runtimes — are deterministic under the corpus
 seed, so the quick matrix is *tuned on measured iteration budgets*:
-the planted-bottleneck topology converges in a few thousand iterations
-and carries the process backend (whose per-product dispatch overhead
-makes 100k-iteration instances unaffordable), while the heavier
-topologies (road network, power law, torus) run serial + thread, whose
-per-iteration costs are comparable. The full corpus widens every axis
-and runs all three backends everywhere.
+the cheap planted-bottleneck topology carries the widest demand and
+failure axes, while the heavier topologies (road network, power law,
+torus) run two demands and two failures. The full corpus widens every
+axis.
 
-``BENCH_SUBSET`` names the serial scenarios whose routing time feeds
+``BENCH_SUBSET`` names the scenarios whose routing time feeds
 ``BENCH_scenarios.json`` — shared here so ``tools/bench_regression.py``
 re-measures exactly the rows the runner recorded.
 """
 
 from __future__ import annotations
 
-from repro.scenarios.spec import BACKENDS, Scenario, build_matrix
+from repro.scenarios.spec import Scenario, build_matrix
 
 __all__ = [
     "BENCH_SUBSET",
@@ -36,26 +34,22 @@ CORPUS_SEED = 9090
 #: little; 0.5 keeps the max-flow quality invariant meaningful.
 QUICK_EPSILON = 0.5
 
-#: Serial scenario names whose route time becomes a benchmark metric.
-#: Every name must appear in the quick matrix.
+#: Scenario names whose route time becomes a benchmark metric. Every
+#: name must appear in the quick matrix.
 BENCH_SUBSET = (
-    "torus_9x9__gravity__none__serial",
-    "power_law_96__hotspot__degrade__serial",
-    "planted_60__adversarial_cut__none__serial",
+    "torus_9x9__gravity__none",
+    "power_law_96__hotspot__degrade",
+    "planted_60__adversarial_cut__none",
 )
 
 
 def quick_matrix() -> list[Scenario]:
-    """The CI matrix: every axis value covered, ~4 minutes serial.
-
-    Planted-bottleneck groups run all three backends (serial, thread,
-    process); the heavier topologies run serial + thread.
-    """
+    """The CI matrix: every quick axis value covered, ~3 minutes on a
+    2-vCPU host."""
     matrix = build_matrix(
         topologies=("torus_9x9", "power_law_96", "road_12x12"),
         demands=("gravity", "hotspot"),
         failures=("none", "degrade"),
-        backends=("serial", "thread"),
         epsilon=QUICK_EPSILON,
         num_queries=2,
         seed=CORPUS_SEED,
@@ -64,7 +58,6 @@ def quick_matrix() -> list[Scenario]:
         topologies=("planted_60",),
         demands=("gravity", "hotspot", "adversarial_cut"),
         failures=("none", "degrade", "restore"),
-        backends=BACKENDS,
         epsilon=QUICK_EPSILON,
         num_queries=2,
         seed=CORPUS_SEED,
@@ -74,8 +67,8 @@ def quick_matrix() -> list[Scenario]:
 
 def full_matrix() -> list[Scenario]:
     """The widened nightly/local matrix: adds the grid and large
-    power-law topologies, the delete and restore failure models, a
-    third query, and all three backends on every group."""
+    power-law topologies, the delete and restore failure models on
+    every topology, and a third query."""
     return build_matrix(
         topologies=(
             "torus_9x9",
@@ -87,7 +80,6 @@ def full_matrix() -> list[Scenario]:
         ),
         demands=("gravity", "hotspot", "adversarial_cut"),
         failures=("none", "degrade", "delete", "restore"),
-        backends=BACKENDS,
         epsilon=QUICK_EPSILON,
         num_queries=3,
         seed=CORPUS_SEED,

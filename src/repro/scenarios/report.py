@@ -48,8 +48,7 @@ def scenario_report(result: MatrixResult, title: str) -> str:
         "`(1+eps)*alpha` congestion guarantee, max-flow value vs exact",
         "Dinic (feasibility, certified cut dominance, epsilon quality),",
         "planted-bottleneck detection on adversarial demands, epoch",
-        "accounting of failure writes, bit-identical flows across",
-        "serial/thread/process backends, and warm/cold agreement of the",
+        "accounting of failure writes, and warm/cold agreement of the",
         "journal-seeded re-route after a mid-run degradation (the",
         "route -> degrade -> re-route-warm stage). Wall-clock numbers are",
         "deliberately absent (they live in `BENCH_scenarios.json`);",
@@ -68,22 +67,15 @@ def scenario_report(result: MatrixResult, title: str) -> str:
         "",
         "## Scenario groups",
         "",
-        "One row per Topology x Demand x Failure group; the three",
-        "backends of a group produce bit-identical flows, so their",
-        "deterministic columns coincide and are reported once.",
+        "One row per Topology x Demand x Failure scenario.",
         "",
         "| topology | demand | failure | n | m | failed | exact st "
         "| approx st | value ratio | alpha | congestion | lower bound "
         "| checks |",
         "|---|---|---|---|---|---|---|---|---|---|---|---|---|",
     ]
-    seen: set[tuple[str, str, str]] = set()
     for record in result.records:
         scenario = record.scenario
-        key = (scenario.topology, scenario.demand, scenario.failure)
-        if key in seen:
-            continue
-        seen.add(key)
         ratio = (
             record.maxflow_value / record.exact_value
             if record.exact_value > 0
@@ -101,8 +93,7 @@ def scenario_report(result: MatrixResult, title: str) -> str:
         )
     lines += [
         "",
-        f"Groups: {result.groups} — scenarios: {len(result.records)} "
-        f"(x backends) — every invariant asserted.",
+        f"Scenarios: {len(result.records)} — every invariant asserted.",
         "",
     ]
     return "\n".join(lines)
@@ -134,8 +125,8 @@ def write_bench(result: MatrixResult, path: Path) -> None:
     payload = {
         "description": (
             "Scenario-corpus routing baselines: wall-clock of routing "
-            "the scenario's full demand plane serially (invariants "
-            "asserted on the same run). Re-measured and gated by "
+            "the scenario's full demand plane (invariants asserted on "
+            "the same run). Re-measured and gated by "
             "tools/bench_regression.py; regenerate with "
             "tools/run_scenarios.py --quick."
         ),
@@ -147,8 +138,8 @@ def write_bench(result: MatrixResult, path: Path) -> None:
 def measure_scenario_benchmarks() -> dict[str, float]:
     """Re-measure the benchmark subset (used by the regression gate).
 
-    Runs only the serial scenarios named in ``BENCH_SUBSET`` (plus
-    their invariants), so the gate stays cheap.
+    Runs only the scenarios named in ``BENCH_SUBSET`` (plus their
+    invariants), so the gate stays cheap.
     """
     wanted = set(BENCH_SUBSET)
     scenarios = [s for s in quick_matrix() if s.name in wanted]
@@ -159,7 +150,6 @@ def scenario_record_json(record: ScenarioRecord) -> dict[str, object]:
     """A JSON-friendly view of one record (CLI ``--select`` output)."""
     return {
         "scenario": record.scenario.name,
-        "backend": record.scenario.backend,
         "num_nodes": record.num_nodes,
         "num_edges": record.num_edges,
         "failed_edges": record.failed_edges,

@@ -1,12 +1,11 @@
 """Scenario runner: execute a matrix, assert invariants, record perf.
 
-``run_matrix`` groups scenarios by everything-but-backend so a group
-shares one topology build, one failure application, one exact Dinic
-solve, and one congestion approximator; then every backend in the
-group routes the identical demand plane and the flows are compared
-bit-for-bit. Invariants (:mod:`repro.scenarios.invariants`) are
-asserted on the serial flows; perf is recorded per scenario (one
-record per Topology × Demand × Failure × Backend point).
+``run_matrix`` runs each scenario on its own topology build, failure
+application, exact Dinic solve and congestion approximator, routes its
+demand plane, and asserts the invariants
+(:mod:`repro.scenarios.invariants`) on the routed flows; perf is
+recorded per scenario (one record per Topology × Demand × Failure
+point).
 
 The approximator is built through an injectable ``build_approximator``
 hook so the suite's mutation test can hand the runner a deliberately
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -38,8 +37,6 @@ from repro.scenarios.failures import apply_failure
 from repro.scenarios.spec import (
     FailureReport,
     Scenario,
-    TopologyInstance,
-    backend_config,
     resolve_demand,
     resolve_failure,
     resolve_topology,
@@ -75,13 +72,12 @@ def default_approximator(
 
 @dataclass(frozen=True)
 class ScenarioRecord:
-    """Outcome of one scenario (one backend point of a group).
+    """Outcome of one scenario.
 
-    ``route_seconds`` is the wall time of routing the full demand plane
-    on this backend; ``maxflow_value`` / ``exact_value`` /
-    ``congestion`` / ``lower_bound`` are shared per group (they are
-    computed once, serially). ``invariants_checked`` counts the
-    invariant assertions that guarded this record.
+    ``route_seconds`` is the wall time of routing the full demand
+    plane; ``congestion`` / ``lower_bound`` are the worst over its
+    queries. ``invariants_checked`` counts the invariant assertions
+    that guarded this record.
     """
 
     scenario: Scenario
@@ -105,29 +101,10 @@ class MatrixResult:
     """All records of a matrix run plus run-level accounting."""
 
     records: list[ScenarioRecord] = field(default_factory=list)
-    groups: int = 0
     total_seconds: float = 0.0
 
     def by_name(self) -> dict[str, ScenarioRecord]:
         return {record.scenario.name: record for record in self.records}
-
-
-def _group_scenarios(
-    scenarios: Sequence[Scenario],
-) -> list[list[Scenario]]:
-    """Group by everything-but-backend, preserving matrix order, and
-    reject duplicate backends within a group."""
-    groups: dict[tuple[str, str, str, float, int, int], list[Scenario]] = {}
-    for scenario in scenarios:
-        groups.setdefault(scenario.group_key, []).append(scenario)
-    for members in groups.values():
-        backends = [member.backend for member in members]
-        if len(set(backends)) != len(backends):
-            raise ScenarioError(
-                f"duplicate backend in scenario group "
-                f"{members[0].group_key}: {backends}"
-            )
-    return list(groups.values())
 
 
 def _route_plane(
@@ -135,14 +112,10 @@ def _route_plane(
     plane: np.ndarray,
     epsilon: float,
     approximator: TreeCongestionApproximator,
-    backend: str,
-    workers: int,
     workspace: RouteWorkspace,
 ) -> tuple[list[ApproxFlow], float]:
-    """Route every demand of the plane on one backend; returns the
-    per-query results and the wall time of the sweep."""
-    config = backend_config(backend, workers=workers)
-    parallel = None if backend == "serial" else config
+    """Route every demand of the plane; returns the per-query results
+    and the wall time of the sweep."""
     results: list[ApproxFlow] = []
     start = time.perf_counter()
     for row in plane:
@@ -153,14 +126,13 @@ def _route_plane(
                 epsilon=epsilon,
                 approximator=approximator,
                 workspace=workspace,
-                parallel=parallel,
             )
         )
     return results, time.perf_counter() - start
 
 
 def _warm_reroute_stage(
-    head: Scenario,
+    scenario: Scenario,
     graph: Graph,
     demand: np.ndarray,
     approximator: TreeCongestionApproximator,
@@ -169,7 +141,7 @@ def _warm_reroute_stage(
 ) -> int:
     """Route → degrade → re-route warm (the dynamic-graph stage).
 
-    After the group's routing is done, degrade a deterministic ~5% of
+    After the scenario's routing is done, degrade a deterministic ~5% of
     edges through ``set_capacity``, read the capacity delta back from
     the graph's journal, refresh the approximator in place (resampling
     journal-intersecting trees), and re-route the first demand twice:
@@ -178,11 +150,13 @@ def _warm_reroute_stage(
     conservation of the warm flow, and warm/cold agreement to the
     guarantee bound. Returns the number of invariant checks performed.
 
-    Runs last in the group on purpose — it mutates the shared graph,
-    so every backend comparison has already been recorded.
+    Runs last on purpose — it mutates the scenario's graph, so the
+    recorded routing has already happened.
     """
     epoch = graph._version
-    rng = as_generator(scenario_seed(head.seed, "warm-reroute", head.topology))
+    rng = as_generator(
+        scenario_seed(scenario.seed, "warm-reroute", scenario.topology)
+    )
     count = max(1, int(graph.num_edges * WARM_FRACTION))
     edges = np.sort(rng.choice(graph.num_edges, size=count, replace=False))
     for eid in edges.tolist():
@@ -190,7 +164,7 @@ def _warm_reroute_stage(
             int(eid), graph.capacity(int(eid)) * WARM_DEGRADE_FACTOR
         )
     invariants.check_epoch_accounting(
-        f"{head.name}#warm",
+        f"{scenario.name}#warm",
         FailureReport(
             name="warm-degrade",
             edge_ids=edges,
@@ -200,20 +174,20 @@ def _warm_reroute_stage(
     delta = graph.deltas_since(epoch)
     if delta is None:
         raise ScenarioError(
-            f"scenario {head.name!r}: journal lost a capacity-only "
+            f"scenario {scenario.name!r}: journal lost a capacity-only "
             f"delta of {count} edges (overflowed="
             f"{graph.journal_overflowed})"
         )
     approximator.refresh_capacities(
         delta.edge_ids,
         rng=as_generator(
-            scenario_seed(head.seed, "warm-resample", head.topology)
+            scenario_seed(scenario.seed, "warm-resample", scenario.topology)
         ),
     )
     warm = min_congestion_flow(
         graph,
         demand,
-        epsilon=head.epsilon,
+        epsilon=scenario.epsilon,
         approximator=approximator,
         workspace=workspace,
         initial_flow=rescale_flow(previous.flow, delta),
@@ -221,77 +195,70 @@ def _warm_reroute_stage(
     cold = min_congestion_flow(
         graph,
         demand,
-        epsilon=head.epsilon,
+        epsilon=scenario.epsilon,
         approximator=approximator,
         workspace=workspace,
     )
-    label = f"{head.name}#warm"
+    label = f"{scenario.name}#warm"
     invariants.check_conservation(label, graph, warm)
     invariants.check_warm_agreement(
-        label, warm, cold, approximator, head.epsilon
+        label, warm, cold, approximator, scenario.epsilon
     )
     return 3
 
 
-def _run_group(
-    members: Sequence[Scenario],
-    build_approximator: ApproximatorFactory,
-    workers: int,
-) -> list[ScenarioRecord]:
-    head = members[0]
-    topology_spec = resolve_topology(head.topology)
-    demand_spec = resolve_demand(head.demand)
-    failure_spec = resolve_failure(head.failure)
-    if demand_spec.requires_planted:
-        probe = topology_spec.build(head.seed)
-        if probe.planted is None:
-            raise ScenarioError(
-                f"scenario {head.name!r}: demand model "
-                f"{demand_spec.name!r} requires a planted-cut topology"
-            )
-        instance = probe
-    else:
-        instance = topology_spec.build(head.seed)
+def _run_scenario(
+    scenario: Scenario, build_approximator: ApproximatorFactory
+) -> ScenarioRecord:
+    topology_spec = resolve_topology(scenario.topology)
+    demand_spec = resolve_demand(scenario.demand)
+    failure_spec = resolve_failure(scenario.failure)
+    instance = topology_spec.build(scenario.seed)
+    if demand_spec.requires_planted and instance.planted is None:
+        raise ScenarioError(
+            f"scenario {scenario.name!r}: demand model "
+            f"{demand_spec.name!r} requires a planted-cut topology"
+        )
 
     # Failure plane: mutate through set_capacity and pin the epoch
     # accounting before anything downstream consumes the capacities.
-    report = apply_failure(instance, failure_spec, head.seed)
-    invariants.check_epoch_accounting(head.name, report)
+    report = apply_failure(instance, failure_spec, scenario.seed)
+    invariants.check_epoch_accounting(scenario.name, report)
     graph = instance.graph
 
-    # Exact oracle and s-t invariants (serial, once per group).
+    # Exact oracle and s-t invariants.
     source, sink = instance.source_sink()
     exact = dinic_max_flow(graph, source, sink)
     approximator = build_approximator(
-        graph, scenario_seed(head.seed, "approximator", head.topology)
+        graph, scenario_seed(scenario.seed, "approximator", scenario.topology)
     )
     workspace = RouteWorkspace(graph, approximator)
     approx_result = max_flow(
         graph,
         source,
         sink,
-        epsilon=head.epsilon,
+        epsilon=scenario.epsilon,
         approximator=approximator,
         workspace=workspace,
     )
-    invariants.check_maxflow_vs_exact(head.name, approx_result, exact.value)
+    invariants.check_maxflow_vs_exact(
+        scenario.name, approx_result, exact.value
+    )
 
-    # Demand plane, validated once and shared by every backend.
     plane = generate_demands(
-        instance, demand_spec, head.num_queries, head.seed
+        instance, demand_spec, scenario.num_queries, scenario.seed
     )
     plane = check_demand_batch(graph, plane)
-
-    serial_results, serial_seconds = _route_plane(
-        graph, plane, head.epsilon, approximator, "serial", workers, workspace
+    results, seconds = _route_plane(
+        graph, plane, scenario.epsilon, approximator, workspace
     )
     checked = 2  # epoch accounting + max-flow vs exact
-    for query, result in enumerate(serial_results):
-        label = f"{head.name}#q{query}"
+    for query, result in enumerate(results):
+        label = f"{scenario.name}#q{query}"
         invariants.check_conservation(label, graph, result)
         invariants.check_congestion_soundness(label, result)
         invariants.check_congestion_guarantee(
-            label, result, approximator, head.epsilon
+            label, result, approximator, scenario.epsilon
         )
         checked += 3
         if demand_spec.requires_planted:
@@ -300,99 +267,66 @@ def _run_group(
             )
             checked += 1
 
-    backend_rows: list[tuple[Scenario, float, int]] = []
-    for scenario in members:
-        group_checked = checked
-        if scenario.backend == "serial":
-            seconds = serial_seconds
-        else:
-            backend_results, seconds = _route_plane(
-                graph,
-                plane,
-                scenario.epsilon,
-                approximator,
-                scenario.backend,
-                workers,
-                workspace,
-            )
-            for query, result in enumerate(backend_results):
-                invariants.check_backend_identity(
-                    f"{scenario.name}#q{query}",
-                    scenario.backend,
-                    "serial",
-                    serial_results[query].flow,
-                    result.flow,
-                )
-                group_checked += 1
-        backend_rows.append((scenario, seconds, group_checked))
-
     # The warm re-route stage mutates the graph, so it runs strictly
-    # after every backend has routed the (pre-stage) plane.
-    warm_checked = _warm_reroute_stage(
-        head, graph, plane[0], approximator, workspace, serial_results[0]
+    # after the plane has been routed.
+    checked += _warm_reroute_stage(
+        scenario, graph, plane[0], approximator, workspace, results[0]
     )
-
-    records: list[ScenarioRecord] = []
-    for scenario, seconds, group_checked in backend_rows:
-        worst = max(result.congestion for result in serial_results)
-        bound = max(result.lower_bound for result in serial_results)
-        records.append(
-            ScenarioRecord(
-                scenario=scenario,
-                num_nodes=graph.num_nodes,
-                num_edges=graph.num_edges,
-                failed_edges=int(report.edge_ids.shape[0]),
-                version_delta=report.version_delta,
-                exact_value=exact.value,
-                maxflow_value=approx_result.value,
-                certified_upper_bound=approx_result.certified_upper_bound,
-                alpha=approximator.alpha,
-                congestion=worst,
-                lower_bound=bound,
-                iterations=sum(r.iterations for r in serial_results),
-                route_seconds=seconds,
-                invariants_checked=group_checked + warm_checked,
-            )
-        )
-    return records
+    return ScenarioRecord(
+        scenario=scenario,
+        num_nodes=graph.num_nodes,
+        num_edges=graph.num_edges,
+        failed_edges=int(report.edge_ids.shape[0]),
+        version_delta=report.version_delta,
+        exact_value=exact.value,
+        maxflow_value=approx_result.value,
+        certified_upper_bound=approx_result.certified_upper_bound,
+        alpha=approximator.alpha,
+        congestion=max(result.congestion for result in results),
+        lower_bound=max(result.lower_bound for result in results),
+        iterations=sum(result.iterations for result in results),
+        route_seconds=seconds,
+        invariants_checked=checked,
+    )
 
 
 def run_matrix(
     scenarios: Iterable[Scenario],
     build_approximator: ApproximatorFactory | None = None,
-    workers: int = 2,
     progress: Callable[[str], None] | None = None,
 ) -> MatrixResult:
     """Run a scenario matrix, asserting every invariant.
 
     Args:
         scenarios: The matrix (e.g. from ``build_matrix`` or the
-            corpus); scenarios sharing everything but the backend are
-            executed as one group.
+            corpus).
         build_approximator: Approximator factory override (the mutation
             test injects a sabotaged one; default is production).
-        workers: Worker count for the thread/process backends.
-        progress: Optional callback invoked with each group's name.
+        progress: Optional callback invoked with each scenario's axes.
 
     Returns:
         A :class:`MatrixResult` with one record per scenario.
 
     Raises:
         InvariantViolation: The first invariant any scenario breaks.
-        ScenarioError: Malformed matrix (unknown axis names, duplicate
-            backends in a group, incompatible demand/topology pair).
+        ScenarioError: Malformed matrix (unknown axis names, a scenario
+            named twice, incompatible demand/topology pair).
     """
+    matrix = list(scenarios)
+    if len(set(matrix)) != len(matrix):
+        raise ScenarioError(
+            "scenario matrix names a scenario more than once: "
+            f"{[s.name for s in matrix]}"
+        )
     factory = build_approximator or default_approximator
     result = MatrixResult()
     start = time.perf_counter()
-    for members in _group_scenarios(list(scenarios)):
+    for scenario in matrix:
         if progress is not None:
-            head = members[0]
             progress(
-                f"{head.topology} x {head.demand} x {head.failure} "
-                f"({len(members)} backends)"
+                f"{scenario.topology} x {scenario.demand} x "
+                f"{scenario.failure}"
             )
-        result.records.extend(_run_group(members, factory, workers))
-        result.groups += 1
+        result.records.append(_run_scenario(scenario, factory))
     result.total_seconds = time.perf_counter() - start
     return result

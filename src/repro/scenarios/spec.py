@@ -1,6 +1,6 @@
-"""Declarative scenario grammar: Topology × Demand × Failure × Backend.
+"""Declarative scenario grammar: Topology × Demand × Failure.
 
-A *scenario* is a point in the four-axis product the ROADMAP's
+A *scenario* is a point in the three-axis product the ROADMAP's
 "as many scenarios as you can imagine" item asks for:
 
 * **Topology** — a named, seeded graph family
@@ -13,10 +13,11 @@ A *scenario* is a point in the four-axis product the ROADMAP's
 * **FailureModel** — a named capacity mutation
   (:data:`FAILURES`): edge deletion (capacity floored) and capacity
   degradation, applied through the write-through
-  ``Graph.set_capacity`` / ``_version`` epoch machinery;
-* **Backend** — a :mod:`repro.parallel` execution backend
-  (``serial`` / ``thread`` / ``process``); the runner asserts results
-  are bit-identical across every backend in a scenario group.
+  ``Graph.set_capacity`` / ``_version`` epoch machinery.
+
+Routing runs on the calling thread, so a scenario names no execution
+backend; the construction kernels follow the ``REPRO_WORKERS`` process
+default, which never changes a result bit.
 
 Axes are registered by name so the corpus (:mod:`repro.scenarios
 .corpus`), the CLI (``tools/run_scenarios.py``), tests, and the
@@ -43,10 +44,8 @@ from repro.graphs.generators import (
     torus,
 )
 from repro.graphs.graph import Graph
-from repro.parallel.config import ParallelConfig
 
 __all__ = [
-    "BACKENDS",
     "DEMANDS",
     "FAILURES",
     "TOPOLOGIES",
@@ -56,31 +55,12 @@ __all__ = [
     "Scenario",
     "TopologyInstance",
     "TopologySpec",
-    "backend_config",
     "build_matrix",
     "resolve_demand",
     "resolve_failure",
     "resolve_topology",
     "scenario_seed",
 ]
-
-#: The execution backends a scenario may name. ``workers=2`` with
-#: ``min_size=0`` forces sharding regardless of instance size, so the
-#: cross-backend identity invariant exercises the real sharded paths
-#: even on the quick corpus' small graphs.
-BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
-
-
-def backend_config(backend: str, workers: int = 2) -> ParallelConfig:
-    """The forced-sharding :class:`ParallelConfig` for a backend name."""
-    if backend not in BACKENDS:
-        raise ScenarioError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "serial":
-        return ParallelConfig(workers=1, backend="serial")
-    return ParallelConfig(workers=workers, backend=backend, min_size=0)
-
 
 @dataclass(frozen=True, eq=False)
 class TopologyInstance:
@@ -161,11 +141,10 @@ class FailureSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One point of the Topology × Demand × Failure × Backend product.
+    """One point of the Topology × Demand × Failure product.
 
     Attributes:
-        topology / demand / failure / backend: Registry names for the
-            four axes.
+        topology / demand / failure: Registry names for the three axes.
         epsilon: Accuracy parameter of the congestion minimization.
         num_queries: How many demand vectors the demand model emits.
         seed: Base seed; every randomized stage derives its own stream
@@ -176,29 +155,13 @@ class Scenario:
     topology: str
     demand: str
     failure: str
-    backend: str
     epsilon: float = 0.5
     num_queries: int = 2
     seed: int = 9090
 
     @property
-    def group_key(self) -> tuple[str, str, str, float, int, int]:
-        """Everything but the backend: scenarios sharing a group key
-        must produce bit-identical flows (the identity invariant)."""
-        return (
-            self.topology,
-            self.demand,
-            self.failure,
-            self.epsilon,
-            self.num_queries,
-            self.seed,
-        )
-
-    @property
     def name(self) -> str:
-        return (
-            f"{self.topology}__{self.demand}__{self.failure}__{self.backend}"
-        )
+        return f"{self.topology}__{self.demand}__{self.failure}"
 
 
 def scenario_seed(base: int, *names: str) -> int:
@@ -371,24 +334,17 @@ def build_matrix(
     topologies: Iterable[str],
     demands: Iterable[str],
     failures: Iterable[str],
-    backends: Iterable[str],
     epsilon: float = 0.5,
     num_queries: int = 2,
     seed: int = 9090,
 ) -> list[Scenario]:
-    """The compatible cross-product of the four axes.
+    """The compatible cross-product of the three axes.
 
     Demand models with ``requires_planted=True`` are paired only with
     topologies that carry planted-cut metadata — the skip is the
     *matrix builder's* compatibility rule; handing an incompatible
     scenario directly to the runner raises ``ScenarioError``.
     """
-    backend_list = list(backends)
-    for backend in backend_list:
-        if backend not in BACKENDS:
-            raise ScenarioError(
-                f"unknown backend {backend!r}; expected one of {BACKENDS}"
-            )
     failure_list = list(failures)
     for failure in failure_list:
         resolve_failure(failure)
@@ -400,16 +356,14 @@ def build_matrix(
             ):
                 continue
             for failure in failure_list:
-                for backend in backend_list:
-                    out.append(
-                        Scenario(
-                            topology=topology,
-                            demand=demand,
-                            failure=failure,
-                            backend=backend,
-                            epsilon=epsilon,
-                            num_queries=num_queries,
-                            seed=seed,
-                        )
+                out.append(
+                    Scenario(
+                        topology=topology,
+                        demand=demand,
+                        failure=failure,
+                        epsilon=epsilon,
+                        num_queries=num_queries,
+                        seed=seed,
                     )
+                )
     return out

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 # The serving pool guards acquire/release with a plain Lock so a
 # FlowServer can be driven from multiple request threads; it never
-# spawns workers or maps work — all computation still goes through
-# repro.parallel's ordered-map pools.
+# spawns workers or maps work.
 import threading  # repolint: disable=pool-bypass -- Lock only, no pool primitives
 
 from repro.core.almost_route import RouteWorkspace

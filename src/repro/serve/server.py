@@ -16,11 +16,14 @@ and serves single demands (:meth:`FlowServer.route`,
 
 There is one miss path. A single query and every column of a batch
 take the same steps: cache lookup, salvaged warm seed, workspace
-checkout, one-shot solve (fault site ``serve.miss``), pool-loss retry
-and circuit breaker, cache put. A batch column is therefore the
+checkout, one-shot solve (fault site ``serve.miss``), one retry of an
+unexpected failure, cache put. A batch column is therefore the
 one-shot answer bit for bit, singles and batch columns share one cache
 namespace (a demand routed inside a batch hits later as a single query
 and vice versa), and a demand repeated within one batch is solved once.
+The solve runs on the calling thread and never reaches a worker pool;
+only an approximator rebuild or resample does, under the
+``REPRO_WORKERS`` process default.
 
 Mutation safety: every entry point first compares the graph's
 cache-invalidation counter (``Graph._version``) against the epoch the
@@ -38,7 +41,7 @@ always flush the pool, since every workspace is m-shaped.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
@@ -56,15 +59,12 @@ from repro.core.approximator import (
 from repro.errors import (
     DeadlineExceededError,
     GraphError,
-    PoolFailureError,
     ReproError,
     ServingError,
 )
 from repro.faults import fault_point
 from repro.graphs.graph import Graph
 from repro.graphs.journal import rescale_flow
-from repro.parallel.config import ParallelConfig, resolve_config
-from repro.parallel.pool import PoolStats, get_pool
 from repro.serve.cache import CacheStats, ResultCache, demand_digest
 from repro.serve.pool import WorkspacePool
 from repro.util.validation import st_demand
@@ -113,23 +113,11 @@ class ServerHealth:
             :class:`~repro.errors.ServingError` (the error-isolation
             contract: one poisoned column never fails its batch).
         miss_retries: Solves retried once on a fresh workspace after
-            raising something other than a pool loss or a
+            raising something other than a
             :class:`~repro.errors.ReproError`.
         deadline_hits: Requests that exceeded their deadline.
-        pool_failures: :class:`~repro.errors.PoolFailureError` events
-            absorbed by the circuit-breaker machinery.
-        breaker_trips: Backend degradations taken
-            (process → thread → serial).
-        consecutive_pool_failures: Current trip progress toward the
-            next degradation.
-        configured_backend: The backend the server was configured with.
-        effective_backend: The backend requests currently run on.
-        degraded: Whether the breaker has moved the server off its
-            configured backend (see :meth:`FlowServer.reset_breaker`).
         last_error: ``repr``-style description of the most recent
             absorbed failure (``None`` when the server never failed).
-        shard_pool: Stats of the shard pool serving the effective
-            backend (``None`` for serial / single-worker execution).
         incremental_refreshes: Epoch moves absorbed by the
             journal-driven scoped refresh instead of a full rebuild
             (``refresh="incremental"`` only).
@@ -141,14 +129,7 @@ class ServerHealth:
     column_failures: int
     miss_retries: int
     deadline_hits: int
-    pool_failures: int
-    breaker_trips: int
-    consecutive_pool_failures: int
-    configured_backend: str
-    effective_backend: str
-    degraded: bool
     last_error: str | None
-    shard_pool: PoolStats | None
     incremental_refreshes: int = 0
     warm_starts: int = 0
 
@@ -167,8 +148,6 @@ class FlowServer:
         max_iterations: Optional per-query gradient budget override.
         cache_capacity: LRU capacity of the result cache (``0``
             disables caching).
-        parallel: Optional sharded-execution config for the operator
-            products (results are bit-identical either way).
         rng: Seed used to build — and, under ``refresh="rebuild"`` /
             ``refresh="incremental"``, re-build or re-sample — the
             approximator.
@@ -182,18 +161,13 @@ class FlowServer:
             salvaged same-digest cache entries become warm-start seeds
             for their next query, and the full rebuild is reserved for
             structural mutations or journal overflow. Warm-started
-            results satisfy the same ``(1+ε)·α`` guarantee and
-            cross-backend bit-identity as cold ones.
+            results satisfy the same ``(1+ε)·α`` guarantee as cold
+            ones.
         deadline: Per-request wall-clock budget in seconds (``None``
             disables it). Checked cooperatively before every solve
             attempt — an in-flight solve completes before the deadline
             is observed — and raises
             :class:`~repro.errors.DeadlineExceededError`.
-        breaker_threshold: Consecutive pool losses tolerated before
-            the circuit-breaker degrades the execution backend one
-            step (process → thread → serial); results stay
-            bit-identical by the determinism contract, so degradation
-            trades throughput for availability, never correctness.
     """
 
     def __init__(
@@ -205,11 +179,9 @@ class FlowServer:
         solver: Literal["plain", "accelerated"] = "plain",
         max_iterations: int | None = None,
         cache_capacity: int = 1024,
-        parallel: ParallelConfig | None = None,
         rng: np.random.Generator | int | None = 0,
         refresh: Literal["rebuild", "reuse", "incremental"] = "rebuild",
         deadline: float | None = None,
-        breaker_threshold: int = 3,
     ) -> None:
         if solver not in _SOLVERS:
             raise GraphError(
@@ -227,23 +199,15 @@ class FlowServer:
             raise GraphError(
                 f"deadline must be > 0 seconds or None, got {deadline}"
             )
-        if breaker_threshold < 1:
-            raise GraphError(
-                f"breaker_threshold must be >= 1, got {breaker_threshold}"
-            )
         self.graph = graph
         self.epsilon = eps
         self.solver = solver
         self.max_iterations = max_iterations
-        self.parallel = parallel
         self.refresh = refresh
         self.deadline = deadline
-        self.breaker_threshold = breaker_threshold
         self._rng = rng
         if approximator is None:
-            approximator = build_congestion_approximator(
-                graph, rng=rng, parallel=parallel
-            )
+            approximator = build_congestion_approximator(graph, rng=rng)
         elif approximator.graph is not graph:
             raise GraphError(
                 "approximator was built for a different graph object"
@@ -267,14 +231,10 @@ class FlowServer:
         # and consumed on use.
         self._warm_seeds: dict[tuple, np.ndarray] = {}
         # Health / degradation state (see ServerHealth).
-        self._effective_parallel = parallel
         self._workspace_fallbacks = 0
         self._column_failures = 0
         self._miss_retries = 0
         self._deadline_hits = 0
-        self._pool_failures = 0
-        self._breaker_trips = 0
-        self._consecutive_pool_failures = 0
         self._last_error: str | None = None
 
     # ------------------------------------------------------------------
@@ -318,7 +278,7 @@ class FlowServer:
             self._warm_seeds = {}
             if self.refresh in ("rebuild", "incremental"):
                 self.approximator = build_congestion_approximator(
-                    self.graph, rng=self._rng, parallel=self.parallel
+                    self.graph, rng=self._rng
                 )
                 self._rebuilds += 1
                 self._pool.rebind(self.graph, self.approximator)
@@ -341,13 +301,8 @@ class FlowServer:
         )
 
     # ------------------------------------------------------------------
-    # Supervision (deadline, workspace fallback, circuit-breaker)
+    # Supervision (deadline, workspace fallback)
     # ------------------------------------------------------------------
-    def _current_parallel(self) -> ParallelConfig | None:
-        """The execution config requests run on right now (the
-        configured one until the circuit-breaker degrades it)."""
-        return self._effective_parallel
-
     def _deadline_at(self) -> float | None:
         return (
             None if self.deadline is None else time.monotonic() + self.deadline
@@ -372,38 +327,6 @@ class FlowServer:
             self._last_error = f"{type(exc).__name__}: {exc}"
             return None
 
-    def _note_pool_failure(self, exc: PoolFailureError) -> bool:
-        """Record a pool loss; returns whether the caller should retry.
-
-        Below ``breaker_threshold`` consecutive losses the retry stays
-        on the current backend (the pool already retried internally —
-        this is a second chance after a respawn).  At the threshold the
-        breaker trips: the effective backend degrades one step
-        (process → thread → serial) and the counter resets.  ``False``
-        means every degradation is exhausted and the caller must
-        surface a :class:`~repro.errors.ServingError`."""
-        self._pool_failures += 1
-        self._consecutive_pool_failures += 1
-        self._last_error = f"{type(exc).__name__}: {exc}"
-        if self._consecutive_pool_failures < self.breaker_threshold:
-            return True
-        resolved = resolve_config(self._current_parallel())
-        if resolved.workers <= 1 or resolved.backend == "serial":
-            return False
-        if resolved.backend == "process":
-            self._effective_parallel = replace(resolved, backend="thread")
-        else:
-            self._effective_parallel = replace(resolved, backend="serial")
-        self._breaker_trips += 1
-        self._consecutive_pool_failures = 0
-        return True
-
-    def reset_breaker(self) -> None:
-        """Restore the configured execution backend after a degradation
-        (operators call this once the underlying fault is resolved)."""
-        self._effective_parallel = self.parallel
-        self._consecutive_pool_failures = 0
-
     @fault_point("serve.miss", kinds=("raise", "hang"))
     def _solve(
         self,
@@ -420,7 +343,6 @@ class FlowServer:
             self.epsilon,
             max_iterations=self.max_iterations,
             workspace=workspace,
-            parallel=self._current_parallel(),
             initial_flow=seed,
         )
 
@@ -434,16 +356,13 @@ class FlowServer:
         salvaged warm seed for this demand, if any (gated on
         ``use_cache`` because the seed is cache-derived state, and
         consumed only by a successful solve), on a pooled workspace.
-        Pool loss retries under the circuit breaker; any other failure
-        that is not a :class:`~repro.errors.ReproError` is retried once
-        on a fresh workspace. A workspace whose solve failed is
-        dropped, never re-pooled: a failed (or, on the thread backend,
-        still-running) shard may have written it.
+        A failure that is not a :class:`~repro.errors.ReproError` is
+        retried once on a fresh workspace. A workspace whose solve
+        failed is dropped, never re-pooled: the failed solve may have
+        left it half written.
 
         Raises:
             DeadlineExceededError: The request ran out of time.
-            ServingError: Pool loss persisted through every
-                circuit-breaker degradation.
             ReproError: The solve raised it (e.g. an invalid demand).
             Exception: Anything else the solve raised twice in a row.
         """
@@ -459,13 +378,6 @@ class FlowServer:
             workspace = self._acquire()
             try:
                 result = self._solve(demand, workspace, seed)
-            except PoolFailureError as exc:
-                if self._note_pool_failure(exc):
-                    continue
-                raise ServingError(
-                    "routing failed: worker-pool loss persisted "
-                    "through every circuit-breaker degradation"
-                ) from exc
             except Exception as exc:
                 if isinstance(exc, ReproError) or retried:
                     raise
@@ -475,7 +387,6 @@ class FlowServer:
                 continue
             if workspace is not None:
                 self._pool.release(workspace)
-            self._consecutive_pool_failures = 0
             if seed is not None:
                 self._warm_seeds.pop(key, None)
                 self._warm_starts += 1
@@ -492,11 +403,10 @@ class FlowServer:
         same query was served this epoch (by single or batched call).
 
         Cached results are shared objects — treat them as read-only.
-        Pool loss is absorbed by the circuit-breaker (retry, then
-        backend degradation) and any other unexpected solve failure is
-        retried once. A failure that persists raises: a
-        :class:`~repro.errors.ReproError` as is, anything else wrapped
-        in a :class:`~repro.errors.ServingError` carrying it as
+        An unexpected solve failure is retried once. A failure that
+        persists raises: a :class:`~repro.errors.ReproError` as is,
+        anything else wrapped in a :class:`~repro.errors.ServingError`
+        carrying it as
         ``__cause__``.
         """
         self._sync()
@@ -593,26 +503,13 @@ class FlowServer:
 
     def health(self) -> ServerHealth:
         """Degradation snapshot (see :class:`ServerHealth`): what the
-        server has absorbed, what it surfaced, and which backend it is
-        currently running on."""
-        configured = resolve_config(self.parallel)
-        effective = resolve_config(self._current_parallel())
-        shard_pool: PoolStats | None = None
-        if effective.workers > 1 and effective.backend != "serial":
-            shard_pool = get_pool(effective).stats.snapshot()
+        server has absorbed and what it surfaced."""
         return ServerHealth(
             workspace_fallbacks=self._workspace_fallbacks,
             column_failures=self._column_failures,
             miss_retries=self._miss_retries,
             deadline_hits=self._deadline_hits,
-            pool_failures=self._pool_failures,
-            breaker_trips=self._breaker_trips,
-            consecutive_pool_failures=self._consecutive_pool_failures,
-            configured_backend=configured.backend,
-            effective_backend=effective.backend,
-            degraded=effective.backend != configured.backend,
             last_error=self._last_error,
-            shard_pool=shard_pool,
             incremental_refreshes=self._incremental_refreshes,
             warm_starts=self._warm_starts,
         )

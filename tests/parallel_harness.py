@@ -7,8 +7,10 @@ returns — same values, same dtype-compatible contents, same
 tie-breaking — and must leave the graph's derived caches in the same
 (valid, read-only) state. This module packages that contract as
 assertion helpers plus the standard seed × generator × shard-count
-sweep matrix, so any test file (unit-level kernels, the stacked
-operator, end-to-end max-flow parity) can sweep the same grid.
+sweep matrix, so any test file (unit-level kernels, construction,
+end-to-end max-flow parity) can sweep the same grid. The approximator's
+products never shard; :func:`per_tree_reference` is the readable
+per-tree twin the flat stacked operator is golden-tested against.
 
 Used by ``tests/test_parallel_backend.py``; importable by future
 benchmarks and stress suites.
@@ -284,52 +286,10 @@ def assert_contract_equivalent(graph: Graph, config: ParallelConfig) -> None:
 
 
 # ----------------------------------------------------------------------
-# Operator-level equivalence
+# Approximators
 # ----------------------------------------------------------------------
 def build_test_approximator(graph: Graph, seed: int):
     """A deterministic approximator for operator sweeps (fixed alpha so
     no Dinic randomness enters the matrix)."""
     return build_congestion_approximator(graph, rng=seed, alpha=2.0)
 
-
-def assert_operator_equivalent(
-    graph: Graph, approximator, config: ParallelConfig, seed: int
-) -> None:
-    """Sharded R·b / Rᵀ·g / estimate == serial, bit for bit."""
-    stacked = approximator.stacked()
-    rng = np.random.default_rng(seed)
-    demand = rng.normal(size=graph.num_nodes)
-    demand -= demand.mean()
-    rows = rng.normal(size=stacked.num_rows)
-
-    serial_apply = stacked.apply(demand).copy()
-    serial_transpose = stacked.apply_transpose(rows).copy()
-    serial_estimate = stacked.estimate(demand)
-
-    assert_arrays_identical(
-        "stacked.apply", serial_apply, stacked.apply(demand, parallel=config)
-    )
-    out = np.empty(stacked.num_rows)
-    assert stacked.apply(demand, out=out, parallel=config) is out
-    assert_arrays_identical("stacked.apply[out]", serial_apply, out)
-    assert_arrays_identical(
-        "stacked.apply_transpose",
-        serial_transpose,
-        stacked.apply_transpose(rows, parallel=config),
-    )
-    assert stacked.estimate(demand, parallel=config) == serial_estimate
-
-    # The per-tree reference path must agree too (transitively pins the
-    # sharded path to the original per-tree operator semantics).
-    per_tree = per_tree_reference(approximator)
-    assert_arrays_identical(
-        "per_tree.apply", serial_apply, per_tree.apply(demand)
-    )
-
-    # Shard-plan bookkeeping: every cached plan partitions the trees
-    # and the rows exactly once.
-    for shards in stacked._shard_cache.values():
-        assert shards[0].t0 == 0 and shards[-1].t1 == stacked.num_trees
-        assert shards[0].r0 == 0 and shards[-1].r1 == stacked.num_rows
-        for left, right in zip(shards, shards[1:]):
-            assert left.t1 == right.t0 and left.r1 == right.r0

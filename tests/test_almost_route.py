@@ -11,6 +11,7 @@ from repro.core.approximator import build_congestion_approximator
 from repro.core.softmax import smax
 from repro.errors import ConvergenceError, GraphError
 from repro.graphs.generators import random_connected
+from repro.parallel import ParallelConfig
 from repro.util.validation import st_demand
 
 
@@ -97,6 +98,19 @@ class TestAlmostRoute:
         g, approx = setup
         with pytest.raises(GraphError):
             almost_route(g, approx, st_demand(g, 0, 15), epsilon=0.0)
+
+    def test_parallel_option_rejected(self, setup):
+        """Routing runs on the calling thread: there is no per-call
+        execution config to pass."""
+        g, approx = setup
+        with pytest.raises(TypeError):
+            almost_route(
+                g,
+                approx,
+                st_demand(g, 0, 15),
+                0.5,
+                parallel=ParallelConfig(workers=2, backend="thread"),
+            )
 
     def test_budget_exhaustion_flagged(self, setup):
         g, approx = setup

@@ -3,9 +3,10 @@
 The contract is *bit-identity per column*: for any demand plane,
 :func:`almost_route_batch` (and its accelerated variant) must return,
 in column q, exactly the flow/residual/counters the one-shot call on
-demand q returns — under every execution config (serial, sharded
-thread, sharded process). These tests pin that contract across the
-standard sweep matrix, plus the batched kernel substrate
+demand q returns — under every process default (serial, sharded
+thread, sharded process), since routing runs on the calling thread.
+These tests pin that contract across the standard sweep matrix, plus
+the batched kernel substrate
 (``Graph.excess_batch``, ``check_demand_batch``) and the workspace
 ``ensure`` raise contract.
 """
@@ -30,6 +31,7 @@ from repro.core import (
 )
 from repro.errors import ConvergenceError, GraphError, InvalidDemandError
 from repro.graphs.generators import random_connected
+from repro.parallel import use_config
 from repro.util.validation import check_demand_batch, st_demand
 
 
@@ -113,19 +115,17 @@ class TestPlainBatchGolden:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_backend_sweep(self, medium, workers, backend):
         """The acceptance matrix: batched == one-shot, bit for bit,
-        across workers ∈ {1, 2} × {serial, thread, process}."""
+        under process defaults workers ∈ {1, 2} × {serial, thread,
+        process}."""
         g, approx = medium
         plane = _demand_plane(g, 13, 4, zero_row=2)
         eps = 0.4
-        config = forced(workers, backend)
-        singles = [
-            almost_route(g, approx, plane[q], eps, parallel=config)
-            for q in range(4)
-        ]
-        batch = almost_route_batch(g, approx, plane, eps, parallel=config)
-        _assert_columns_identical(g, approx, plane, eps, batch, singles)
-        # Cross-config: sharded batch == serial batch too.
         serial = almost_route_batch(g, approx, plane, eps)
+        with use_config(forced(workers, backend)):
+            singles = [almost_route(g, approx, plane[q], eps) for q in range(4)]
+            batch = almost_route_batch(g, approx, plane, eps)
+        _assert_columns_identical(g, approx, plane, eps, batch, singles)
+        # Cross-config: the batch under the default == serial batch too.
         assert_arrays_identical("flows[serial-vs-config]", serial.flows, batch.flows)
 
     def test_budget_and_raise(self, medium):
@@ -167,15 +167,15 @@ class TestAcceleratedBatchGolden:
         g, approx = medium
         plane = _demand_plane(g, 23, 3)
         eps = 0.4
-        config = forced(workers, backend)
-        singles = [
-            accelerated_almost_route(g, approx, plane[q], eps, parallel=config)
-            for q in range(3)
-        ]
-        batch = accelerated_almost_route_batch(
-            g, approx, plane, eps, parallel=config
-        )
+        serial = accelerated_almost_route_batch(g, approx, plane, eps)
+        with use_config(forced(workers, backend)):
+            singles = [
+                accelerated_almost_route(g, approx, plane[q], eps)
+                for q in range(3)
+            ]
+            batch = accelerated_almost_route_batch(g, approx, plane, eps)
         _assert_columns_identical(g, approx, plane, eps, batch, singles)
+        assert_arrays_identical("flows[serial-vs-config]", serial.flows, batch.flows)
 
     def test_ragged_convergence_freezes_columns(self, medium):
         """Queries converging at very different iteration counts: the

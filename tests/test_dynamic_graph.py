@@ -10,8 +10,9 @@ The contracts under test:
 * **warm-start validity** — seeding AlmostRoute with the previous
   epoch's flow (rescaled via the journal) converges in no more
   iterations than a cold start on small capacity-only deltas, is
-  bit-identical across execution backends, and a zero seed reproduces
-  the cold run bit for bit.
+  bit-identical under every process default (the approximator built on
+  the pool, the solve on the calling thread), and a zero seed
+  reproduces the cold run bit for bit.
 * **scoped rebuild** — ``TreeCongestionApproximator.refresh_capacities``
   patches cut capacities in place to the exact recomputed values and
   preserves row counts, so workspaces keep fitting.
@@ -43,12 +44,13 @@ from repro.graphs.journal import (
     DeltaJournal,
     rescale_flow,
 )
+from repro.parallel import use_config
 from repro.serve import FlowServer
 from repro.util.validation import st_demand
 
 EPS = 0.4
 
-#: workers x backend matrix required by the warm-start acceptance
+#: workers x backend process defaults of the warm-start acceptance
 #: criterion (workers=1 is the unsharded serial path).
 WORKER_BACKENDS = [
     (1, "serial"),
@@ -169,35 +171,29 @@ class TestWarmStart:
     def test_warm_converges_no_slower_and_backend_identical(
         self, workers, backend
     ):
-        graph = random_connected(48, 0.10, rng=710)
-        approximator = build_congestion_approximator(graph, rng=712)
-        demand = st_demand(graph, 0, 47)
-        parallel = None if workers == 1 else forced(workers, backend)
-        previous = almost_route(
-            graph, approximator, demand, EPS, parallel=parallel
-        )
-        epoch = graph._version
-        _degrade(graph, fraction=0.01, seed=713)
-        delta = graph.deltas_since(epoch)
-        approximator.refresh_capacities(delta.edge_ids)
-        seed = rescale_flow(previous.flow, delta)
-        cold = almost_route(
-            graph, approximator, demand, EPS, parallel=parallel
-        )
-        warm = almost_route(
-            graph,
-            approximator,
-            demand,
-            EPS,
-            parallel=parallel,
-            initial_flow=seed,
-        )
+        def warm_and_cold():
+            graph = random_connected(48, 0.10, rng=710)
+            approximator = build_congestion_approximator(graph, rng=712)
+            demand = st_demand(graph, 0, 47)
+            previous = almost_route(graph, approximator, demand, EPS)
+            epoch = graph._version
+            _degrade(graph, fraction=0.01, seed=713)
+            delta = graph.deltas_since(epoch)
+            approximator.refresh_capacities(delta.edge_ids, rng=715)
+            seed = rescale_flow(previous.flow, delta)
+            cold = almost_route(graph, approximator, demand, EPS)
+            warm = almost_route(
+                graph, approximator, demand, EPS, initial_flow=seed
+            )
+            return warm, cold
+
+        serial_warm, _ = warm_and_cold()
+        with use_config(forced(workers, backend)):
+            warm, cold = warm_and_cold()
         assert warm.converged
         assert warm.iterations <= cold.iterations
-        serial_warm = almost_route(
-            graph, approximator, demand, EPS, initial_flow=seed
-        )
         assert_arrays_identical("flow", serial_warm.flow, warm.flow)
+        assert warm.iterations == serial_warm.iterations
 
     def test_zero_seed_is_bit_identical_to_cold(self, graph):
         approximator = build_congestion_approximator(graph, rng=714)

@@ -29,7 +29,6 @@ import pytest
 from parallel_harness import (
     assert_arrays_identical,
     assert_recovery_invisible,
-    forced,
 )
 from repro.errors import (
     ArenaError,
@@ -53,12 +52,18 @@ from repro.faults import (
     set_fault_plan,
     use_faults,
 )
+from repro.core import (
+    accelerated_almost_route,
+    almost_route,
+    build_congestion_approximator,
+)
 from repro.faults.plan import UNLIMITED
 from repro.graphs.generators import random_connected
 from repro.parallel import (
     ParallelConfig,
     RecoveryPolicy,
     shutdown_pools,
+    use_config,
     use_recovery,
 )
 from repro.parallel.arena import SharedArena
@@ -534,60 +539,45 @@ class TestServeRecovery:
         assert issubclass(DeadlineExceededError, ServingError)
 
     def test_health_snapshot_starts_clean(self, graph):
-        quiet = FlowServer(
-            graph, epsilon=EPS, rng=602, parallel=ParallelConfig(workers=1)
-        )
-        health = quiet.health()
-        assert not health.degraded
-        assert health.configured_backend == health.effective_backend
+        health = FlowServer(graph, epsilon=EPS, rng=602).health()
         assert health.workspace_fallbacks == 0
-        assert health.breaker_trips == 0
+        assert health.column_failures == 0
+        assert health.miss_retries == 0
+        assert health.deadline_hits == 0
         assert health.last_error is None
-        assert health.shard_pool is None  # serial: no pool to report
 
-    def test_health_reports_shard_pool_stats(self, graph):
-        sharded = FlowServer(
-            graph, epsilon=EPS, rng=602, parallel=forced(2, "thread")
-        )
-        sharded.route(st_demand(graph, 0, 7), use_cache=False)
-        health = sharded.health()
-        assert health.shard_pool is not None
-        assert health.shard_pool.failures == 0
 
-    @needs_fork
-    def test_breaker_degrades_process_thread_serial(self):
-        graph = random_connected(72, 0.08, rng=101)
-        plan = FaultPlan(["pool.worker*inf"])
-        flaky = FlowServer(
-            graph,
-            epsilon=EPS,
-            rng=602,
-            parallel=forced(2, "process"),
-            breaker_threshold=1,
+# ----------------------------------------------------------------------
+# Routing never reaches a worker pool
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "router", ["almost_route", "accelerated_almost_route", "FlowServer.route"]
+)
+def test_routing_never_dispatches_to_a_pool(graph, router):
+    """Under a sharded process default with every pool dispatch armed
+    to fail, routing on an approximator built beforehand answers bit
+    for bit like a plain run and never visits a dispatch: products run
+    on the calling thread."""
+    approximator = build_congestion_approximator(graph, rng=602)
+    server = FlowServer(graph, approximator=approximator, epsilon=EPS)
+    demand = st_demand(graph, 0, graph.num_nodes - 1)
+
+    def route():
+        if router == "FlowServer.route":
+            return server.route(demand, use_cache=False)
+        solver = (
+            almost_route if router == "almost_route" else accelerated_almost_route
         )
-        reference = FlowServer(
-            graph, epsilon=EPS, rng=602, parallel=ParallelConfig(workers=1)
-        )
-        demand = st_demand(graph, 1, graph.num_nodes - 2)
-        baseline = reference.route(demand, use_cache=False)
-        with use_faults(plan), use_recovery(
-            RecoveryPolicy(timeout=10.0, retries=0, backoff=0.0)
-        ):
-            served = flaky.route(demand, use_cache=False)
-        # Degraded all the way to the serial reference path — and the
-        # cross-backend bit-identity contract makes that invisible.
-        assert_arrays_identical("flow", baseline.flow, served.flow)
-        health = flaky.health()
-        assert health.degraded
-        assert health.configured_backend == "process"
-        assert health.effective_backend == "serial"
-        assert health.breaker_trips == 2
-        assert health.pool_failures >= 2
-        assert health.last_error is not None
-        flaky.reset_breaker()
-        health = flaky.health()
-        assert not health.degraded
-        assert health.effective_backend == "process"
+        return solver(graph, approximator, demand, EPS)
+
+    expected = route()
+    plan = FaultPlan(["pool.dispatch*inf"])
+    sharded = ParallelConfig(workers=2, backend="thread", min_size=0)
+    with use_config(sharded), use_faults(plan):
+        result = route()
+    assert_arrays_identical("flow", expected.flow, result.flow)
+    assert result.iterations == expected.iterations
+    assert plan.visits()["pool.dispatch"] == 0
 
 
 # ----------------------------------------------------------------------

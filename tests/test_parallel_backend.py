@@ -2,11 +2,14 @@
 
 Sweeps the harness's seed × generator × shard-count × backend matrix
 (``tests/parallel_harness.py``) over every sharded kernel — frontier
-BFS, CSR build, contraction, the stacked operator's products — and
-end-to-end ``max_flow`` / ``max_flow_binary_search``, asserting **bit
-identity** with the serial paths plus cache-state invariants after
-sharded runs. Also covers the ShardPlan / ParallelConfig / pool
-machinery itself, including the fork + shared-memory process backend.
+BFS, CSR build, contraction, hop distances, MWU lengths — and over
+approximator construction and end-to-end ``max_flow`` /
+``max_flow_binary_search`` / ``min_congestion_flow`` under sharded
+process defaults (construction on the pool, routing on the calling
+thread), asserting **bit identity** with the serial paths plus
+cache-state invariants after sharded runs. Also covers the ShardPlan /
+ParallelConfig / pool machinery itself, including the fork +
+shared-memory process backend.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from parallel_harness import (
     assert_csr_build_equivalent,
     assert_hop_distances_equivalent,
     assert_mwu_lengths_equivalent,
-    assert_operator_equivalent,
     build_test_approximator,
     forced,
     make_graph,
@@ -278,47 +280,62 @@ class TestKernelEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Stacked-operator equivalence sweep (tentpole matrix)
+# Approximator sweep: construction under every sharded default
 # ----------------------------------------------------------------------
+def assert_sharded_builds_equivalent(name: str, seed: int, configs) -> None:
+    """An approximator built under each config as the process default —
+    its BFS, CSR and MWU construction kernels on the pool — matches the
+    serial build's products bit for bit (the products themselves run
+    on the calling thread)."""
+    serial = build_test_approximator(make_graph(name, seed), seed)
+    rng = np.random.default_rng(seed)
+    demand = rng.normal(size=serial.graph.num_nodes)
+    demand -= demand.mean()
+    rows = rng.normal(size=serial.num_rows)
+    expected_apply = serial.apply(demand).copy()
+    expected_transpose = serial.apply_transpose(rows).copy()
+    expected_estimate = serial.estimate(demand)
+    for config in configs:
+        with use_config(config):
+            sharded = build_test_approximator(make_graph(name, seed), seed)
+            assert sharded.num_rows == serial.num_rows
+            assert_arrays_identical(
+                "apply", expected_apply, sharded.apply(demand)
+            )
+            assert_arrays_identical(
+                "apply_transpose",
+                expected_transpose,
+                sharded.apply_transpose(rows),
+            )
+            assert sharded.estimate(demand) == expected_estimate
+        assert_cache_invariants(sharded.graph)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_operator_equivalence_sweep(name, seed):
-    graph = make_graph(name, seed)
-    approximator = build_test_approximator(graph, seed)
-    for workers in SHARD_COUNTS:
-        for backend in BACKENDS:
-            assert_operator_equivalent(
-                graph, approximator, forced(workers, backend), seed
-            )
-    # Oversubscribed plans clamp to the tree count and stay exact.
-    assert_operator_equivalent(
-        graph, approximator, forced(64, "serial"), seed
+    assert_sharded_builds_equivalent(
+        name,
+        seed,
+        [
+            forced(workers, backend)
+            for workers in SHARD_COUNTS
+            for backend in BACKENDS
+        ],
     )
 
 
-def test_operator_adaptive_threshold_respected():
-    """Below min_size the sharded entry points take the serial path
-    (no pools touched); forcing min_size=0 takes the sharded path."""
-    graph = make_graph("random", 101)
-    approximator = build_test_approximator(graph, 101)
-    stacked = approximator.stacked()
-    demand = np.zeros(graph.num_nodes)
-    demand[0], demand[-1] = 1.0, -1.0
-    lazy = ParallelConfig(workers=4, backend="serial", min_size=1 << 30)
-    stacked.apply(demand, parallel=lazy)
-    assert stacked._shard_cache == {}
-    stacked.apply(demand, parallel=forced(4))
-    assert list(stacked._shard_cache) == [4]
-
-
 # ----------------------------------------------------------------------
-# End-to-end parity (satellite: randomized-seed parity suite)
+# End-to-end parity under sharded process defaults
 # ----------------------------------------------------------------------
 class TestEndToEndParity:
     WORKER_SWEEP = (1, 2, 4)
 
     @pytest.mark.parametrize("seed", [101, 202])
     def test_max_flow_parity(self, seed):
+        """Routing on a prebuilt approximator ignores the process
+        default: every (workers, backend) default reproduces the serial
+        max flow bit for bit."""
         graph = random_connected(48, 0.1, rng=seed)
         approximator = build_test_approximator(graph, seed)
         baseline = max_flow(
@@ -326,14 +343,14 @@ class TestEndToEndParity:
         )
         for workers in self.WORKER_SWEEP:
             for backend in ("serial", "thread"):
-                result = max_flow(
-                    graph,
-                    0,
-                    graph.num_nodes - 1,
-                    approximator=approximator,
-                    rng=seed,
-                    parallel=forced(workers, backend),
-                )
+                with use_config(forced(workers, backend)):
+                    result = max_flow(
+                        graph,
+                        0,
+                        graph.num_nodes - 1,
+                        approximator=approximator,
+                        rng=seed,
+                    )
                 assert result.value == baseline.value
                 assert_arrays_identical(
                     f"max_flow.flow[w={workers},{backend}]",
@@ -351,22 +368,21 @@ class TestEndToEndParity:
         assert_cache_invariants(graph)
 
     def test_max_flow_binary_search_parity(self):
+        """The binary search builds its own approximator under the
+        process default; every default reproduces the serial sweep."""
         seed = 303
-        graph = random_connected(40, 0.12, rng=seed)
-        approximator = build_test_approximator(graph, seed)
         baseline = max_flow_binary_search(
-            graph, 0, 7, approximator=approximator, rng=seed, epsilon=0.5
+            random_connected(40, 0.12, rng=seed), 0, 7, rng=seed, epsilon=0.5
         )
         for workers in self.WORKER_SWEEP:
-            result = max_flow_binary_search(
-                graph,
-                0,
-                7,
-                approximator=approximator,
-                rng=seed,
-                epsilon=0.5,
-                parallel=forced(workers, "thread"),
-            )
+            with use_config(forced(workers, "thread")):
+                result = max_flow_binary_search(
+                    random_connected(40, 0.12, rng=seed),
+                    0,
+                    7,
+                    rng=seed,
+                    epsilon=0.5,
+                )
             assert result.value == baseline.value
             assert result.search_steps == baseline.search_steps
             assert result.bracket == baseline.bracket
@@ -375,8 +391,8 @@ class TestEndToEndParity:
             )
 
     def test_fully_sharded_construction_parity(self):
-        """REPRO_WORKERS-style global config: *everything* — hierarchy
-        sampling, CSR builds, BFS, products — runs sharded and still
+        """REPRO_WORKERS-style global config: hierarchy sampling, CSR
+        builds and BFS all run sharded, and the max flow still
         reproduces the serial run bit for bit."""
         graph = random_connected(48, 0.1, rng=404)
         baseline = max_flow(graph, 1, 17, rng=404)
@@ -391,22 +407,19 @@ class TestEndToEndParity:
         )
 
     def test_min_congestion_flow_parity(self):
-        graph = random_connected(48, 0.1, rng=505)
-        approximator = build_test_approximator(graph, 505)
+        """``min_congestion_flow`` with no approximator builds one under
+        the process default; the routed flow matches the serial run."""
         rng = np.random.default_rng(506)
-        demand = rng.normal(size=graph.num_nodes)
+        demand = rng.normal(size=48)
         demand -= demand.mean()
         baseline = min_congestion_flow(
-            graph, demand, approximator=approximator, rng=505
+            random_connected(48, 0.1, rng=505), demand, rng=505
         )
         for workers in (2, 4):
-            result = min_congestion_flow(
-                graph,
-                demand,
-                approximator=approximator,
-                rng=505,
-                parallel=forced(workers, "thread"),
-            )
+            with use_config(forced(workers, "thread")):
+                result = min_congestion_flow(
+                    random_connected(48, 0.1, rng=505), demand, rng=505
+                )
             assert_arrays_identical(
                 f"min_congestion.flow[w={workers}]", baseline.flow, result.flow
             )
@@ -471,8 +484,7 @@ class TestProcessBackend:
         config = forced(2, "process")
         assert_bfs_equivalent(graph, config)
         assert_csr_build_equivalent(graph, config)
-        approximator = build_test_approximator(graph, 101)
-        assert_operator_equivalent(graph, approximator, config, 101)
+        assert_sharded_builds_equivalent("random", 101, [config])
 
     def test_new_kernels_process_sweep(self):
         """Hop distances + stacked MWU lengths at workers ∈ {1, 2, 4}

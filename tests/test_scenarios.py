@@ -4,8 +4,12 @@ the scenario x fault-injection interaction contract."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+from parallel_harness import forced
 
 from repro.core.approximator import (
     TreeCongestionApproximator,
@@ -22,16 +26,15 @@ from repro.graphs.csr import WIDE_DTYPE
 from repro.parallel import (
     RecoveryPolicy,
     shutdown_pools,
+    use_config,
     use_recovery,
 )
 from repro.parallel.pool import _fork_available
 from repro.scenarios import (
-    BACKENDS,
     DEMANDS,
     FAILURES,
     TOPOLOGIES,
     Scenario,
-    backend_config,
     build_matrix,
     quick_matrix,
     resolve_demand,
@@ -95,23 +98,14 @@ class TestGrammar:
         assert "no_such_axis" in str(excinfo.value)
         assert isinstance(excinfo.value, ReproError)
 
-    def test_unknown_backend_is_typed(self):
-        with pytest.raises(ScenarioError):
-            backend_config("gpu")
-        with pytest.raises(ScenarioError):
-            build_matrix(
-                ["torus_9x9"], ["gravity"], ["none"], ["gpu"]
-            )
-
     def test_matrix_skips_incompatible_pairs(self):
         matrix = build_matrix(
             ["torus_9x9", "planted_60"],
             ["gravity", "adversarial_cut"],
             ["none"],
-            ["serial"],
         )
         names = {s.name for s in matrix}
-        assert "planted_60__adversarial_cut__none__serial" in names
+        assert "planted_60__adversarial_cut__none" in names
         assert not any(
             s.topology == "torus_9x9" and s.demand == "adversarial_cut"
             for s in matrix
@@ -122,18 +116,12 @@ class TestGrammar:
             topology="torus_9x9",
             demand="adversarial_cut",
             failure="none",
-            backend="serial",
         )
         with pytest.raises(ScenarioError):
             run_matrix([scenario])
 
-    def test_duplicate_backend_in_group_rejected(self):
-        scenario = Scenario(
-            topology="torus_9x9",
-            demand="gravity",
-            failure="none",
-            backend="serial",
-        )
+    def test_duplicate_scenario_rejected(self):
+        scenario = Scenario(topology="torus_9x9", demand="gravity", failure="none")
         with pytest.raises(ScenarioError):
             run_matrix([scenario, scenario])
 
@@ -147,7 +135,7 @@ class TestGrammar:
         matrix = quick_matrix()
         names = {s.name for s in matrix}
         assert set(BENCH_SUBSET) <= names
-        assert {s.backend for s in matrix} == set(BACKENDS)
+        assert len(names) == len(matrix)
         assert {s.demand for s in matrix} == {
             "gravity",
             "hotspot",
@@ -275,56 +263,53 @@ class TestFailureModels:
 # ----------------------------------------------------------------------
 # Runner + invariants
 # ----------------------------------------------------------------------
-def _small_group(backends=("serial", "thread"), demand="adversarial_cut",
-                 failure="none", num_queries=1):
+def _small_matrix(demand="adversarial_cut", failure="none", num_queries=1):
     return [
         Scenario(
             topology="planted_60",
             demand=demand,
             failure=failure,
-            backend=backend,
             epsilon=0.5,
             num_queries=num_queries,
             seed=77,
         )
-        for backend in backends
     ]
+
+
+def _timing_free(result):
+    """A run's records with the wall-clock field zeroed, for exact
+    comparison of everything deterministic."""
+    return [replace(record, route_seconds=0.0) for record in result.records]
 
 
 class TestRunner:
     def test_group_passes_and_records(self):
-        result = run_matrix(_small_group())
-        assert result.groups == 1
-        assert len(result.records) == 2
-        by_backend = {r.scenario.backend: r for r in result.records}
-        serial, thread = by_backend["serial"], by_backend["thread"]
-        # Deterministic columns coincide across backends of a group.
-        assert serial.congestion == thread.congestion
-        assert serial.lower_bound == thread.lower_bound
-        assert serial.maxflow_value == thread.maxflow_value
-        assert serial.exact_value == thread.exact_value
+        result = run_matrix(_small_matrix())
+        assert len(result.records) == 1
+        record = result.records[0]
+        assert record.scenario.name == "planted_60__adversarial_cut__none"
+        assert list(result.by_name()) == [record.scenario.name]
         # The planted cut is found exactly by the exact oracle.
         planted = _planted_instance()
-        assert serial.exact_value == planted.planted.cut_capacity
-        assert serial.invariants_checked >= 5
-        assert thread.invariants_checked > serial.invariants_checked
+        assert record.exact_value == planted.planted.cut_capacity
+        assert record.maxflow_value <= record.exact_value
+        assert record.lower_bound <= record.congestion
+        assert record.invariants_checked >= 5
 
     def test_adversarial_congestion_reaches_saturation(self):
-        result = run_matrix(_small_group(backends=("serial",)))
+        result = run_matrix(_small_matrix())
         record = result.records[0]
         assert record.congestion >= SATURATION / 1.01
         assert record.lower_bound >= SATURATION / record.alpha / 1.01
 
     def test_failure_group_accounts_epochs(self):
-        result = run_matrix(
-            _small_group(backends=("serial",), failure="degrade")
-        )
+        result = run_matrix(_small_matrix(failure="degrade"))
         record = result.records[0]
         assert record.failed_edges >= 1
         assert record.version_delta == record.failed_edges
 
     def test_report_is_deterministic_and_timing_free(self):
-        scenarios = _small_group(backends=("serial",))
+        scenarios = _small_matrix()
         first = scenario_report(run_matrix(scenarios), "t")
         second = scenario_report(run_matrix(scenarios), "t")
         assert first == second
@@ -335,15 +320,13 @@ class TestRunner:
         # Scenario names omit the seed, so this adversarial group
         # shares its name with a BENCH_SUBSET row and produces a
         # metric; the hotspot group is outside the subset and none.
-        subset_run = run_matrix(_small_group(backends=("serial",)))
+        subset_run = run_matrix(_small_matrix())
         rows = bench_rows(subset_run)
         assert list(rows) == [
-            "scenario_route__planted_60__adversarial_cut__none__serial"
+            "scenario_route__planted_60__adversarial_cut__none"
         ]
         assert all(seconds > 0 for seconds in rows.values())
-        other_run = run_matrix(
-            _small_group(backends=("serial",), demand="hotspot")
-        )
+        other_run = run_matrix(_small_matrix(demand="hotspot"))
         assert bench_rows(other_run) == {}
 
 
@@ -369,8 +352,7 @@ class TestMutation:
         # sees lower_bound > congestion) and an invariant fires.
         with pytest.raises(InvariantViolation):
             run_matrix(
-                _small_group(backends=("serial",)),
-                build_approximator=_sabotaged(100.0),
+                _small_matrix(), build_approximator=_sabotaged(100.0)
             )
 
     def test_deflated_rows_are_caught(self):
@@ -378,49 +360,49 @@ class TestMutation:
         # guarantee (or planted-detection) invariant fires.
         with pytest.raises(InvariantViolation):
             run_matrix(
-                _small_group(backends=("serial",)),
-                build_approximator=_sabotaged(0.01),
+                _small_matrix(), build_approximator=_sabotaged(0.01)
             )
 
     def test_healthy_approximator_passes_the_same_group(self):
         # Control: the identical group passes with the real factory,
         # so the mutation failures above are the sabotage, not the
         # scenario.
-        result = run_matrix(_small_group(backends=("serial",)))
+        result = run_matrix(_small_matrix())
         assert result.records[0].invariants_checked >= 5
 
 
 # ----------------------------------------------------------------------
 # Scenario x fault-injection interaction: recovered-bit-identical or
 # typed ReproError, never a hang (extends the tests/test_faults.py
-# contract to the scenario runner).
+# contract to the scenario runner). Routing never reaches a pool, so
+# the faults land in the construction maps — CSR builds, BFS and MWU
+# lengths of the topology and approximator builds — which run on the
+# process pool under a sharded process default.
 # ----------------------------------------------------------------------
 @needs_fork
 class TestFaultInteraction:
-    def _process_group(self):
-        return _small_group(backends=("serial", "process"))
+    def _sharded_run(self, plan, policy):
+        with use_config(forced(2, "process")), use_faults(plan):
+            with use_recovery(policy):
+                return run_matrix(_small_matrix())
 
     def test_worker_exit_recovers_bit_identically(self):
-        # The runner itself asserts process flows == serial flows bit
-        # for bit; if the respawn-and-reexecute recovery were not
-        # invisible, the backend-identity invariant would fire here.
+        expected = _timing_free(run_matrix(_small_matrix()))
         plan = FaultPlan(["pool.worker:exit@2"])
-        with use_faults(plan), use_recovery(
-            RecoveryPolicy(timeout=1.0, retries=2, backoff=0.0)
-        ):
-            result = run_matrix(self._process_group())
+        result = self._sharded_run(
+            plan, RecoveryPolicy(timeout=1.0, retries=2, backoff=0.0)
+        )
         assert plan.fired()["pool.worker"] == 1
-        assert len(result.records) == 2
+        assert _timing_free(result) == expected
 
     def test_arena_enospc_recovers_bit_identically(self):
+        expected = _timing_free(run_matrix(_small_matrix()))
         plan = FaultPlan(["arena.export:enospc@1"])
-        with use_faults(plan), use_recovery(FAST):
-            result = run_matrix(self._process_group())
+        result = self._sharded_run(plan, FAST)
         assert plan.fired()["arena.export"] == 1
-        assert len(result.records) == 2
+        assert _timing_free(result) == expected
 
     def test_persistent_fault_surfaces_typed_never_hangs(self):
         plan = FaultPlan(["pool.worker*inf"])
-        with use_faults(plan), use_recovery(FAST):
-            with pytest.raises(PoolFailureError):
-                run_matrix(self._process_group())
+        with pytest.raises(PoolFailureError):
+            self._sharded_run(plan, FAST)

@@ -23,6 +23,7 @@ from parallel_harness import assert_arrays_identical, forced
 from repro.core import almost_route
 from repro.errors import GraphError
 from repro.graphs.generators import random_connected
+from repro.parallel import use_config
 from repro.serve import FlowServer, ResultCache, WorkspacePool, demand_digest
 from repro.util.validation import st_demand
 
@@ -78,13 +79,20 @@ class TestServing:
         assert result is direct  # second call hits the cache
 
     def test_parallel_config_is_bit_identical(self, graph):
+        """A server built and queried under a sharded process default
+        (its approximator built on the pool) answers bit for bit like
+        the serial one."""
         plain = FlowServer(graph, epsilon=EPS, rng=602)
-        sharded = FlowServer(
-            graph, epsilon=EPS, rng=602, parallel=forced(2, "thread")
-        )
         plane = _plane(graph, 604, 3)
-        for a, b in zip(plain.route_batch(plane), sharded.route_batch(plane)):
+        expected = plain.route_batch(plane)
+        with use_config(forced(2, "thread")):
+            sharded = FlowServer(
+                random_connected(40, 0.12, rng=601), epsilon=EPS, rng=602
+            )
+            served = sharded.route_batch(plane)
+        for a, b in zip(expected, served):
             assert_arrays_identical("flow", a.flow, b.flow)
+            assert a.iterations == b.iterations
 
     def test_rejects_foreign_approximator(self, graph):
         other = random_connected(10, 0.4, rng=605)
@@ -101,6 +109,10 @@ class TestServing:
             FlowServer(graph, epsilon=0.0)
         with pytest.raises(TypeError):
             FlowServer(graph, max_batch=8)  # no such option: batches route per column
+        with pytest.raises(TypeError):
+            FlowServer(graph, parallel=forced(2, "thread"))  # routing never shards
+        with pytest.raises(TypeError):
+            FlowServer(graph, breaker_threshold=3)  # no pool to lose
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from parallel_harness import per_tree_reference
+from parallel_harness import (
+    GENERATORS,
+    SEEDS,
+    assert_arrays_identical,
+    build_test_approximator,
+    make_graph,
+    per_tree_reference,
+)
 from repro.core import (
     RouteWorkspace,
     StackedTreeOperator,
@@ -130,13 +137,39 @@ class TestGoldenEquivalence:
         tiny = random_connected(8, 0.5, rng=309)
         approx = build_congestion_approximator(tiny, num_trees=2, rng=310)
         assert tiny.is_tiny()
-        assert approx.stacked() is approx.with_parallel(None)._stacked
         demand = st_demand(tiny, 0, tiny.num_nodes - 1)
         per_tree, flat = _modes(
             approx, lambda a: almost_route(tiny, a, demand, 0.4)
         )
         assert per_tree.iterations == flat.iterations
         assert np.array_equal(per_tree.flow, flat.flow)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_harness_graphs_match_per_tree_reference(name, seed):
+    """The flat ``apply`` (fresh and ``out=``), ``apply_transpose`` and
+    ``estimate`` equal the per-tree reference bit for bit on the
+    harness's random, grid and torus graphs."""
+    graph = make_graph(name, seed)
+    approx = build_test_approximator(graph, seed)
+    reference = per_tree_reference(approx)
+    stacked = approx.stacked()
+    rng = np.random.default_rng(seed)
+    demand = rng.normal(size=graph.num_nodes)
+    demand -= demand.mean()
+    rows = rng.normal(size=stacked.num_rows)
+    expected = reference.apply(demand)
+    assert_arrays_identical("apply", expected, stacked.apply(demand))
+    out = np.empty(stacked.num_rows)
+    assert stacked.apply(demand, out=out) is out
+    assert_arrays_identical("apply[out]", expected, out)
+    assert_arrays_identical(
+        "apply_transpose",
+        reference.apply_transpose(rows),
+        stacked.apply_transpose(rows),
+    )
+    assert stacked.estimate(demand) == reference.estimate(demand)
 
 
 class TestOutBuffers:
@@ -306,7 +339,7 @@ class TestAlphaEstimateGuard:
 class TestBatchedOperator:
     """The ``(Q, ·)`` forms of the stacked operator are golden
     bit-identical per row to the 1-D paths (and hence, transitively,
-    to the per-tree reference), serial and sharded."""
+    to the per-tree reference)."""
 
     def _planes(self, g, approx, num_queries, seed):
         rng = np.random.default_rng(seed)
@@ -341,31 +374,6 @@ class TestBatchedOperator:
         out_pots = np.empty((4, g.num_nodes))
         assert stacked.apply_transpose_batch(rows, out=out_pots) is out_pots
         assert np.array_equal(stacked.apply_transpose_batch(rows), out_pots)
-
-    def test_sharded_batch_identical(self, medium):
-        """Sharded batched products == serial batched products, bit for
-        bit, across shard counts and backends (same contract as the
-        1-D sharded paths)."""
-        from repro.parallel import ParallelConfig
-
-        g, approx = medium
-        stacked = approx.stacked()
-        demands, rows = self._planes(g, approx, 5, 405)
-        serial_apply = stacked.apply_batch(demands).copy()
-        serial_transpose = stacked.apply_transpose_batch(rows).copy()
-        for workers in (2, 3):
-            for backend in ("serial", "thread"):
-                config = ParallelConfig(
-                    workers=workers, backend=backend, min_size=0
-                )
-                assert np.array_equal(
-                    serial_apply,
-                    stacked.apply_batch(demands, parallel=config),
-                )
-                assert np.array_equal(
-                    serial_transpose,
-                    stacked.apply_transpose_batch(rows, parallel=config),
-                )
 
     def test_batch_scratch_reuse_is_pure(self, medium):
         """The operator's reused scratch must not leak state between

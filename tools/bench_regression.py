@@ -7,8 +7,8 @@ wall-clock of ``build_congestion_approximator``), the apply-path rows
 ``almost_route_n*`` (median wall-clock of the flat stacked operator
 products and one AlmostRoute solve, same configuration the benchmark
 harness records) and the execution-backend rows ``*_sharded_n4096``
-(median wall-clock of the sharded R·b / Rᵀ·g products, frontier BFS,
-multi-source hop distances and the stacked MWU length evaluation under
+(median wall-clock of the sharded construction kernels — frontier BFS,
+multi-source hop distances and the stacked MWU length evaluation — under
 the ``REPRO_WORKERS=2`` thread-pool config, compared against the
 checked-in *sharded* medians; the live serial-vs-sharded ratio is
 printed alongside for visibility) and the serving rows
@@ -18,14 +18,15 @@ compared against the checked-in *batched* medians with the live
 sequential-vs-batched ratio printed alongside)
 and fails — exit code 1 — if any median regresses more than
 ``--factor`` (default 2×) versus the checked-in
-``BENCH_graphcore.json`` baseline.
+``BENCH_graphcore.json`` baseline, or if a measured row has no
+baseline row (a renamed or new row must be recorded, not skipped).
 
 When a checked-in ``BENCH_scenarios.json`` exists (written by
 ``tools/run_scenarios.py --quick``), the gate also re-measures the
-scenario-corpus benchmark subset — serial routing of each named
-scenario's demand plane, with the full invariant set asserted on the
-same run — against the recorded ``after_s`` rows under the same
-``--factor``.
+scenario-corpus benchmark subset — routing of each named scenario's
+demand plane, with the full invariant set asserted on the same run —
+against the recorded ``after_s`` rows under the same
+``--factor`` and the same missing-row rule.
 
 When a checked-in ``BENCH_serving.json`` exists (written by
 ``tools/bench_serving.py``), the gate also enforces that its recorded
@@ -64,6 +65,33 @@ def _load_bench_module():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _check_rows(
+    measured: dict[str, float], baseline: dict, factor: float
+) -> list[str]:
+    """Compare measured medians with baseline rows; returns the names
+    that failed — a regression past ``factor`` or no baseline row."""
+    failures = []
+    for name, current_s in measured.items():
+        row = baseline.get(name)
+        if row is None:
+            print(
+                f"FAIL {name}: no baseline row ({current_s:.4f}s measured)"
+            )
+            failures.append(name)
+            continue
+        base_s = float(row["after_s"])
+        ratio = current_s / base_s
+        status = "FAIL" if ratio > factor else "ok"
+        print(
+            f"{status:>4} {name}: baseline={base_s:.4f}s "
+            f"current={current_s:.4f}s ratio={ratio:.2f}x "
+            f"(limit {factor:.1f}x)"
+        )
+        if ratio > factor:
+            failures.append(name)
+    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -134,26 +162,11 @@ def main(argv: list[str] | None = None) -> int:
             f"(batched is {ratio:.2f}x sequential on this host)"
         )
 
-    failures = []
-    for name, current_s in measured.items():
-        row = baseline.get(name)
-        if row is None:
-            print(f"SKIP {name}: no baseline row ({current_s:.4f}s measured)")
-            continue
-        base_s = float(row["after_s"])
-        ratio = current_s / base_s
-        status = "FAIL" if ratio > args.factor else "ok"
-        print(
-            f"{status:>4} {name}: baseline={base_s:.4f}s "
-            f"current={current_s:.4f}s ratio={ratio:.2f}x "
-            f"(limit {args.factor:.1f}x)"
-        )
-        if ratio > args.factor:
-            failures.append(name)
+    failures = _check_rows(measured, baseline, args.factor)
 
     # Scenario-corpus routing rows: re-measure the benchmark subset of
-    # the quick matrix (serial, full invariant set asserted on the same
-    # run) against the checked-in BENCH_scenarios.json baseline.
+    # the quick matrix (full invariant set asserted on the same run)
+    # against the checked-in BENCH_scenarios.json baseline.
     if args.scenarios_baseline.exists():
         scenario_baseline = json.loads(
             args.scenarios_baseline.read_text()
@@ -161,24 +174,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.path.insert(0, str(REPO_ROOT / "src"))
         from repro.scenarios.report import measure_scenario_benchmarks
 
-        for name, current_s in measure_scenario_benchmarks().items():
-            row = scenario_baseline.get(name)
-            if row is None:
-                print(
-                    f"SKIP {name}: no baseline row "
-                    f"({current_s:.4f}s measured)"
-                )
-                continue
-            base_s = float(row["after_s"])
-            ratio = current_s / base_s
-            status = "FAIL" if ratio > args.factor else "ok"
-            print(
-                f"{status:>4} {name}: baseline={base_s:.4f}s "
-                f"current={current_s:.4f}s ratio={ratio:.2f}x "
-                f"(limit {args.factor:.1f}x)"
-            )
-            if ratio > args.factor:
-                failures.append(name)
+        failures += _check_rows(
+            measure_scenario_benchmarks(), scenario_baseline, args.factor
+        )
     else:
         print(
             f"SKIP scenario rows: {args.scenarios_baseline.name} not found"

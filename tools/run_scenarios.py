@@ -3,12 +3,13 @@
 
     python tools/run_scenarios.py --quick
 
-executes the full quick Topology × Demand × Failure × Backend matrix
+executes the full quick Topology × Demand × Failure matrix
 (:func:`repro.scenarios.quick_matrix`), asserting every correctness
 invariant per scenario — demand conservation, congestion soundness and
 the (1+ε)·α guarantee, max-flow value vs exact Dinic, planted-
-bottleneck detection, failure epoch accounting, and bit-identical
-flows across backends — and then writes the two checked-in artifacts:
+bottleneck detection, failure epoch accounting, and warm/cold
+agreement of the journal-seeded re-route — and then writes the two
+checked-in artifacts:
 
 * ``EXPERIMENTS.md`` — the deterministic experiments report (no
   wall-clock numbers; regenerating on a clean tree is a no-op diff);
@@ -62,12 +63,6 @@ def main(argv: list[str] | None = None) -> int:
         "prints per-record JSON, writes no artifacts",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker count for the thread/process backends (default 2)",
-    )
-    parser.add_argument(
         "--experiments",
         type=Path,
         default=REPO_ROOT / "EXPERIMENTS.md",
@@ -100,7 +95,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = run_matrix(
             scenarios,
-            workers=args.workers,
             progress=lambda line: print(f"  {line}", flush=True),
         )
     except ReproError as exc:
@@ -120,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
 
     checked = sum(record.invariants_checked for record in result.records)
     print(
-        f"{result.groups} groups, {len(result.records)} scenarios, "
+        f"{len(result.records)} scenarios, "
         f"{checked} invariant checks, all passed "
         f"({result.total_seconds:.1f}s)"
     )
