@@ -26,7 +26,7 @@ tree decomposition     Õ(√n)                              Lemma 8.2
 skeleton/portals       Õ(√n)                              Lemma 8.8
 R·b / Rᵀ·y product     Õ(√n + D) per sampled tree         Cor. 9.3
 gradient step          O(D) + products                    §9.1
-MST + residual route   Õ(D + √n)                          Lemma 9.1
+MST, residual routes   Õ(D + √n) each                     Lemma 9.1
 =====================  ===========================================
 """
 
@@ -148,17 +148,24 @@ class CostModel:
             "approximator_product", num_trees * self.base * self.log_n
         )
 
-    def gradient_step(self, num_trees: int) -> float:
-        """One AlmostRoute iteration (Section 9.1): two products with R
-        (for y and for π), plus O(D) scalar aggregations for φ and δ."""
-        products = 2 * num_trees * self.base * self.log_n
+    def gradient_step(
+        self, num_trees: int, products: int, iterations: int = 1
+    ) -> float:
+        """``iterations`` AlmostRoute iterations (Section 9.1), each
+        ``products`` products with R or Rᵀ (the plain loop does two,
+        for y and for π; the accelerated loop three, with y also at the
+        look-ahead point), plus O(D) scalar aggregations for φ and δ."""
+        per_step = products * num_trees * self.base * self.log_n
         scalars = 4 * self.diameter
-        return self.ledger.charge("gradient_step", products + scalars)
-
-    def mst_and_residual_routing(self) -> float:
-        """Lemma 9.1: max-weight spanning tree + tree routing."""
         return self.ledger.charge(
-            "mst_residual_routing", self.base * self.log_n
+            "gradient_step", iterations * (per_step + scalars)
+        )
+
+    def mst_and_residual_routing(self, routings: int) -> float:
+        """Lemma 9.1: one max-weight spanning tree, then ``routings``
+        tree routings of a residual demand, Õ(D + √n) each."""
+        return self.ledger.charge(
+            "mst_residual_routing", (1 + routings) * self.base * self.log_n
         )
 
     # -- headline bounds --------------------------------------------------

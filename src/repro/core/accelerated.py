@@ -9,6 +9,11 @@ from ``z_k``, with the classical restart-on-increase safeguard (momentum
 is reset whenever the potential rises, which keeps the method robust on
 this non-Euclidean geometry).
 
+This is the loop Algorithm 1 runs: every round of
+:func:`repro.core.maxflow.min_congestion_flow` (so also ``max_flow`` and
+``max_flow_binary_search``) calls it. The plain loop stays as the
+paper's Algorithm 2 reference and ``FlowServer``'s default solver.
+
 The scaled-potential bookkeeping (17/16 re-scalings, kb/kf factors) is
 identical to :func:`repro.core.almost_route.almost_route`; benchmarks
 compare the two head-to-head (the ablation bench E6a2). Like the plain

@@ -4,9 +4,12 @@ Pipeline (paper §9, Algorithm 1):
 
 1. call AlmostRoute on the demand with accuracy ε;
 2. repeat AlmostRoute on the *residual* demand (with constant accuracy)
-   for ~log m rounds, driving the unrouted demand to negligible mass;
-3. route the final residual exactly over a maximum-capacity spanning
-   tree (Lemma 9.1) — conservation becomes exact;
+   until routing that residual over a maximum-capacity spanning tree
+   (Lemma 9.1) costs at most ``ε/64 · ‖Rb‖∞`` congestion, or after at
+   most ``ceil(log2 m) + 1`` residual rounds. The residual rounds exist
+   only to make that fix-up cheap, so its congestion, measured after
+   every round, is the stop certificate;
+3. add the fix-up that passed the test — conservation becomes exact;
 4. for max flow: run the above on the unit s-t demand and scale the
    result by its own max congestion. By max-flow min-cut, the optimal
    congestion of the unit demand is 1/maxflow, so the scaled value is
@@ -14,9 +17,12 @@ Pipeline (paper §9, Algorithm 1):
    sub-optimality (this replaces the paper's equivalent outer binary
    search over F).
 
-Every returned flow is exactly conserving and exactly feasible
-(capacity-respecting); quality is measured against the Dinic oracle in
-tests and benchmarks.
+Every AlmostRoute call is the momentum-accelerated loop of footnote 3
+(:func:`~repro.core.accelerated.accelerated_almost_route`). Every
+returned flow is exactly conserving and exactly feasible
+(capacity-respecting). Its ratio to the lower bound ‖Rb‖∞ is measured,
+not assumed, so the stop is sound whenever it fires; quality is
+measured against the Dinic oracle in tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -26,11 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.almost_route import (
-    AlmostRouteResult,
-    RouteWorkspace,
-    almost_route,
-)
+from repro.core.accelerated import accelerated_almost_route
+from repro.core.almost_route import RouteWorkspace
 from repro.core.approximator import (
     TreeCongestionApproximator,
     build_congestion_approximator,
@@ -60,6 +63,9 @@ class ApproxFlow:
         almost_route_calls: Number of AlmostRoute invocations.
         residual_mass: ℓ1 mass of demand routed via the spanning tree
             in the final fix-up step.
+        fixup_congestion: ``‖C⁻¹f‖_∞`` of that spanning-tree fix-up
+            alone — the stop certificate; at most
+            ``ε/64 · lower_bound`` unless the round cap was reached.
         converged: Whether every AlmostRoute call converged.
     """
 
@@ -70,6 +76,7 @@ class ApproxFlow:
     iterations: int = 0
     almost_route_calls: int = 0
     residual_mass: float = 0.0
+    fixup_congestion: float = 0.0
     converged: bool = True
 
     @property
@@ -111,22 +118,27 @@ def min_congestion_flow(
     approximator: TreeCongestionApproximator | None = None,
     rng: np.random.Generator | int | None = None,
     max_iterations: int | None = None,
-    residual_rounds: int | None = None,
     workspace: RouteWorkspace | None = None,
     initial_flow: np.ndarray | None = None,
 ) -> ApproxFlow:
     """Route ``demand`` with approximately minimal congestion.
 
+    Runs accelerated AlmostRoute rounds on the demand, then on its
+    residual, and stops after the first round whose residual routes
+    over the maximum spanning tree at congestion at most
+    ``ε/64 · ‖Rb‖∞`` (at most ``ceil(log2 m) + 1`` residual rounds).
+    That fix-up completes the flow, so the result routes ``demand``
+    exactly whenever the loop stops.
+
     Args:
         graph: Connected capacitated graph.
         demand: Demand vector (sums to zero).
-        epsilon: Accuracy of the first AlmostRoute call.
+        epsilon: Accuracy of the first AlmostRoute call; the fix-up may
+            spend ``1/64`` of it.
         approximator: Reuse a prebuilt R (recommended when routing many
             demands on one graph); built fresh otherwise.
         rng: Randomness for approximator construction.
         max_iterations: Per-call gradient budget override.
-        residual_rounds: Number of residual AlmostRoute rounds
-            (default ``ceil(log2 m) + 1``, Algorithm 1 line 2).
         workspace: Optional preallocated AlmostRoute workspace; built
             once here and shared by every residual round (callers
             sweeping many demands — e.g. the binary search — pass one
@@ -146,28 +158,23 @@ def min_congestion_flow(
         approximator = build_congestion_approximator(graph, rng=rng)
     workspace = RouteWorkspace.ensure(workspace, graph, approximator)
     m = graph.num_edges
-    if residual_rounds is None:
-        residual_rounds = int(math.ceil(math.log2(max(m, 2)))) + 1
+    residual_rounds = int(math.ceil(math.log2(max(m, 2)))) + 1
 
     lower_bound = approximator.estimate(demand)
+    limit = epsilon / 64.0 * lower_bound
+    tree = maximum_spanning_tree(graph)
     total_flow = np.zeros(m)
     iterations = 0
     calls = 0
     converged = True
-    residual = demand.copy()
-    demand_scale = float(np.abs(demand).max(initial=0.0))
+    residual = demand
 
     for round_index in range(residual_rounds + 1):
-        if float(np.abs(residual).max(initial=0.0)) <= 1e-12 * max(
-            demand_scale, 1.0
-        ):
-            break
-        accuracy = epsilon if round_index == 0 else 0.5
-        result: AlmostRouteResult = almost_route(
+        result = accelerated_almost_route(
             graph,
             approximator,
             residual,
-            accuracy,
+            epsilon if round_index == 0 else 0.5,
             max_iterations=max_iterations,
             workspace=workspace,
             initial_flow=initial_flow if round_index == 0 else None,
@@ -177,11 +184,12 @@ def min_congestion_flow(
         calls += 1
         converged = converged and result.converged
         residual = demand + graph.excess(total_flow)
+        fixup = tree_route_demand(graph, tree, residual)
+        fixup_congestion = float(graph.congestion(fixup).max(initial=0.0))
+        if fixup_congestion <= limit:
+            break
 
-    residual_mass = float(np.abs(residual).sum())
-    if residual_mass > 0:
-        tree = maximum_spanning_tree(graph)
-        total_flow += tree_route_demand(graph, tree, residual)
+    total_flow += fixup
     congestion = float(graph.congestion(total_flow).max(initial=0.0))
     return ApproxFlow(
         flow=total_flow,
@@ -190,7 +198,8 @@ def min_congestion_flow(
         lower_bound=lower_bound,
         iterations=iterations,
         almost_route_calls=calls,
-        residual_mass=residual_mass,
+        residual_mass=float(np.abs(residual).sum()),
+        fixup_congestion=fixup_congestion,
         converged=converged,
     )
 

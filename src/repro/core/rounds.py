@@ -57,8 +57,9 @@ def estimate_rounds(
         samples: The virtual trees the approximator was built from
             (their ``phases`` / ``sparsifier_rounds`` fields are the
             measured construction effort).
-        flow_result: The routed flow (its ``iterations`` field is the
-            measured descent effort).
+        flow_result: The routed flow (its ``iterations`` and
+            ``almost_route_calls`` fields are the measured descent
+            effort).
         epsilon: Accuracy used (for the closed-form reference bound).
         diameter: Pass the diameter if already known (it is Θ(n·BFS)
             work to compute exactly).
@@ -85,12 +86,15 @@ def estimate_rounds(
             model.skeleton_construction()  # Lemma 8.8
             model.tree_decomposition()  # Lemma 8.2
     construction = model.ledger.total
-    # --- gradient descent (one aggregate charge; §9.1 cost per step) ---
-    per_step = (
-        2 * len(samples) * model.base * model.log_n + 4 * model.diameter
-    )
-    model.ledger.charge("gradient_step", flow_result.iterations * per_step)
-    model.mst_and_residual_routing()
+    # --- gradient descent (§9.1 cost per step) ------------------------
+    # Algorithm 1 runs the accelerated loop: R·b at f and at the
+    # look-ahead point, then Rᵀ·g, per iteration.
+    model.gradient_step(len(samples), 3, flow_result.iterations)
+    # Every round routes its residual over the one spanning tree and
+    # convergecasts the fix-up's maximum congestion for the stop test.
+    model.mst_and_residual_routing(flow_result.almost_route_calls)
+    for _ in range(flow_result.almost_route_calls):
+        model.convergecast()
     total = model.ledger.total
     return RoundEstimate(
         total=total,

@@ -29,9 +29,8 @@ __all__ = [
 #: Shared base seed of every corpus scenario.
 CORPUS_SEED = 9090
 
-#: ε for corpus runs. Iteration counts are dominated by the fixed
-#: 0.5-accuracy residual rounds, so a looser first-round ε costs
-#: little; 0.5 keeps the max-flow quality invariant meaningful.
+#: ε for corpus runs. Looser than the library default to keep the
+#: matrix fast; 0.5 keeps the max-flow quality invariant meaningful.
 QUICK_EPSILON = 0.5
 
 #: Scenario names whose route time becomes a benchmark metric. Every

@@ -3,18 +3,27 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.core import build_congestion_approximator, max_flow, min_congestion_flow
+from repro.core import (
+    accelerated_almost_route,
+    build_congestion_approximator,
+    max_flow,
+    min_congestion_flow,
+)
 from repro.errors import InvalidDemandError
 from repro.flow import dinic_max_flow
+from repro.flow.mst import maximum_spanning_tree
 from repro.graphs.generators import (
     barbell,
     grid,
     random_connected,
 )
 from repro.graphs.graph import Graph
+from repro.graphs.trees import tree_route_demand
 from repro.util.validation import (
     check_feasible_flow,
     check_flow_conservation,
@@ -57,6 +66,7 @@ class TestMinCongestionFlow:
         )
         np.testing.assert_allclose(result.flow, 0.0)
         assert result.congestion == 0.0
+        assert result.fixup_congestion == 0.0
 
     def test_demand_validation(self, small_graph, small_approximator):
         with pytest.raises(InvalidDemandError):
@@ -74,6 +84,66 @@ class TestMinCongestionFlow:
         assert result.iterations > 0
         assert result.almost_route_calls >= 1
         assert result.converged
+
+
+class TestStopCertificate:
+    """Algorithm 1 stops once the spanning-tree fix-up of the residual
+    costs at most ε/64 of the lower bound."""
+
+    EPSILON = 0.25
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        graph = random_connected(80, 0.08, rng=11)
+        return graph, build_congestion_approximator(graph, rng=12)
+
+    @staticmethod
+    def _demand(graph, kind):
+        if kind == "st":
+            return st_demand(graph, 0, graph.num_nodes - 1, 1.0)
+        demand = np.random.default_rng(11).normal(size=graph.num_nodes)
+        return demand - demand.mean()
+
+    @staticmethod
+    def _all_rounds_ratio(graph, approximator, demand, epsilon):
+        """Every round the cap allows, then the tree fix-up."""
+        rounds = math.ceil(math.log2(graph.num_edges)) + 2
+        flow = np.zeros(graph.num_edges)
+        residual = demand
+        for index in range(rounds):
+            flow += accelerated_almost_route(
+                graph, approximator, residual, epsilon if index == 0 else 0.5
+            ).flow
+            residual = demand + graph.excess(flow)
+        flow += tree_route_demand(graph, maximum_spanning_tree(graph), residual)
+        return graph.congestion(flow).max() / approximator.estimate(demand)
+
+    @pytest.mark.parametrize("kind", ["st", "dense"])
+    def test_stops_after_two_rounds_at_the_all_rounds_ratio(self, instance, kind):
+        graph, approximator = instance
+        assert graph.num_edges > 300
+        demand = self._demand(graph, kind)
+        result = min_congestion_flow(
+            graph, demand, epsilon=self.EPSILON, approximator=approximator
+        )
+        check_flow_conservation(graph, result.flow, demand)
+        assert result.almost_route_calls == 2
+        assert result.fixup_congestion <= self.EPSILON / 64 * result.lower_bound
+        reference = self._all_rounds_ratio(
+            graph, approximator, demand, self.EPSILON
+        )
+        assert result.approximation_ratio_bound == pytest.approx(
+            reference, rel=1e-3
+        )
+
+    def test_residual_rounds_option_removed(self, small_graph, small_approximator):
+        with pytest.raises(TypeError):
+            min_congestion_flow(
+                small_graph,
+                st_demand(small_graph, 0, 10, 1.0),
+                approximator=small_approximator,
+                residual_rounds=3,
+            )
 
 
 class TestMaxFlow:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import build_congestion_approximator, max_flow
 from repro.core.softmax import smax, smax_gradient
 from repro.flow import dinic_max_flow, edmonds_karp_max_flow
 from repro.graphs.cuts import cut_capacity
@@ -87,6 +90,27 @@ def test_min_cut_certifies_value(graph):
     result = dinic_max_flow(graph, 0, t)
     np.testing.assert_allclose(
         cut_capacity(graph, result.min_cut_side), result.value, rtol=1e-9
+    )
+
+
+@given(connected_graphs(), st.integers(min_value=0, max_value=10_000))
+@settings(**COMMON)
+def test_max_flow_feasible_and_certified(graph, seed):
+    """Algorithm 1's s-t answer is feasible, value ≤ Dinic ≤ certified
+    bound, and its fix-up met the stop test unless the round cap hit."""
+    epsilon = 0.5
+    t = graph.num_nodes - 1
+    approximator = build_congestion_approximator(graph, rng=seed)
+    result = max_flow(graph, 0, t, epsilon=epsilon, approximator=approximator)
+    check_feasible_flow(graph, result.flow, st_demand(graph, 0, t, result.value))
+    exact = dinic_max_flow(graph, 0, t).value
+    assert result.value <= exact * (1 + 1e-9)
+    assert exact <= result.certified_upper_bound * (1 + 1e-9)
+    routed = result.congestion_result
+    round_cap = math.ceil(math.log2(max(graph.num_edges, 2))) + 2
+    assert (
+        routed.fixup_congestion <= epsilon / 64 * routed.lower_bound
+        or routed.almost_route_calls == round_cap
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.congest import CostModel
 from repro.core import (
     build_congestion_approximator,
     estimate_rounds,
@@ -54,6 +55,39 @@ class TestEstimate:
             result.congestion_result.iterations, 1
         )
         assert per_iter > 0
+
+    def test_gradient_step_charges_three_products(self, pipeline_run):
+        """An accelerated iteration does R·b at f, R·b at the look-ahead
+        point and Rᵀ·g: three products per sampled tree, plus 4D."""
+        g, samples, result = pipeline_run
+        diameter = g.diameter()
+        routed = result.congestion_result
+        est = estimate_rounds(g, samples, routed, 0.5, diameter=diameter)
+        model = CostModel(g.num_nodes, diameter)
+        three_products = (
+            3 * len(samples) * model.base * model.log_n + 4 * diameter
+        )
+        per_iter = est.breakdown["gradient_step"] / routed.iterations
+        assert per_iter == pytest.approx(three_products)
+        assert model.gradient_step(len(samples), 3) == pytest.approx(
+            three_products
+        )
+
+    def test_fixup_charged_once_per_round(self, pipeline_run):
+        g, samples, result = pipeline_run
+        diameter = g.diameter()
+        rounds = result.congestion_result.almost_route_calls
+        est = estimate_rounds(
+            g, samples, result.congestion_result, 0.5, diameter=diameter
+        )
+        model = CostModel(g.num_nodes, diameter)
+        route = model.base * model.log_n
+        assert est.breakdown["mst_residual_routing"] == pytest.approx(
+            (1 + rounds) * route
+        )
+        assert est.breakdown["convergecast"] == pytest.approx(
+            rounds * (diameter + 1)
+        )
 
     def test_reference_bounds_present(self, pipeline_run):
         g, samples, result = pipeline_run
