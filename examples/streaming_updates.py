@@ -6,11 +6,11 @@ restorations) and keeps routing the same traffic matrix. With the
 default ``refresh="rebuild"`` policy every drift pays a full
 approximator rebuild plus a cold solve. The ``refresh="incremental"``
 policy instead consumes the graph's capacity **delta journal** on
-sync: cut capacities are patched in place (resampling only trees whose
-realized edges intersect the delta), cached flows for the same demands
-are rescaled to the new capacities and used to **warm-start** the
-solver, and the workspace pool survives untouched — the shape key is
-epoch-independent.
+sync: every tree's cut capacities are recomputed exactly in place (the
+same trees serve every epoch; nothing is resampled), cached flows for
+the same demands are rescaled to the new capacities and used to
+**warm-start** the solver, and the workspace pool survives untouched —
+the shape key is epoch-independent.
 
 Warm-started answers carry the same guarantees as cold ones: exact
 conservation and the (1+eps)*alpha congestion bound. Structural
@@ -19,9 +19,10 @@ the full rebuild.
 
 Run:  python examples/streaming_updates.py
 
-Honors ``REPRO_WORKERS``: the approximator builds and tree resamples
-shard their construction kernels under it (the CI step runs this under
-``REPRO_WORKERS=2``); routing runs on the calling thread either way.
+Honors ``REPRO_WORKERS``: the approximator builds and rebuilds shard
+their construction kernels under it (the CI step runs this under
+``REPRO_WORKERS=2``); the cut refresh and routing run on the calling
+thread either way.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ def main() -> None:
     plane = demand_plane(n, 3, rng)
     for server in servers.values():
         server.route_batch(plane)  # warm: build + populate the cache
+    # The incremental server's trees: every epoch below must keep them.
+    trees = list(servers["incremental"].approximator.operators)
 
     # --- drift stream ----------------------------------------------
     update_rng = np.random.default_rng(84)
@@ -100,10 +103,14 @@ def main() -> None:
 
     # --- verdict ----------------------------------------------------
     stats = servers["incremental"].stats()
-    print(f"\nincremental: {stats.incremental_refreshes} journal-scoped "
+    operators = servers["incremental"].approximator.operators
+    kept = sum(now is before for now, before in zip(operators, trees))
+    print(f"\nincremental: {stats.incremental_refreshes} exact cut "
           f"refreshes, {stats.warm_starts} warm starts, "
-          f"{stats.rebuilds} rebuilds")
+          f"{stats.rebuilds} rebuilds; {kept} of {len(trees)} trees "
+          f"kept through {DRIFT_CYCLES} epochs")
     assert stats.incremental_refreshes == DRIFT_CYCLES
+    assert kept == len(trees)
     assert stats.warm_starts > 0
     assert stats.rebuilds == 0
     rebuild_stats = servers["rebuild"].stats()

@@ -26,7 +26,7 @@ against, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -85,38 +85,10 @@ class TreeOperator:
         # stacked pass scale rows with the same multiply (bit-identical
         # folds).
         self.row_inv_capacity = 1.0 / caps
-        self._graph_edge_ids: np.ndarray | None = None
 
     @property
     def num_rows(self) -> int:
         return len(self.row_nodes)
-
-    def graph_edge_ids(self, graph: Graph) -> np.ndarray:
-        """The graph edge ids realizing this tree's parent pointers.
-
-        Virtual trees are graph-edge-realized (ClusterGraph Definition
-        5.1 condition III): every (v, parent[v]) pair corresponds to at
-        least one graph edge, and the lowest-id such edge is returned
-        per row (the :func:`~repro.graphs.trees.tree_route_demand`
-        convention). Entries are ``-1`` for pairs no graph edge
-        realizes (possible for non-hierarchy tree constructions);
-        callers treating the result as a resample scope must handle
-        ``-1`` conservatively. Cached — valid for capacity-only deltas,
-        stale after structural mutation (which forces a full rebuild
-        anyway).
-        """
-        if self._graph_edge_ids is None:
-            tails, heads = graph.edge_index_arrays()
-            keys, first_eid = kernels.pair_first_edge_index(
-                tails, heads, graph.num_nodes
-            )
-            parents = np.asarray(self.tree.parent, dtype=WIDE_DTYPE)[
-                self.row_nodes
-            ]
-            self._graph_edge_ids = kernels.lookup_pairs(
-                keys, first_eid, graph.num_nodes, self.row_nodes, parents
-            )
-        return self._graph_edge_ids
 
     def refresh_capacities(self, graph: Graph) -> None:
         """Recompute this tree's induced-cut capacities in place after
@@ -224,74 +196,35 @@ class TreeCongestionApproximator:
     def trees(self) -> list[RootedTree]:
         return [op.tree for op in self.operators]
 
-    def refresh_capacities(
-        self,
-        edge_ids: np.ndarray | Sequence[int],
-        rng: np.random.Generator | int | None = None,
-        hierarchy_params: HierarchyParams | None = None,
-    ) -> int:
-        """Scoped rebuild after a **capacity-only** delta (the journal's
-        ``edge_ids``); structural mutations must rebuild from scratch.
+    def refresh_capacities(self) -> int:
+        """Exact cut refresh after a **capacity-only** graph delta;
+        structural mutations must rebuild from scratch.
 
-        Two tiers, per the delta's reach:
+        Every tree's rows are recomputed in place to the exact
+        induced-cut capacities of the current graph, and the cached
+        stacked operator's inverse-capacity rows are patched in place.
+        Each row is a genuine cut of G whatever tree it came from, so
+        soundness ``‖Rb‖∞ ≤ opt(b)`` holds at the new epoch exactly as
+        at construction. Row counts never change (every spanning tree
+        has n-1 rows), so the stacked operator and existing
+        ``RouteWorkspace`` objects stay valid.
 
-        * every tree's rows are refreshed in place to the *exact*
-          induced-cut capacities of the mutated graph (cut values
-          depend on all edge capacities, so this is unconditional) —
-          soundness ``‖Rb‖∞ ≤ opt(b)`` therefore holds at the new epoch
-          exactly as at construction;
-        * trees whose **realized tree edges** intersect the delta are
-          resampled (hierarchy method, ``rng`` given): their structure
-          was chosen by a sampler that favored the old capacities, and
-          a degraded on-tree edge makes the tree a poor router even
-          with exact row capacities. Trees with unrealized parent pairs
-          are resampled conservatively. Resampling runs its
-          construction kernels under the ``REPRO_WORKERS`` process
-          default.
-
-        The cached stacked operator is patched in place when no tree
-        was resampled and dropped for lazy rebuild otherwise — row
-        counts are stable either way (every spanning tree has n-1
-        rows), so existing ``RouteWorkspace`` objects stay valid.
-
-        ``alpha`` is deliberately kept: the estimate's safety factor
-        absorbs small-delta drift, and refreshing rows to exact cuts
-        never invalidates the soundness direction. Callers applying
-        large deltas should rebuild.
+        The trees and ``alpha`` are kept, and α is not re-estimated.
+        Only α depends on how the trees were sampled, and large
+        cumulative capacity drift can push the real worst-case ratio
+        ``opt(b) / ‖Rb‖∞`` past it; callers facing such drift should
+        rebuild.
 
         Returns:
-            The number of trees resampled.
+            The number of trees resampled, which is always 0.
         """
-        touched = np.unique(np.asarray(edge_ids, dtype=WIDE_DTYPE))
-        resample: list[int] = []
-        if rng is not None and self.method == "hierarchy" and touched.size:
-            rng = as_generator(rng)
-            for t, op in enumerate(self.operators):
-                eids = op.graph_edge_ids(self.graph)
-                if np.any(eids < 0) or bool(
-                    np.isin(eids, touched).any()
-                ):
-                    resample.append(t)
-        if resample:
-            samples = sample_virtual_trees(
-                self.graph,
-                len(resample),
-                rng=rng,
-                params=hierarchy_params,
-            )
-            for t, sample in zip(resample, samples):
-                self.operators[t] = TreeOperator(sample.tree)
-        resampled = set(resample)
-        for t, op in enumerate(self.operators):
-            if t not in resampled:
-                op.refresh_capacities(self.graph)
-        if resample:
-            self._stacked = None
-        elif self._stacked is not None:
+        for op in self.operators:
+            op.refresh_capacities(self.graph)
+        if self._stacked is not None:
             self._stacked.refresh_inv_capacity(
                 [op.row_inv_capacity for op in self.operators]
             )
-        return len(resample)
+        return 0
 
 
 def racke_sample_trees(

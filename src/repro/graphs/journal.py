@@ -9,8 +9,9 @@ capacity delta ``e → current`` and patch instead of rebuild:
 
 * warm-start AlmostRoute from the previous epoch's flow, rescaled per
   touched edge (:func:`rescale_flow`);
-* refresh a congestion approximator's ``row_inv_capacity`` in place and
-  resample only the trees whose realized edges intersect the delta;
+* vouch that a move was capacity-only, so a congestion approximator
+  keeps its trees and recomputes their cut capacities exactly in place
+  instead of rebuilding;
 * salvage result-cache entries across an epoch move
   (``FlowServer(refresh="incremental")``).
 

@@ -143,10 +143,10 @@ def _warm_reroute_stage(
 
     After the scenario's routing is done, degrade a deterministic ~5% of
     edges through ``set_capacity``, read the capacity delta back from
-    the graph's journal, refresh the approximator in place (resampling
-    journal-intersecting trees), and re-route the first demand twice:
-    seeded with the previous flow rescaled to the new capacities, and
-    cold. Asserts epoch accounting for the stage's own writes, exact
+    the graph's journal, recompute every tree's cut capacities exactly
+    in place (same trees, same α, nothing resampled), and re-route the
+    first demand twice: seeded with the previous flow rescaled to the
+    new capacities, and cold. Asserts epoch accounting for the stage's own writes, exact
     conservation of the warm flow, and warm/cold agreement to the
     guarantee bound. Returns the number of invariant checks performed.
 
@@ -178,12 +178,7 @@ def _warm_reroute_stage(
             f"delta of {count} edges (overflowed="
             f"{graph.journal_overflowed})"
         )
-    approximator.refresh_capacities(
-        delta.edge_ids,
-        rng=as_generator(
-            scenario_seed(scenario.seed, "warm-resample", scenario.topology)
-        ),
-    )
+    approximator.refresh_capacities()
     warm = min_congestion_flow(
         graph,
         demand,

@@ -22,20 +22,21 @@ one-shot answer bit for bit, singles and batch columns share one cache
 namespace (a demand routed inside a batch hits later as a single query
 and vice versa), and a demand repeated within one batch is solved once.
 The solve runs on the calling thread and never reaches a worker pool;
-only an approximator rebuild or resample does, under the
+only an approximator build or rebuild does, under the
 ``REPRO_WORKERS`` process default.
 
 Mutation safety: every entry point first compares the graph's
 cache-invalidation counter (``Graph._version``) against the epoch the
-cache and approximator were built in. A moved version drops the cached
-results exactly once and — under the default ``refresh="rebuild"``
-policy — rebuilds the approximator from the stored seed and rebinds
-the workspace pool. ``refresh="reuse"`` keeps the (now stale) tree
-approximator as a documented approximation: routing still uses the
-live capacities through ``graph.capacities()``, but the cut structure
-R reflects the pre-mutation graph, so quality degrades gracefully
-instead of paying a rebuild. Structural mutations (``add_edge``)
-always flush the pool, since every workspace is m-shaped.
+cache and approximator were built in. Under the default
+``refresh="rebuild"`` policy a moved version drops the cached results
+exactly once, rebuilds the approximator from the stored seed and
+rebinds the workspace pool. Under ``refresh="incremental"`` a
+capacity-only move recomputes every tree's cut capacities exactly
+(:meth:`~repro.core.approximator.TreeCongestionApproximator.refresh_capacities`:
+same trees, same α, nothing resampled) and turns the old epoch's cached
+flows into warm-start seeds; a structural mutation or a journal
+overflow takes the rebuild path. Either way every row of R is a cut of
+the live graph, so ``‖Rb‖∞ ≤ opt`` holds after every epoch move.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ class ServerStats:
     """Serving counters plus a snapshot of the cache stats.
 
     ``incremental_refreshes`` counts epoch moves absorbed by the
-    journal-driven scoped refresh (``refresh="incremental"``) instead
-    of a full rebuild; ``warm_starts`` counts queries seeded from a
-    salvaged previous-epoch flow instead of starting cold.
+    journal-driven exact cut refresh (``refresh="incremental"``)
+    instead of a full rebuild; ``warm_starts`` counts queries seeded
+    from a salvaged previous-epoch flow instead of starting cold.
     """
 
     single_queries: int = 0
@@ -119,7 +120,7 @@ class ServerHealth:
         last_error: ``repr``-style description of the most recent
             absorbed failure (``None`` when the server never failed).
         incremental_refreshes: Epoch moves absorbed by the
-            journal-driven scoped refresh instead of a full rebuild
+            journal-driven exact cut refresh instead of a full rebuild
             (``refresh="incremental"`` only).
         warm_starts: Queries seeded from a salvaged previous-epoch
             flow instead of starting cold.
@@ -148,21 +149,19 @@ class FlowServer:
         max_iterations: Optional per-query gradient budget override.
         cache_capacity: LRU capacity of the result cache (``0``
             disables caching).
-        rng: Seed used to build — and, under ``refresh="rebuild"`` /
-            ``refresh="incremental"``, re-build or re-sample — the
-            approximator.
+        rng: Seed used to build the approximator, and to rebuild it
+            on every rebuild. A capacity refresh draws nothing.
         refresh: Mutation policy: ``"rebuild"`` (default) reconstructs
             the approximator from ``rng`` when the graph version moves;
-            ``"reuse"`` keeps the stale tree structure (documented
-            approximation — live capacities, pre-mutation cuts);
             ``"incremental"`` consumes the graph's epoch delta journal:
-            for capacity-only deltas the approximator's cut rows are
-            refreshed in place (journal-intersecting trees resampled),
-            salvaged same-digest cache entries become warm-start seeds
-            for their next query, and the full rebuild is reserved for
-            structural mutations or journal overflow. Warm-started
-            results satisfy the same ``(1+ε)·α`` guarantee as cold
-            ones.
+            for a capacity-only delta every tree's cut rows are
+            recomputed exactly in place (the trees and α are kept;
+            nothing is resampled), salvaged same-digest cache entries
+            become warm-start seeds for their next query, and the full
+            rebuild is reserved for structural mutations or journal
+            overflow. Warm-started results satisfy the same
+            ``(1+ε)·α`` guarantee as cold ones. Large cumulative
+            capacity drift can outgrow the build's α; rebuild then.
         deadline: Per-request wall-clock budget in seconds (``None``
             disables it). Checked cooperatively before every solve
             attempt — an in-flight solve completes before the deadline
@@ -180,17 +179,16 @@ class FlowServer:
         max_iterations: int | None = None,
         cache_capacity: int = 1024,
         rng: np.random.Generator | int | None = 0,
-        refresh: Literal["rebuild", "reuse", "incremental"] = "rebuild",
+        refresh: Literal["rebuild", "incremental"] = "rebuild",
         deadline: float | None = None,
     ) -> None:
         if solver not in _SOLVERS:
             raise GraphError(
                 f"solver must be one of {sorted(_SOLVERS)}, got {solver!r}"
             )
-        if refresh not in ("rebuild", "reuse", "incremental"):
+        if refresh not in ("rebuild", "incremental"):
             raise GraphError(
-                "refresh must be 'rebuild', 'reuse' or 'incremental', "
-                f"got {refresh!r}"
+                f"refresh must be 'rebuild' or 'incremental', got {refresh!r}"
             )
         eps = float(epsilon)
         if not 0 < eps <= 1:
@@ -244,8 +242,9 @@ class FlowServer:
         """Catch up with graph mutations before serving a query.
 
         Drops (or, under ``refresh="incremental"``, salvages) old-epoch
-        cached results exactly once and applies the refresh policy to
-        the approximator and workspace pool.
+        cached results exactly once, then either refreshes the
+        approximator's cuts from the journal or rebuilds it and rebinds
+        the workspace pool.
         """
         version = self.graph._version
         if version == self._epoch:
@@ -258,15 +257,12 @@ class FlowServer:
             # through to the full rebuild below.
             delta = self.graph.deltas_since(self._epoch)
         if delta is not None:
-            # Capacity-only delta with a sound journal: patch the
-            # operator in place, keep the pooled workspaces (their
-            # shape key is epoch-independent), and convert old-epoch
-            # cache entries into warm-start seeds instead of waste.
+            # Capacity-only delta with a sound journal: recompute the
+            # cuts in place, keep the pooled workspaces (their shape
+            # key is epoch-independent), and convert old-epoch cache
+            # entries into warm-start seeds instead of waste.
             salvaged = self._cache.salvage_epoch(version)
-            if delta.num_edges:
-                self.approximator.refresh_capacities(
-                    delta.edge_ids, rng=self._rng
-                )
+            self.approximator.refresh_capacities()
             self._incremental_refreshes += 1
             self._warm_seeds = {
                 key: rescale_flow(result.flow, delta)
@@ -276,16 +272,11 @@ class FlowServer:
         else:
             self._cache.sync_epoch(version)
             self._warm_seeds = {}
-            if self.refresh in ("rebuild", "incremental"):
-                self.approximator = build_congestion_approximator(
-                    self.graph, rng=self._rng
-                )
-                self._rebuilds += 1
-                self._pool.rebind(self.graph, self.approximator)
-            elif structural:
-                # Stale approximator kept by policy, but the m-shaped
-                # workspaces cannot survive an edge-count change.
-                self._pool.rebind(self.graph, self.approximator)
+            self.approximator = build_congestion_approximator(
+                self.graph, rng=self._rng
+            )
+            self._rebuilds += 1
+            self._pool.rebind(self.graph, self.approximator)
         self._epoch = version
         self._edge_count = self.graph.num_edges
 

@@ -1,4 +1,4 @@
-"""Dynamic-graph epochs: delta journal, warm starts, scoped rebuilds.
+"""Dynamic-graph epochs: delta journal, warm starts, exact cut refresh.
 
 The contracts under test:
 
@@ -13,9 +13,11 @@ The contracts under test:
   bit-identical under every process default (the approximator built on
   the pool, the solve on the calling thread), and a zero seed
   reproduces the cold run bit for bit.
-* **scoped rebuild** — ``TreeCongestionApproximator.refresh_capacities``
-  patches cut capacities in place to the exact recomputed values and
-  preserves row counts, so workspaces keep fitting.
+* **exact cut refresh** — ``TreeCongestionApproximator.refresh_capacities``
+  recomputes every tree's cut capacities in place, patches the stacked
+  operator to match a fresh fuse bit for bit, and keeps every tree and
+  the row counts, so workspaces keep fitting; its answers stay within
+  the guarantee through a long chain of cumulative deltas.
 * **workspace epoch-independence** — the pool shape key contains no
   epoch, and a workspace surviving ``set_capacity`` is reused, not
   rebuilt.
@@ -36,7 +38,9 @@ from repro.core import (
     build_congestion_approximator,
 )
 from repro.core.almost_route import RouteWorkspace, almost_route_batch
+from repro.core.stacked import StackedTreeOperator
 from repro.errors import GraphError
+from repro.flow.mst import maximum_spanning_tree
 from repro.graphs.generators import random_connected
 from repro.graphs.graph import Graph
 from repro.graphs.journal import (
@@ -44,11 +48,16 @@ from repro.graphs.journal import (
     DeltaJournal,
     rescale_flow,
 )
+from repro.graphs.trees import induced_cut_capacities, tree_route_demand
 from repro.parallel import use_config
+from repro.scenarios.invariants import GUARANTEE_SLACK
 from repro.serve import FlowServer
 from repro.util.validation import st_demand
 
 EPS = 0.4
+
+#: Cumulative capacity deltas in the drift-chain test.
+DRIFT_CYCLES = 30
 
 #: workers x backend process defaults of the warm-start acceptance
 #: criterion (workers=1 is the unsharded serial path).
@@ -179,7 +188,7 @@ class TestWarmStart:
             epoch = graph._version
             _degrade(graph, fraction=0.01, seed=713)
             delta = graph.deltas_since(epoch)
-            approximator.refresh_capacities(delta.edge_ids, rng=715)
+            approximator.refresh_capacities()
             seed = rescale_flow(previous.flow, delta)
             cold = almost_route(graph, approximator, demand, EPS)
             warm = almost_route(
@@ -247,7 +256,7 @@ class TestWarmStart:
         epoch = graph._version
         _degrade(graph, fraction=0.01, seed=716)
         delta = graph.deltas_since(epoch)
-        approximator.refresh_capacities(delta.edge_ids)
+        approximator.refresh_capacities()
         # Seed column 0 only; column 1's zero row must stay cold.
         seeds = np.zeros((2, graph.num_edges))
         seeds[0] = rescale_flow(previous[0].flow, delta)
@@ -263,19 +272,23 @@ class TestWarmStart:
 
 
 # ----------------------------------------------------------------------
-# Scoped rebuild
+# Exact cut refresh
 # ----------------------------------------------------------------------
-class TestScopedRebuild:
+def _completed_congestion(graph, result, tree):
+    """Congestion of a served answer plus its residual routed over
+    ``tree``: a flow that routes the whole demand."""
+    total = result.flow + tree_route_demand(graph, tree, result.residual)
+    return float(np.max(np.abs(total) / graph.capacities()))
+
+
+class TestExactCutRefresh:
     def test_refresh_matches_fresh_cut_capacities(self, graph):
         approximator = build_congestion_approximator(graph, rng=717)
         rows_before = approximator.num_rows
-        eids = _degrade(graph, fraction=0.05, seed=718)
-        resampled = approximator.refresh_capacities(eids)
-        assert resampled == 0  # no rng: in-place refresh only
+        _degrade(graph, fraction=0.05, seed=718)
+        assert approximator.refresh_capacities() == 0  # never resamples
         assert approximator.num_rows == rows_before
         # Every operator's cuts equal an exact recomputation.
-        from repro.graphs.trees import induced_cut_capacities
-
         for op in approximator.operators:
             fresh = induced_cut_capacities(graph, op.tree)[op.row_nodes]
             assert_arrays_identical(
@@ -287,16 +300,95 @@ class TestScopedRebuild:
         workspace = RouteWorkspace(graph, approximator)
         demand = st_demand(graph, 0, 47)
         almost_route(graph, approximator, demand, EPS, workspace=workspace)
-        eids = _degrade(graph, fraction=0.02, seed=720)
-        approximator.refresh_capacities(
-            eids, rng=np.random.default_rng(721)
-        )
-        # Row counts are stable even if trees resampled, so the same
-        # workspace routes the new epoch.
+        _degrade(graph, fraction=0.02, seed=720)
+        approximator.refresh_capacities()
+        # Row counts never change, so the same workspace routes the new
+        # epoch.
         result = almost_route(
             graph, approximator, demand, EPS, workspace=workspace
         )
         assert result.converged
+
+    def test_patched_stacked_operator_matches_fresh_fuse(self, graph):
+        approximator = build_congestion_approximator(graph, rng=733)
+        stacked = approximator.stacked()
+        _degrade(graph, fraction=0.05, factor=3.0, seed=734)
+        approximator.refresh_capacities()
+        assert approximator.stacked() is stacked
+        fresh = StackedTreeOperator(approximator.operators, graph.num_nodes)
+        rng = np.random.default_rng(735)
+        demand = rng.normal(size=graph.num_nodes)
+        demand -= demand.mean()
+        rows = rng.normal(size=approximator.num_rows)
+        assert_arrays_identical(
+            "apply", fresh.apply(demand), stacked.apply(demand)
+        )
+        assert_arrays_identical(
+            "apply_transpose",
+            fresh.apply_transpose(rows),
+            stacked.apply_transpose(rows),
+        )
+        assert fresh.estimate(demand) == stacked.estimate(demand)
+
+    def test_resample_arguments_are_gone(self, graph):
+        approximator = build_congestion_approximator(graph, rng=736)
+        with pytest.raises(TypeError):
+            approximator.refresh_capacities(np.arange(3))
+        with pytest.raises(TypeError):
+            approximator.refresh_capacities(rng=1)
+
+    def test_incremental_server_keeps_every_tree(self, graph):
+        server = FlowServer(
+            graph, epsilon=EPS, rng=724, refresh="incremental"
+        )
+        demand = st_demand(graph, 0, 40)
+        server.route(demand)
+        approximator = server.approximator
+        operators = list(approximator.operators)
+        stacked = approximator.stacked()
+        _degrade(graph, fraction=0.02, seed=725)
+        server.route(demand)
+        assert server.approximator is approximator
+        assert all(
+            now is before
+            for now, before in zip(approximator.operators, operators)
+        )
+        assert approximator.stacked() is stacked
+
+    def test_drift_chain_stays_within_guarantee(self, graph):
+        server = FlowServer(
+            graph, epsilon=EPS, rng=737, refresh="incremental"
+        )
+        demands = [st_demand(graph, 0, 47), st_demand(graph, 5, 30, 2.0)]
+        for demand in demands:
+            server.route(demand)
+        approximator = server.approximator
+        operators = list(approximator.operators)
+        rng = np.random.default_rng(738)
+        count = max(1, int(graph.num_edges * 0.02))
+        for _ in range(DRIFT_CYCLES):
+            edges = rng.choice(graph.num_edges, size=count, replace=False)
+            for eid in edges.tolist():
+                graph.set_capacity(
+                    eid, graph.capacity(eid) * float(rng.uniform(0.5, 1.5))
+                )
+            tree = maximum_spanning_tree(graph)
+            for demand in demands:
+                answer = server.route(demand)
+                estimate = approximator.estimate(demand)
+                limit = (
+                    (1 + EPS) * approximator.alpha * estimate * GUARANTEE_SLACK
+                )
+                assert _completed_congestion(graph, answer, tree) <= limit
+        stats = server.stats()
+        assert stats.rebuilds == 0
+        assert stats.incremental_refreshes == DRIFT_CYCLES
+        assert stats.warm_starts == len(demands) * DRIFT_CYCLES
+        assert server.approximator is approximator
+        assert all(
+            now is before
+            for now, before in zip(approximator.operators, operators)
+        )
 
 
 # ----------------------------------------------------------------------

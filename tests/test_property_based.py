@@ -114,6 +114,27 @@ def test_max_flow_feasible_and_certified(graph, seed):
     )
 
 
+@given(connected_graphs(), st.integers(min_value=0, max_value=10_000))
+@settings(**COMMON)
+def test_exact_refresh_stays_sound_after_increases_and_decreases(graph, seed):
+    """After capacities move both ways, ``refresh_capacities`` leaves
+    every row an exact cut and ``‖Rb‖∞`` a lower bound on opt."""
+    approximator = build_congestion_approximator(graph, rng=seed)
+    approximator.stacked()  # the refresh must patch a fused operator
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, graph.num_edges + 1))
+    for eid in rng.choice(graph.num_edges, size=size, replace=False).tolist():
+        factor = 4.0 ** float(rng.uniform(-1.0, 1.0))  # in [0.25, 4]
+        graph.set_capacity(eid, graph.capacity(eid) * factor)
+    approximator.refresh_capacities()
+    for op in approximator.operators:
+        exact = induced_cut_capacities(graph, op.tree)[op.row_nodes]
+        assert np.array_equal(op.row_capacity, exact)
+    t = graph.num_nodes - 1
+    opt = 1.0 / dinic_max_flow(graph, 0, t).value
+    assert approximator.estimate(st_demand(graph, 0, t)) <= opt * (1 + 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Tree invariants
 # ---------------------------------------------------------------------------

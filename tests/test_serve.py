@@ -10,8 +10,9 @@ The serving layer's contracts under test:
   once** per mutation, and an old-epoch result is never served;
 * the warm workspace pool actually reuses workspaces and drops
   stale-shaped ones on rebind;
-* the ``refresh="reuse"`` policy keeps the stale approximator (no
-  rebuild) while still dropping cached results.
+* no refresh policy keeps stale cut rows: ``refresh="reuse"`` is
+  rejected, and an incremental server's ``‖Rb‖∞`` stays a lower bound
+  on opt after a capacity increase.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import pytest
 from parallel_harness import assert_arrays_identical, forced
 from repro.core import almost_route
 from repro.errors import GraphError
+from repro.flow import dinic_max_flow
 from repro.graphs.generators import random_connected
 from repro.parallel import use_config
 from repro.serve import FlowServer, ResultCache, WorkspacePool, demand_digest
@@ -290,33 +292,25 @@ class TestInvalidation:
         server.route(demand)
         assert server.stats().rebuilds == 1
 
-    def test_reuse_policy_keeps_approximator(self, graph):
-        lazy = FlowServer(graph, epsilon=EPS, rng=602, refresh="reuse")
-        demand = st_demand(graph, 0, 9)
-        stale = lazy.route(demand)
-        before = lazy.approximator
-        caps = graph.capacities()
-        graph.set_capacity(0, float(caps[0]) * 2.0)
-        refreshed = lazy.route(demand)
-        # No rebuild, but the cache still dropped the old epoch and the
-        # answer reflects the live capacities.
-        assert lazy.approximator is before
-        assert lazy.stats().rebuilds == 0
-        assert lazy.cache_stats().invalidations == 1
-        assert refreshed is not stale
-        oracle = almost_route(graph, before, demand, EPS)
-        assert_arrays_identical("flow", oracle.flow, refreshed.flow)
+    def test_reuse_policy_is_rejected(self, graph):
+        # Stale cut rows overstate ‖Rb‖∞ after a capacity increase, so
+        # there is no policy that keeps them.
+        with pytest.raises(GraphError):
+            FlowServer(graph, epsilon=EPS, rng=602, refresh="reuse")
 
-    def test_reuse_policy_survives_structural_mutation(self, graph):
-        lazy = FlowServer(graph, epsilon=EPS, rng=602, refresh="reuse")
-        lazy.route(st_demand(graph, 0, 9))
-        graph.add_edge(1, graph.num_nodes - 2, 1.0)
-        # The stale approximator's row space is still n-shaped, so
-        # routing on the grown edge set keeps working (m-shaped
-        # workspaces were flushed by the structural rebind).
-        result = lazy.route(st_demand(graph, 0, 9))
-        assert result.flow.shape == (graph.num_edges,)
-        assert lazy.stats().rebuilds == 0
+    def test_incremental_estimate_sound_after_capacity_increase(self):
+        graph = random_connected(48, 0.10, rng=710)
+        server = FlowServer(
+            graph, epsilon=EPS, rng=602, refresh="incremental"
+        )
+        demand = st_demand(graph, 0, 47)
+        server.route(demand)
+        for eid in range(graph.num_edges):
+            graph.set_capacity(eid, graph.capacity(eid) * 4.0)
+        server.route(demand)
+        assert server.stats().rebuilds == 0
+        opt = 1.0 / dinic_max_flow(graph, 0, 47).value
+        assert server.approximator.estimate(demand) <= opt * (1 + 1e-9)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ service is measured, in the standup → run → analysis → report shape:
      against two identically-built servers, one ``refresh="rebuild"``
      and one ``refresh="incremental"``; the measured quantity is the
      latency of the first re-route after each mutation — full
-     approximator rebuild + cold solve vs journal-scoped refresh +
+     approximator rebuild + cold solve vs exact cut refresh +
      warm-started solve.
 3. **Analysis** — p50/p95/p99/mean latency, throughput, speedups,
    cache counters.
@@ -279,7 +279,7 @@ def run_update_latency(profile: str) -> dict:
     the same demand. Each cycle applies the same ~1% capacity
     degradation to both graphs and times the next ``route`` call for
     the same demand — which pays the policy's full sync cost (cold
-    approximator rebuild vs journal-scoped refresh + warm start) plus
+    approximator rebuild vs exact cut refresh + warm start) plus
     the solve. The speedup row is the gated acceptance metric.
     """
     n, p, cycles, epsilon = UPDATE_PROFILES[profile]
@@ -371,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
             "update_latency_incremental_vs_rebuild: first-re-route "
             "latency after repeated ~1% capacity deltas — full "
             "approximator rebuild + cold solve (refresh='rebuild') vs "
-            "journal-scoped refresh + warm-started solve "
+            "exact cut refresh + warm-started solve "
             "(refresh='incremental'); update_latency_speedup = "
             "rebuild_median / incremental_median."
         ),
