@@ -111,25 +111,16 @@ APPLY_BENCH_CONFIG = {
 }
 
 #: nodes -> (edge probability, generator seed, data seed, bfs reps,
-#: hop reps, mwu reps) for the sharded-execution rows: serial vs
-#: sharded medians of the construction kernels — frontier BFS,
-#: multi-source hop distances and the stacked MWU length evaluation —
-#: at the scale where sharding is on by default
-#: (n + 2m >> SMALL_GRAPH_LIMIT).
-SHARDED_BENCH_CONFIG = {4096: (0.003, 940, 77, 20, 5, 40)}
-#: Source count for the hop_distances_sharded_n* rows and sample-row
-#: count for the mwu_lengths_sharded_n* rows (the O(log n) stack the
-#: batched hierarchy evaluates).
-SHARDED_BENCH_HOP_SOURCES = 64
-SHARDED_BENCH_MWU_SAMPLES = 12
-#: The sharded rows run the documented env default (REPRO_WORKERS=2 →
-#: thread pool), forced past the adaptive threshold. On a single-core
-#: runner the thread pool serializes and the rows show the scheduling
-#: overhead (speedup <= 1); on multi-core CI they show the win. The
-#: regression gate compares like against like (sharded vs recorded
-#: sharded), so the rows guard the sharded path's own trend either way.
-SHARDED_BENCH_WORKERS = 2
-SHARDED_BENCH_BACKEND = "thread"
+#: hop reps, mwu reps) for the construction-kernel rows: medians of
+#: frontier BFS, multi-source hop distances and the stacked MWU length
+#: evaluation (n + 2m >> SMALL_GRAPH_LIMIT, so the whole-array kernels
+#: run).
+KERNEL_BENCH_CONFIG = {4096: (0.003, 940, 77, 20, 5, 40)}
+#: Source count for the hop_distances_n* rows and sample-row count for
+#: the mwu_lengths_n* rows (the O(log n) stack the batched hierarchy
+#: evaluates).
+KERNEL_BENCH_HOP_SOURCES = 64
+KERNEL_BENCH_MWU_SAMPLES = 12
 #: AlmostRoute solve parameters for the almost_route_n* rows (a fixed
 #: iteration budget keeps the timed workload deterministic).
 APPLY_BENCH_ROUTE_EPSILON = 0.5
@@ -138,10 +129,10 @@ APPLY_BENCH_ROUTE_MAX_ITERATIONS = 200
 #: name -> (nodes, query count, reps) for the serving rows: Q
 #: sequential one-shot `almost_route` calls vs one `almost_route_batch`
 #: call (itself Q one-shot solves, one per column, on one reused
-#: workspace) on the same (serial-pinned) instance the apply rows use.
-#: Like the sharded rows these are live pairs — both columns measured in
-#: one session, plain solver, fixed iteration budget — so the ratio
-#: sits near 1 and the row tracks the per-column routing cost trend.
+#: workspace) on the same instance the apply rows use. These are live
+#: pairs — both columns measured in one session, plain solver, fixed
+#: iteration budget — so the ratio sits near 1 and the row tracks the
+#: per-column routing cost trend.
 #: The headline serving speedup (accelerated solver, ≥3x at Q=64) lives
 #: in BENCH_serving.json instead, since it compares across solvers.
 SERVING_BENCH_CONFIG = {
@@ -186,8 +177,7 @@ def measure_approximator_benchmarks() -> dict[str, float]:
 
 def apply_bench_instance(n: int):
     """The (graph, approximator, demand, row_values) tuple every
-    apply-path benchmark row is measured on. The products run on the
-    calling thread whatever the ``REPRO_WORKERS`` default."""
+    apply-path benchmark row is measured on."""
     p, gseed, rseed, dseed, _, _ = APPLY_BENCH_CONFIG[n]
     g = random_connected(n, p, rng=gseed)
     approx = build_congestion_approximator(g, rng=rseed, alpha=1.0)
@@ -227,69 +217,37 @@ def measure_apply_benchmarks() -> dict[str, float]:
     return out
 
 
-def measure_execution_backend_benchmarks() -> dict[str, dict[str, float]]:
-    """Serial vs sharded medians for the execution-backend rows.
-
-    Returns ``name -> {"serial_s": ..., "sharded_s": ...}`` where the
-    sharded medians run ``SHARDED_BENCH_WORKERS`` workers on the
-    ``SHARDED_BENCH_BACKEND`` pool (also invoked by
-    tools/bench_regression.py for the CI gate). Sharded results are
-    bit-identical to serial by contract, so the rows measure pure
-    scheduling, never accuracy.
-    """
+def measure_kernel_benchmarks() -> dict[str, float]:
+    """Median wall-clock of the construction kernels — frontier BFS,
+    multi-source hop distances and the stacked MWU length evaluation —
+    per scale (also invoked by tools/bench_regression.py for the CI
+    gate)."""
     from repro.graphs import kernels
     from repro.jtree.mwu import mwu_lengths
-    from repro.parallel import ParallelConfig
 
-    out: dict[str, dict[str, float]] = {}
+    out = {}
     for n, (p, gseed, dseed, bfs_reps, hop_reps, mwu_reps) in (
-        SHARDED_BENCH_CONFIG.items()
+        KERNEL_BENCH_CONFIG.items()
     ):
-        config = ParallelConfig(
-            workers=SHARDED_BENCH_WORKERS,
-            backend=SHARDED_BENCH_BACKEND,
-            min_size=0,
-        )
-        serial = ParallelConfig()  # pin: immune to REPRO_WORKERS
         g = random_connected(n, p, rng=gseed)
         csr = g.csr()
-        out[f"bfs_levels_sharded_n{n}"] = {
-            "serial_s": _median_time(
-                lambda: kernels.bfs_levels(csr, 0, parallel=serial), bfs_reps
-            ),
-            "sharded_s": _median_time(
-                lambda: kernels.bfs_levels(csr, 0, parallel=config), bfs_reps
-            ),
-        }
+        out[f"bfs_levels_n{n}"] = _median_time(
+            lambda: kernels.bfs_levels(csr, 0), bfs_reps
+        )
         sources = np.arange(
-            0, n, max(1, n // SHARDED_BENCH_HOP_SOURCES), dtype=np.int64
-        )[:SHARDED_BENCH_HOP_SOURCES]
-        out[f"hop_distances_sharded_n{n}"] = {
-            "serial_s": _median_time(
-                lambda: kernels.multi_source_hop_distances(
-                    csr, sources, parallel=serial
-                ),
-                hop_reps,
-            ),
-            "sharded_s": _median_time(
-                lambda: kernels.multi_source_hop_distances(
-                    csr, sources, parallel=config
-                ),
-                hop_reps,
-            ),
-        }
+            0, n, max(1, n // KERNEL_BENCH_HOP_SOURCES), dtype=np.int64
+        )[:KERNEL_BENCH_HOP_SOURCES]
+        out[f"hop_distances_n{n}"] = _median_time(
+            lambda: kernels.multi_source_hop_distances(csr, sources),
+            hop_reps,
+        )
         caps = g.capacities()
         stack = np.random.default_rng(dseed + 1).uniform(
-            0.0, 60.0, size=(SHARDED_BENCH_MWU_SAMPLES, g.num_edges)
+            0.0, 60.0, size=(KERNEL_BENCH_MWU_SAMPLES, g.num_edges)
         )
-        out[f"mwu_lengths_sharded_n{n}"] = {
-            "serial_s": _median_time(
-                lambda: mwu_lengths(stack, caps, parallel=serial), mwu_reps
-            ),
-            "sharded_s": _median_time(
-                lambda: mwu_lengths(stack, caps, parallel=config), mwu_reps
-            ),
-        }
+        out[f"mwu_lengths_n{n}"] = _median_time(
+            lambda: mwu_lengths(stack, caps), mwu_reps
+        )
     return out
 
 
@@ -301,8 +259,7 @@ def measure_serving_benchmarks() -> dict[str, dict[str, float]]:
     ``almost_route_batch`` call over the same ``(Q, n)`` demand plane —
     Q one-shot solves sharing one workspace (also invoked by
     tools/bench_regression.py for the CI gate). Both run the plain
-    solver with a fixed iteration budget on the serial-pinned
-    apply-bench instance.
+    solver with a fixed iteration budget on the apply-bench instance.
     """
     from repro.core.almost_route import almost_route_batch
 
@@ -417,9 +374,9 @@ def pytest_sessionfinish(session, exitstatus):
     except Exception:
         apply_rows = {}
     try:
-        backend_rows = measure_execution_backend_benchmarks()
+        kernel_rows = measure_kernel_benchmarks()
     except Exception:
-        backend_rows = {}
+        kernel_rows = {}
     try:
         serving_rows = measure_serving_benchmarks()
     except Exception:
@@ -444,14 +401,10 @@ def pytest_sessionfinish(session, exitstatus):
             "after_s": measured,
             "speedup": round(PR2_BASELINES[name] / measured, 2),
         }
-    for name, pair in backend_rows.items():
-        # before = serial median, after = sharded median, both from
-        # this session: the row is the live serial-vs-sharded ratio.
-        metrics[name] = {
-            "before_s": pair["serial_s"],
-            "after_s": pair["sharded_s"],
-            "speedup": round(pair["serial_s"] / pair["sharded_s"], 2),
-        }
+    for name, measured in kernel_rows.items():
+        # No earlier implementation to compare against: the row is the
+        # kernel's own median, which the CI gate tracks.
+        metrics[name] = {"after_s": measured}
     for name, pair in serving_rows.items():
         # before = Q sequential one-shot solves, after = one batch call
         # (the same solves on one workspace), both from this session.
@@ -471,18 +424,15 @@ def pytest_sessionfinish(session, exitstatus):
             "approximator_apply*/almost_route rows: median-of-N, PR 2 "
             "(per-tree operator loop with np.add.at, allocating "
             "AlmostRoute inner loop) vs current (flat stacked operator "
-            "+ workspace-buffered AlmostRoute). *_sharded_n4096 rows: "
-            "median-of-N serial vs sharded (REPRO_WORKERS=2, thread "
-            "pool) execution of the same kernel, measured in one "
-            "session — bit-identical outputs by contract, so the ratio "
-            "is pure scheduling (>= 1 on multi-core hosts, <= 1 where "
-            "one core serializes the pool; the CI gate tracks the "
-            "sharded column against itself, not against serial). "
+            "+ workspace-buffered AlmostRoute). {bfs_levels,"
+            "hop_distances,mwu_lengths}_n4096 rows: median-of-N of the "
+            "construction kernel (after_s only; the CI gate tracks it "
+            "against itself). "
             "route_batch_q{8,64}_n1024 rows: median-of-N, Q sequential "
             "one-shot plain almost_route solves vs one "
             "almost_route_batch call over the same (Q, n) plane (the "
             "same Q one-shot solves, one per column, on one reused "
-            "workspace), fixed 60-iteration budget, serial-pinned — "
+            "workspace), fixed 60-iteration budget — "
             "per-column bit-identical by contract, so the ratio sits "
             "near 1 and tracks the per-column routing cost (the gate "
             "tracks the batched column against itself; the "

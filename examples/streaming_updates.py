@@ -18,11 +18,6 @@ changes (add_edge) or a journal overflow automatically fall back to
 the full rebuild.
 
 Run:  python examples/streaming_updates.py
-
-Honors ``REPRO_WORKERS``: the approximator builds and rebuilds shard
-their construction kernels under it (the CI step runs this under
-``REPRO_WORKERS=2``); the cut refresh and routing run on the calling
-thread either way.
 """
 
 from __future__ import annotations

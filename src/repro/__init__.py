@@ -33,12 +33,6 @@ batch column is the one-shot solve, bit for bit)::
     from repro import FlowServer
     server = FlowServer(graph, epsilon=0.25)
     results = server.route_batch(demands)     # list of AlmostRouteResult
-
-Sharded construction (multi-worker BFS, CSR and MWU kernels,
-bit-identical to serial): set ``REPRO_WORKERS=4`` (and optionally
-``REPRO_BACKEND``) in the environment to shard every beyond-threshold
-construction kernel process-wide. Routing always runs on the calling
-thread.
 """
 
 from repro.graphs import Graph, RootedTree
@@ -55,7 +49,6 @@ from repro.core import (
 from repro.congest import CongestNetwork, CostModel, distributed_push_relabel
 from repro.jtree import HierarchyParams, sample_virtual_tree
 from repro.lsst import akpw_spanning_tree
-from repro.parallel import ParallelConfig, ShardPlan
 from repro.serve import FlowServer
 from repro.sparsify import sparsify
 from repro.errors import ReproError
@@ -77,8 +70,6 @@ __all__ = [
     "HierarchyParams",
     "sample_virtual_tree",
     "akpw_spanning_tree",
-    "ParallelConfig",
-    "ShardPlan",
     "FlowServer",
     "sparsify",
     "ReproError",

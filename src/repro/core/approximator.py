@@ -37,7 +37,6 @@ from repro.graphs.csr import WIDE_DTYPE
 from repro.graphs.graph import Graph
 from repro.graphs.trees import RootedTree, bfs_tree, induced_cut_capacities
 from repro.core.stacked import StackedTreeOperator
-from repro.parallel.config import ParallelConfig
 from repro.jtree.hierarchy import HierarchyParams, sample_virtual_trees
 from repro.jtree.madry import madry_jtree_step
 from repro.lsst.akpw import akpw_spanning_tree
@@ -316,7 +315,6 @@ def build_congestion_approximator(
     method: Literal["hierarchy", "mwu", "bfs"] = "hierarchy",
     alpha: float | None = None,
     hierarchy_params: HierarchyParams | None = None,
-    parallel: ParallelConfig | None = None,
 ) -> TreeCongestionApproximator:
     """Build the congestion approximator R (Theorem 8.10 + Lemma 3.3).
 
@@ -332,13 +330,6 @@ def build_congestion_approximator(
         alpha: Override for the α the descent uses; estimated from
             random s-t demands when omitted.
         hierarchy_params: Tunables for the "hierarchy" method.
-        parallel: Optional sharded-execution config for the
-            hierarchy's stacked MWU length evaluations during
-            construction (bit-identical to serial; not stored). The
-            remaining construction kernels (BFS, contraction, CSR
-            builds) follow the ``REPRO_WORKERS`` process default. The
-            approximator's R / Rᵀ products always run on the calling
-            thread.
 
     Returns:
         A :class:`TreeCongestionApproximator`.
@@ -357,8 +348,7 @@ def build_congestion_approximator(
         # work is stacked across samples and coinciding cores are
         # shared.
         samples = sample_virtual_trees(
-            graph, num_trees, rng=rng, params=hierarchy_params,
-            parallel=parallel,
+            graph, num_trees, rng=rng, params=hierarchy_params
         )
         trees = [sample.tree for sample in samples]
     elif method == "mwu":

@@ -68,9 +68,7 @@ fold), which is what the AlmostRoute workspace
 
 Every product runs on the calling thread. Splitting the ``(T, ·)``
 planes into tree blocks on a worker pool put a pool barrier on each
-product and measured slower than this single pass on a 2-vCPU host, so
-the worker pools serve only the construction kernels (BFS, CSR builds,
-MWU lengths).
+product and measured slower than this single pass on a 2-vCPU host.
 """
 
 from __future__ import annotations

@@ -1,13 +1,11 @@
 """The substrate's two integer dtype lanes, single point of control.
 
-This module is a dependency leaf (NumPy only) so every layer —
-including :mod:`repro.parallel`, which :mod:`repro.graphs.csr` itself
-imports for sharded builds — can name the lanes without an import
-cycle. :mod:`repro.graphs.csr` re-exports them, and most code keeps
-importing from there.
+This module is a dependency leaf (NumPy only) so every layer can name
+the lanes without an import cycle. :mod:`repro.graphs.csr` re-exports
+them, and most code keeps importing from there.
 
 The repolint ``index-dtype`` rule enforces that kernel code under
-``graphs/``, ``core/`` and ``parallel/`` spells these names instead of
+``graphs/`` and ``core/`` spells these names instead of
 literal ``np.int32``/``np.int64``/``int`` dtypes, so re-narrowing (or
 a compiled tier's choice of index width) stays a one-line switch.
 """

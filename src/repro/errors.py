@@ -57,26 +57,6 @@ class TreeError(ReproError):
     parent pointers)."""
 
 
-class ArenaError(ReproError):
-    """Raised when the shared-memory arena cannot honour an export even
-    after draining every evictable segment (e.g. ENOSPC on /dev/shm).
-
-    The message names the requested size, the configured byte budget,
-    and the live (non-evictable) working set so the failure is
-    actionable without a debugger; the original ``OSError`` rides along
-    as ``__cause__``."""
-
-
-class PoolFailureError(ReproError):
-    """Raised when a sharded map cannot be completed despite supervised
-    recovery: the retry budget is exhausted, or the failure mode is not
-    safely retryable (a timed-out thread shard may still be running and
-    would race a re-execution on shared scratch).
-
-    The underlying worker exception — or the timeout — is chained as
-    ``__cause__``."""
-
-
 class ServingError(ReproError):
     """Raised by :class:`repro.serve.FlowServer` when a request cannot
     be served: a poisoned demand column or a solve failure that
@@ -101,8 +81,8 @@ class FaultSpecError(ReproError):
 
 class ScenarioError(ReproError):
     """Raised for a malformed scenario specification handed to
-    :mod:`repro.scenarios` — an unknown topology/demand/failure/backend
-    name, an incompatible axis combination requested explicitly (e.g.
+    :mod:`repro.scenarios` — an unknown topology/demand/failure name, an
+    incompatible axis combination requested explicitly (e.g.
     an adversarial-cut demand on a topology with no planted cut), or a
     scenario whose parameters cannot produce a runnable instance."""
 
@@ -112,8 +92,8 @@ class InvariantViolation(ScenarioError):
     invariants: routed flow value outside the solver's certified bound
     versus exact Dinic, congestion outside the approximator guarantee,
     demand conservation failure, a planted bottleneck the approximator
-    failed to detect, or cross-backend results that are not
-    bit-identical.
+    failed to detect, or a warm re-route that disagrees with its cold
+    solve.
 
     The message names the scenario, the invariant, and the measured
     versus permitted quantities — a violation is a *library bug* (or a

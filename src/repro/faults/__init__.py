@@ -4,10 +4,11 @@ Quick tour::
 
     from repro.faults import FaultPlan, use_faults
 
-    plan = FaultPlan(["pool.worker:exit@1"])      # kill the first shard
+    plan = FaultPlan(["serve.checkout@1"])        # fail the first checkout
     with use_faults(plan):
-        results = server.route_batch(demands)      # recovered, identical
-    assert plan.fired()["pool.worker"] == 1
+        result = server.route(demand)              # own workspace, identical
+    assert plan.fired()["serve.checkout"] == 1
+    assert server.health().workspace_fallbacks == 1
 
     plan = FaultPlan(["serve.miss@1"])            # crash the first solve
     with use_faults(plan):
@@ -16,7 +17,7 @@ Quick tour::
 
 or process-wide via the environment (strictly validated)::
 
-    REPRO_FAULTS="arena.export:enospc@1,pool.worker@2*inf"
+    REPRO_FAULTS="serve.checkout@1,serve.miss:hang@2*inf"
 """
 
 from repro.faults.plan import (
@@ -28,14 +29,10 @@ from repro.faults.plan import (
     InjectedFault,
     active_plan,
     execute_action,
-    execute_directive,
     fault_point,
-    faults_active,
-    fire,
     maybe_fire,
     parse_fault_specs,
     plan_from_env,
-    register_fault_site,
     set_fault_plan,
     use_faults,
 )
@@ -49,14 +46,10 @@ __all__ = [
     "InjectedFault",
     "active_plan",
     "execute_action",
-    "execute_directive",
     "fault_point",
-    "faults_active",
-    "fire",
     "maybe_fire",
     "parse_fault_specs",
     "plan_from_env",
-    "register_fault_site",
     "set_fault_plan",
     "use_faults",
 ]

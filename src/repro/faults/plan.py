@@ -1,27 +1,19 @@
-"""Deterministic fault injection for the execution layers.
+"""Deterministic fault injection for the serving layer.
 
-The serving stack built in PRs 4–6 (sharded pools, shared-memory
-arena, FlowServer) assumed a fault-free world.  This module supplies
-the other half of the robustness story: a *deterministic* way to make
-those layers fail on demand so the supervised-recovery paths in
-:mod:`repro.parallel.pool`, :mod:`repro.parallel.arena` and
-:mod:`repro.serve.server` can be pinned by tests instead of waiting
-for production to exercise them.
+:class:`~repro.serve.FlowServer` recovers from a failed workspace
+checkout and retries an unexpected solve failure once.  This module
+makes those layers fail on demand, deterministically, so the recovery
+paths in :mod:`repro.serve.pool` and :mod:`repro.serve.server` are
+pinned by tests instead of waiting for production to exercise them.
 
 Design
 ------
 
 * **Sites, not hooks.**  Each place a fault can be injected is a named
-  *site* from the closed catalogue :data:`SITES` (``pool.dispatch``,
-  ``pool.worker``, ``arena.export``, ``arena.attach``,
-  ``serve.checkout``, ``serve.miss``).  A site either carries a
-  :func:`fault_point`-decorated function (the decorator registers the
-  owner in :data:`FAULT_POINTS` and wraps it with a one-global-read
-  guard) or is consulted explicitly via :func:`fire` /
-  :func:`maybe_fire` where the injection decision must be made by a
-  coordinator (the process pool decides *parent-side* and ships a
-  picklable directive to the worker, so fork-inherited counters can
-  never double-count a visit).
+  *site* from the closed catalogue :data:`SITES` (``serve.checkout``,
+  ``serve.miss``).  A site carries a :func:`fault_point`-decorated
+  function: the decorator registers the owner in :data:`FAULT_POINTS`
+  and wraps it with a one-global-read guard.
 
 * **Deterministic schedules.**  A :class:`FaultPlan` is built from
   explicit :class:`FaultSpec` entries (``site[:kind][@at][*count]`` —
@@ -34,18 +26,17 @@ Design
   ``REPRO_FAULTS`` unset, the guard added by :func:`fault_point` is a
   single module-global read; nothing else in the hot path changes.
 
-Activation mirrors :mod:`repro.parallel.config`: the process-wide plan
-is read lazily from ``REPRO_FAULTS`` (strictly validated — garbage
-raises :class:`~repro.errors.FaultSpecError` naming the valid sites
-and kinds, never a silent no-op), and tests install plans explicitly
-via :func:`set_fault_plan` / :func:`use_faults`.
+The process-wide plan is read lazily from ``REPRO_FAULTS`` (strictly
+validated — garbage raises :class:`~repro.errors.FaultSpecError`
+naming the valid sites and kinds, never a silent no-op), and tests
+install plans explicitly via :func:`set_fault_plan` /
+:func:`use_faults`.
 
 Injected failures raise :class:`InjectedFault`, which is deliberately
 **not** a :class:`~repro.errors.ReproError`: it models an *unexpected*
-crash (a segfaulting worker, a vanished shm segment), and the recovery
-layers must either absorb it or translate it into a typed
-``ReproError`` — the chaos suite pins that no ``InjectedFault`` ever
-escapes raw from a public entry point.
+crash, and the recovery layers must either absorb it or translate it
+into a typed ``ReproError`` — the chaos suite pins that no
+``InjectedFault`` ever escapes raw from a public entry point.
 """
 
 from __future__ import annotations
@@ -73,14 +64,10 @@ __all__ = [
     "InjectedFault",
     "active_plan",
     "execute_action",
-    "execute_directive",
     "fault_point",
-    "faults_active",
-    "fire",
     "maybe_fire",
     "parse_fault_specs",
     "plan_from_env",
-    "register_fault_site",
     "set_fault_plan",
     "use_faults",
 ]
@@ -92,32 +79,23 @@ R = TypeVar("R")
 #: supports.  ``REPRO_FAULTS`` validation reads this, so the grammar is
 #: checkable without importing the owning modules.
 SITES: dict[str, tuple[str, ...]] = {
-    # Parent-side, once per map wave, before shard submission.
-    "pool.dispatch": ("raise", "hang"),
-    # Inside a pool worker (decided parent-side, shipped as a
-    # directive): raise, stall, or die abruptly (process backend only).
-    "pool.worker": ("raise", "hang", "exit"),
-    # Shared-memory segment creation (models /dev/shm exhaustion).
-    "arena.export": ("enospc",),
-    # Worker-side segment attach (models an externally unlinked
-    # segment); decided parent-side, shipped as a directive.
-    "arena.attach": ("enoent",),
-    # FlowServer workspace checkout from the warm pool.
+    # FlowServer workspace checkout from the warm pool (a failure
+    # falls back to a per-call workspace).
     "serve.checkout": ("raise",),
     # FlowServer miss solve: one demand, from route or a route_batch
-    # column (an unexpected failure is retried once).
+    # column (an unexpected failure is retried once; a hang stalls the
+    # solve and then lets it run).
     "serve.miss": ("raise", "hang"),
 }
 
-#: Site name -> qualified name of the registered owner (the decorated
-#: function, or the coordinator that consults the site explicitly).
+#: Site name -> qualified name of the decorated function that owns it.
 #: Introspection/diagnostic hook, mirroring ``hotpath.HOT_KERNELS``.
 FAULT_POINTS: dict[str, str] = {}
 
-#: How long an injected ``hang`` stalls by default.  Short enough that
-#: an env-driven sweep with no timeout configured is a stall rather
-#: than a wall-clock hazard; tests exercising the timeout/respawn path
-#: pass an explicit larger ``hang_seconds``.
+#: How long an injected ``hang`` stalls by default
+#: (``FaultPlan(hang_seconds=...)`` overrides it).  Nothing times the
+#: stall out, so it is kept short: an env-driven ``serve.miss:hang``
+#: sweep slows the run rather than stopping it.
 DEFAULT_HANG_SECONDS = 0.05
 
 
@@ -164,9 +142,9 @@ class FaultSpec:
     The string grammar (``REPRO_FAULTS`` and the :class:`FaultPlan`
     constructor both accept it) is ``site[:kind][@at][*count]``:
 
-    * ``pool.worker`` — raise on the first visit, once;
-    * ``pool.worker:exit@3`` — kill the worker on the third visit;
-    * ``arena.export:enospc@1*2`` — ENOSPC on the first two exports;
+    * ``serve.miss`` — raise on the first visit, once;
+    * ``serve.miss:hang@3`` — stall the third miss solve;
+    * ``serve.checkout@1*2`` — fail the first two workspace checkouts;
     * ``serve.miss:raise@2*inf`` — fail every miss solve from the
       second onward (``count=-1``, :data:`UNLIMITED`).
 
@@ -222,8 +200,8 @@ class FaultSpec:
             raise FaultSpecError(
                 f"malformed fault spec {text!r}; expected "
                 "'site[:kind][@at][*count]' with site in "
-                f"{sorted(SITES)} (e.g. 'pool.worker:exit@2' or "
-                "'arena.export:enospc*inf')"
+                f"{sorted(SITES)} (e.g. 'serve.miss:hang@2' or "
+                "'serve.checkout*inf')"
             )
         raw_count = match.group("count")
         count = (
@@ -365,65 +343,19 @@ class FaultPlan:
 
 
 def execute_action(action: FaultAction) -> None:
-    """Carry out a parent-side fault action.
-
-    ``hang`` stalls for ``action.seconds`` and returns (the caller's
-    timeout supervision decides whether the stall is fatal); the error
-    kinds raise the exception class the real failure would: ``enospc``
-    an :class:`OSError` with ``errno.ENOSPC``, ``enoent`` a
-    :class:`FileNotFoundError`, and everything else an
-    :class:`InjectedFault`."""
-    import errno
-
+    """Carry out a fault action: ``hang`` stalls for ``action.seconds``
+    and returns, and every other kind raises :class:`InjectedFault`."""
     if action.kind == "hang":
         time.sleep(action.seconds)
         return
-    if action.kind == "enospc":
-        raise OSError(
-            errno.ENOSPC,
-            f"injected ENOSPC at fault site {action.site!r}",
-        )
-    if action.kind == "enoent":
-        raise FileNotFoundError(
-            errno.ENOENT,
-            f"injected ENOENT at fault site {action.site!r}",
-        )
     raise InjectedFault(
         f"injected {action.kind!r} fault at site {action.site!r}"
     )
 
 
-def execute_directive(
-    directive: tuple[str, float] | None, *, allow_exit: bool = True
-) -> None:
-    """Carry out a worker-side directive shipped from the coordinator.
-
-    The process pool decides faults parent-side (fork-inherited plan
-    state would double-count visits) and ships ``(kind, seconds)``
-    tuples inside task payloads; this is the worker half.  ``exit``
-    calls ``os._exit`` — an abrupt death the parent must detect by
-    timeout — unless ``allow_exit`` is false (thread workers share the
-    interpreter, so for them ``exit`` degrades to a raise)."""
-    if directive is None:
-        return
-    kind, seconds = directive
-    if kind == "hang":
-        time.sleep(seconds)
-        return
-    if kind == "exit" and allow_exit:
-        os._exit(1)
-    if kind == "enoent":
-        import errno
-
-        raise FileNotFoundError(
-            errno.ENOENT, "injected ENOENT attaching shared segment"
-        )
-    raise InjectedFault(f"injected {kind!r} fault in pool worker")
-
-
 # ---------------------------------------------------------------------------
-# Process-wide activation (mirrors repro.parallel.config's lazy-env
-# default: resolved once from REPRO_FAULTS, overridable by tests).
+# Process-wide activation: resolved lazily, once, from REPRO_FAULTS, and
+# overridable by tests.
 
 _active: FaultPlan | None = None
 _resolved: bool = False
@@ -437,7 +369,7 @@ def plan_from_env(
     The value is a comma-separated list of ``site[:kind][@at][*count]``
     clauses, validated strictly against :data:`SITES` — a typo raises
     :class:`~repro.errors.FaultSpecError` instead of silently running
-    fault-free (the same contract ``REPRO_WORKERS`` has)."""
+    fault-free."""
     env = os.environ if environ is None else environ
     raw = (env.get("REPRO_FAULTS") or "").strip()
     if not raw:
@@ -460,9 +392,9 @@ def active_plan() -> FaultPlan | None:
 def set_fault_plan(plan: FaultPlan | None) -> FaultPlan | None:
     """Install ``plan`` as the process-wide plan; returns the previous.
 
-    Unlike :func:`repro.parallel.config.set_default_config`, ``None``
-    here means *disarmed* (not "re-read the environment"): tests use
-    it to guarantee a fault-free region regardless of ``REPRO_FAULTS``."""
+    ``None`` means *disarmed* (not "re-read the environment"): tests
+    use it to guarantee a fault-free region regardless of
+    ``REPRO_FAULTS``."""
     global _active, _resolved
     previous = _active if _resolved else plan_from_env()
     _active = plan
@@ -480,39 +412,12 @@ def use_faults(plan: FaultPlan | None) -> Iterator[FaultPlan | None]:
         set_fault_plan(previous)
 
 
-def faults_active() -> bool:
-    """Whether any plan is armed (used by the pools to apply the
-    fallback map timeout that keeps chaos sweeps hang-free)."""
-    return active_plan() is not None
-
-
 def maybe_fire(site: str) -> FaultAction | None:
     """Consult the active plan for ``site`` (``None`` when disarmed)."""
     plan = active_plan()
     if plan is None:
         return None
     return plan.maybe_fire(site)
-
-
-def fire(site: str) -> None:
-    """Consult the active plan for ``site`` and execute any action.
-
-    The explicit-call form of :func:`fault_point`, for coordinator
-    code whose injection site is a code path rather than a function."""
-    action = maybe_fire(site)
-    if action is not None:
-        execute_action(action)
-
-
-def register_fault_site(site: str, owner: str) -> None:
-    """Record ``owner`` (a qualified name) as the code consulting
-    ``site`` explicitly via :func:`fire` / :func:`maybe_fire`."""
-    if site not in SITES:
-        raise FaultSpecError(
-            f"unknown fault site {site!r}; expected one of "
-            f"{sorted(SITES)}"
-        )
-    FAULT_POINTS[site] = owner
 
 
 def fault_point(

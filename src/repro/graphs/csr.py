@@ -32,12 +32,7 @@ The contract, relied on by the deterministic BFS kernels:
 Instances are built with :func:`build_csr` (one single-key stable
 argsort over eid-interleaved incidences + one ``bincount``; no
 Python-level per-edge work) and cached by ``Graph`` until the next
-structural mutation.  Under a sharded-execution config
-(``parallel=`` / ``REPRO_WORKERS``, see :mod:`repro.parallel`) the
-argsort splits over contiguous node ranges balanced by incidence
-count: each shard stable-sorts the incidences of its own rows and the
-shard outputs concatenate back into exactly the order the global
-stable sort produces, so the sharded build is bit-identical.  :meth:`Graph.contract` builds the quotient's CSR
+structural mutation.  :meth:`Graph.contract` builds the quotient's CSR
 in the same pass as the quotient edge arrays and seeds the child's
 cache directly, so chained contractions (AKPW, the j-tree hierarchy)
 never re-derive adjacency lazily.
@@ -50,14 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dtypes import INDEX_DTYPE, MAX_INDEX, WIDE_DTYPE
-from repro.parallel.config import resolve_config
-from repro.parallel.plan import ShardPlan
-from repro.parallel.pool import get_pool
 
 # Historically defined here; re-exported so the whole tree keeps
 # importing the dtype lanes alongside the CSR types. The definitions
-# moved to the dependency-leaf :mod:`repro.dtypes` so that
-# :mod:`repro.parallel` (which this module imports) can name them too.
+# live in the dependency-leaf :mod:`repro.dtypes`.
 __all__ = ["CSRAdjacency", "build_csr", "INDEX_DTYPE", "MAX_INDEX", "WIDE_DTYPE"]
 
 
@@ -94,36 +85,10 @@ class CSRAdjacency:
         return self.neighbor[lo:hi], self.edge_id[lo:hi]
 
 
-def _csr_rows_shard(
-    endpoint: np.ndarray,
-    other: np.ndarray,
-    incidence_eid: np.ndarray,
-    lo: int,
-    hi: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort the incidences of node range ``[lo, hi)`` (one shard).
-
-    ``np.flatnonzero`` keeps the masked incidences in original order,
-    so the stable argsort on the endpoint alone reproduces the global
-    stable sort's tie-breaking within this range.
-
-    The range mask is a full-array scan, so S shards do O(S·2m) boolean
-    work on top of their own O((2m/S)·log) sorts — acceptable at the
-    small shard counts the pools run (the compares vectorize at memory
-    bandwidth and, on the thread pool, the scans themselves overlap),
-    and it keeps every shard independent of a serial pre-bucketing
-    pass.
-    """
-    sub = np.flatnonzero((endpoint >= lo) & (endpoint < hi))
-    order = sub[np.argsort(endpoint[sub], kind="stable")]
-    return other[order], incidence_eid[order]
-
-
 def build_csr(
     num_nodes: int,
     edge_u: np.ndarray,
     edge_v: np.ndarray,
-    parallel=None,
 ) -> CSRAdjacency:
     """Build a :class:`CSRAdjacency` from parallel edge-endpoint arrays.
 
@@ -131,10 +96,6 @@ def build_csr(
         num_nodes: Number of nodes ``n``.
         edge_u: ``(m,)`` integer tails.
         edge_v: ``(m,)`` integer heads.
-        parallel: Optional :class:`~repro.parallel.config.ParallelConfig`
-            (``None`` resolves to the ``REPRO_WORKERS`` process
-            default). Sharded builds sort contiguous node ranges on the
-            worker pool; output is bit-identical to the serial build.
 
     Returns:
         The CSR adjacency, rows sorted by edge id (= insertion order).
@@ -157,26 +118,9 @@ def build_csr(
     counts = np.bincount(endpoint, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=WIDE_DTYPE)
     np.cumsum(counts, out=indptr[1:])
-
-    config = resolve_config(parallel)
-    neighbor: np.ndarray | None = None
-    edge_id: np.ndarray | None = None
-    if config.should_shard(num_nodes + 2 * m):
-        plan = ShardPlan.balanced(counts, config.workers)
-        if plan.num_shards > 1:
-            parts = get_pool(config).map(
-                _csr_rows_shard,
-                [
-                    (endpoint, other, incidence_eid, lo, hi)
-                    for lo, hi in plan.ranges()
-                ],
-            )
-            neighbor = np.concatenate([p[0] for p in parts])
-            edge_id = np.concatenate([p[1] for p in parts])
-    if neighbor is None or edge_id is None:
-        order = np.argsort(endpoint, kind="stable")
-        neighbor = other[order]
-        edge_id = incidence_eid[order]
+    order = np.argsort(endpoint, kind="stable")
+    neighbor = other[order]
+    edge_id = incidence_eid[order]
     for arr in (indptr, neighbor, edge_id):
         arr.setflags(write=False)
     return CSRAdjacency(indptr=indptr, neighbor=neighbor, edge_id=edge_id)

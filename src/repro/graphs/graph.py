@@ -38,7 +38,6 @@ per edge.
 
 from __future__ import annotations
 
-import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -56,7 +55,6 @@ from repro.graphs.csr import (
 )
 from repro.graphs.journal import CapacityDelta, DeltaJournal
 from repro.hotpath import hot_kernel
-from repro.parallel.arena import tag_array_version
 
 __all__ = ["Edge", "Graph"]
 
@@ -128,11 +126,6 @@ class Graph:
         self._ev = np.empty(_INITIAL_BUFFER, dtype=INDEX_DTYPE)
         self._cap = np.empty(_INITIAL_BUFFER, dtype=float)
         self._version = 0
-        # Weakrefs to every capacities() view ever handed out: views
-        # from *earlier* invalidation epochs may still alias the live
-        # buffer (no regrow in between), so a write-through must retag
-        # all of them, not just the currently cached one.
-        self._cap_view_refs: list[weakref.ref] = []
         self._journal = DeltaJournal()
         self._invalidate()
         triples = list(edges)
@@ -149,11 +142,11 @@ class Graph:
     # ------------------------------------------------------------------
     def _invalidate(self) -> None:
         """Drop every derived view after a structural mutation, and
-        advance the cache-invalidation counter that version-keys any
-        cross-call shared-memory exports of the cached views (see
-        :mod:`repro.parallel.arena`). Structural mutations shift what
-        edge ids mean, so the delta journal is re-based: capacity
-        deltas never span a structural change."""
+        advance the version counter that keys every epoch-scoped cache
+        built on this graph (the serving layer's result cache, its
+        approximator). Structural mutations shift what edge ids mean,
+        so the delta journal is re-based: capacity deltas never span a
+        structural change."""
         self._version += 1
         self._journal.mark_structural(self._version)
         self._csr_cache: CSRAdjacency | None = None
@@ -348,11 +341,8 @@ class Graph:
         """Overwrite the capacity of edge ``eid`` (cached capacity views
         see the new value; no cache rebuild needed).
 
-        The write goes through the cached ``capacities()`` view without
-        replacing the view object, so the data-version tag on that view
-        must advance: a process pool that exported the view into shared
-        memory re-exports it on the next ``map`` instead of serving the
-        pre-write bytes.
+        The write advances ``_version`` and is journaled, so epoch-keyed
+        caches notice it and ``deltas_since`` can report it.
         """
         cap = float(capacity)
         if not cap > 0 or not np.isfinite(cap):
@@ -361,13 +351,6 @@ class Graph:
         old = float(self._cap[slot])
         self._cap[slot] = cap
         self._record_capacity_delta(slot, old, cap)
-        live = []
-        for ref in self._cap_view_refs:
-            view = ref()
-            if view is not None:
-                tag_array_version(view, self._version)
-                live.append(ref)
-        self._cap_view_refs = live
 
     def _record_capacity_delta(
         self, slot: int, old: float, new: float
@@ -435,12 +418,7 @@ class Graph:
         if self._cap_view is None:
             view = self._cap[: self._m].view()
             view.setflags(write=False)
-            tag_array_version(view, self._version)
             self._cap_view = view
-            self._cap_view_refs = [
-                ref for ref in self._cap_view_refs if ref() is not None
-            ]
-            self._cap_view_refs.append(weakref.ref(view))
         return self._cap_view
 
     def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -451,8 +429,6 @@ class Graph:
             heads = self._ev[: self._m].view()
             tails.setflags(write=False)
             heads.setflags(write=False)
-            tag_array_version(tails, self._version)
-            tag_array_version(heads, self._version)
             self._uv_view = (tails, heads)
         return self._uv_view
 
@@ -688,7 +664,7 @@ class Graph:
 
         The quotient comes with its derived caches pre-seeded: the
         scaled path emits the child CSR directly from the contraction
-        pass (:func:`~repro.graphs.kernels.contract_csr`), the tiny
+        pass (:func:`~repro.graphs.csr.build_csr`), the tiny
         path seeds the adjacency lists, and both inherit a known
         ``True`` connectivity verdict (contracting a connected graph
         cannot disconnect it). Every seeded cache is dropped by the
@@ -708,7 +684,7 @@ class Graph:
             keep_parallel,
         )
         quotient = Graph._from_trusted_arrays(k, new_u, new_v, new_cap)
-        quotient._csr_cache = kernels.contract_csr(k, new_u, new_v)
+        quotient._csr_cache = build_csr(k, new_u, new_v)
         self._seed_quotient_connectivity(quotient)
         return quotient, origin.tolist()
 

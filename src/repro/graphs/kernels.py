@@ -14,38 +14,13 @@ ball growing, BFS tree construction, component-order-dependent
 generators) derive randomness-adjacent choices from traversal order:
 a kernel that visited nodes in a different but equally valid order
 would silently change every seeded experiment downstream.
-
-Sharded execution
-=================
-
-The frontier BFS kernels additionally run **sharded** when a
-:class:`~repro.parallel.config.ParallelConfig` says so (explicit
-``parallel=`` argument, or the process-wide ``REPRO_WORKERS`` default)
-and the instance is beyond the adaptive ``min_size`` threshold: each
-BFS level's ragged gather is split over contiguous frontier ranges
-(balanced by degree mass, :meth:`~repro.parallel.plan.ShardPlan.
-for_frontier`) and executed on the configured worker pool. Because the
-shard outputs are concatenated back in frontier order, the gathered
-``(origin, neighbor, edge_id)`` sequences — and therefore every
-claim-order tie-break downstream — are *bit-identical* to the serial
-pass; the frontier/visited state is updated only by the coordinating
-thread between levels, and each run keeps a persistent
-:class:`~repro.parallel.plan.BfsShardState` so successive levels reuse
-the previous shard boundaries until frontier mass shifts.
-:func:`multi_source_hop_distances` shards over contiguous *source
-blocks* instead (rows are independent BFS runs, so stacking the block
-results is trivially exact). The same contract is swept across a seed
-× generator × shard-count matrix in ``tests/test_parallel_backend.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.csr import CSRAdjacency, INDEX_DTYPE, WIDE_DTYPE, build_csr
-from repro.parallel.config import ParallelConfig, resolve_config
-from repro.parallel.plan import BfsShardState, ShardPlan
-from repro.parallel.pool import get_pool
+from repro.graphs.csr import CSRAdjacency, INDEX_DTYPE, WIDE_DTYPE
 
 __all__ = [
     "ragged_rows",
@@ -56,32 +31,10 @@ __all__ = [
     "connected_components",
     "compact_labels",
     "contract_edges",
-    "contract_csr",
     "pair_first_edge_index",
     "lookup_pairs",
     "group_by_key",
 ]
-
-
-def _ragged_arrays(
-    indptr: np.ndarray,
-    neighbor: np.ndarray,
-    edge_id: np.ndarray,
-    nodes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`ragged_rows` over raw CSR arrays (the picklable form the
-    shard workers receive)."""
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=WIDE_DTYPE)
-        return empty, empty.copy(), empty.copy()
-    # Positions: for each row, starts[r] .. starts[r] + counts[r] - 1.
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    idx = np.arange(total, dtype=WIDE_DTYPE) - offsets + np.repeat(starts, counts)
-    origin = np.repeat(nodes, counts)
-    return origin, neighbor[idx], edge_id[idx]
 
 
 def ragged_rows(
@@ -94,72 +47,24 @@ def ragged_rows(
         whose row produced position ``i``; rows appear in the order of
         ``nodes`` and, within a row, in edge-insertion order.
     """
-    return _ragged_arrays(csr.indptr, csr.neighbor, csr.edge_id, nodes)
-
-
-def _bfs_level_shard(
-    indptr: np.ndarray,
-    neighbor: np.ndarray,
-    edge_id: np.ndarray,
-    frontier: np.ndarray,
-    dist: np.ndarray,
-    allowed_edges: np.ndarray | None,
-) -> np.ndarray:
-    """One shard of a BFS level: gather + mask + unvisited filter.
-
-    ``dist`` is only read; the coordinating thread owns all updates.
-    """
-    _, nbrs, eids = _ragged_arrays(indptr, neighbor, edge_id, frontier)
-    if allowed_edges is not None:
-        nbrs = nbrs[allowed_edges[eids]]
-    return nbrs[dist[nbrs] < 0]
-
-
-def _bfs_claim_shard(
-    indptr: np.ndarray,
-    neighbor: np.ndarray,
-    edge_id: np.ndarray,
-    frontier: np.ndarray,
-    dist: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One shard of a parent-BFS level: gather + unvisited filter,
-    keeping ``(origin, neighbor, edge_id)`` aligned for claim order."""
-    origin, nbrs, eids = _ragged_arrays(indptr, neighbor, edge_id, frontier)
-    keep = dist[nbrs] < 0
-    return origin[keep], nbrs[keep], eids[keep]
-
-
-def _sharded_level_gather(
-    csr: CSRAdjacency,
-    frontier: np.ndarray,
-    config: ParallelConfig,
-    worker,
-    extra: tuple,
-    state: BfsShardState,
-) -> list:
-    """Run one level's gather over contiguous frontier shards.
-
-    Results come back in shard (= frontier) order, so concatenating
-    them reproduces the serial gather sequence exactly. ``state`` is
-    the BFS run's persistent shard state: it reuses the previous
-    level's (rescaled) boundaries until frontier mass shifts past its
-    rebalance threshold, instead of re-planning from scratch per level.
-    """
-    plan = state.plan(csr.indptr, frontier)
-    if plan.num_shards <= 1:
-        return [worker(csr.indptr, csr.neighbor, csr.edge_id, frontier, *extra)]
-    tasks = [
-        (csr.indptr, csr.neighbor, csr.edge_id, frontier[lo:hi], *extra)
-        for lo, hi in plan.ranges()
-    ]
-    return get_pool(config).map(worker, tasks)
+    indptr = csr.indptr
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=WIDE_DTYPE)
+        return empty, empty.copy(), empty.copy()
+    # Positions: for each row, starts[r] .. starts[r] + counts[r] - 1.
+    offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    idx = np.arange(total, dtype=WIDE_DTYPE) - offsets + np.repeat(starts, counts)
+    origin = np.repeat(nodes, counts)
+    return origin, csr.neighbor[idx], csr.edge_id[idx]
 
 
 def bfs_levels(
     csr: CSRAdjacency,
     sources: int | np.ndarray,
     allowed_edges: np.ndarray | None = None,
-    parallel: ParallelConfig | None = None,
 ) -> np.ndarray:
     """Multi-source hop distances by frontier-at-a-time BFS.
 
@@ -168,41 +73,19 @@ def bfs_levels(
         sources: One source or an array of sources (all at distance 0).
         allowed_edges: Optional boolean mask over edge ids; masked-out
             edges are not traversed.
-        parallel: Optional sharded-execution config (``None`` resolves
-            to the ``REPRO_WORKERS`` process default). Sharding splits
-            each level's gather over frontier ranges; the result is
-            bit-identical to the serial pass.
 
     Returns:
         ``(n,)`` int64 distances, ``-1`` for unreachable nodes.
     """
-    config = resolve_config(parallel)
-    sharded = config.should_shard(csr.num_nodes + len(csr.neighbor))
-    shard_state = BfsShardState(config.workers) if sharded else None
     dist = np.full(csr.num_nodes, -1, dtype=WIDE_DTYPE)
     frontier = np.atleast_1d(np.asarray(sources, dtype=WIDE_DTYPE))
     dist[frontier] = 0
     level = 0
     while frontier.size:
-        if sharded:
-            parts = _sharded_level_gather(
-                csr,
-                frontier,
-                config,
-                _bfs_level_shard,
-                (dist, allowed_edges),
-                shard_state,
-            )
-            nbrs = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        else:
-            nbrs = _bfs_level_shard(
-                csr.indptr,
-                csr.neighbor,
-                csr.edge_id,
-                frontier,
-                dist,
-                allowed_edges,
-            )
+        _, nbrs, eids = ragged_rows(csr, frontier)
+        if allowed_edges is not None:
+            nbrs = nbrs[allowed_edges[eids]]
+        nbrs = nbrs[dist[nbrs] < 0]
         if nbrs.size == 0:
             break
         frontier = np.unique(nbrs)
@@ -212,25 +95,20 @@ def bfs_levels(
 
 
 def bfs_parents(
-    csr: CSRAdjacency, root: int, parallel: ParallelConfig | None = None
+    csr: CSRAdjacency, root: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Deterministic BFS tree from ``root``.
 
     Reproduces the legacy FIFO-queue BFS exactly: a node is claimed by
     the earliest-discovered frontier node adjacent to it, ties broken
     by adjacency (edge-insertion) order, and the next frontier keeps
-    claim order. The sharded path (``parallel``) splits each level's
-    gather over frontier ranges and concatenates in frontier order, so
-    claim order — and therefore the returned tree — is unchanged.
+    claim order.
 
     Returns:
         ``(dist, parent, parent_edge)`` int64 arrays; unreachable nodes
         have ``dist = -1``, ``parent = -2``, ``parent_edge = -1``; the
         root has ``parent = -1``, ``parent_edge = -1``.
     """
-    config = resolve_config(parallel)
-    sharded = config.should_shard(csr.num_nodes + len(csr.neighbor))
-    shard_state = BfsShardState(config.workers) if sharded else None
     n = csr.num_nodes
     dist = np.full(n, -1, dtype=WIDE_DTYPE)
     parent = np.full(n, -2, dtype=WIDE_DTYPE)
@@ -240,20 +118,9 @@ def bfs_parents(
     frontier = np.array([root], dtype=WIDE_DTYPE)
     level = 0
     while frontier.size:
-        if sharded:
-            parts = _sharded_level_gather(
-                csr, frontier, config, _bfs_claim_shard, (dist,), shard_state
-            )
-            if len(parts) == 1:
-                origin, nbrs, eids = parts[0]
-            else:
-                origin = np.concatenate([p[0] for p in parts])
-                nbrs = np.concatenate([p[1] for p in parts])
-                eids = np.concatenate([p[2] for p in parts])
-        else:
-            origin, nbrs, eids = _bfs_claim_shard(
-                csr.indptr, csr.neighbor, csr.edge_id, frontier, dist
-            )
+        origin, nbrs, eids = ragged_rows(csr, frontier)
+        keep = dist[nbrs] < 0
+        origin, nbrs, eids = origin[keep], nbrs[keep], eids[keep]
         if nbrs.size == 0:
             break
         # First occurrence in gather order = legacy claim order.
@@ -267,22 +134,26 @@ def bfs_parents(
     return dist, parent, parent_edge
 
 
-def _hop_block_shard(
-    indptr: np.ndarray,
-    neighbor: np.ndarray,
-    edge_id: np.ndarray,
-    sources: np.ndarray,
+def multi_source_hop_distances(
+    csr: CSRAdjacency, sources: np.ndarray
 ) -> np.ndarray:
-    """Lockstep multi-source BFS for one contiguous source block.
+    """Hop distances from each of ``sources``, advanced in lockstep.
 
-    Each source's BFS is independent of every other source — the
-    lockstep batching exists purely for vectorization — so the
-    ``(len(sources), n)`` block this computes is row-for-row identical
-    to the corresponding rows of the whole-batch evaluation, which is
-    what makes per-source-block sharding bit-exact. Top-level so the
-    worker pools can receive it.
+    Each source's BFS is independent of every other source; the
+    lockstep batching exists purely for vectorization.
+
+    Args:
+        csr: Adjacency.
+        sources: Source nodes (one BFS row each; duplicates allowed).
+
+    Returns:
+        ``(len(sources), n)`` int64 matrix, ``-1`` where unreachable.
+        O(len(sources)·m) work, a constant number of NumPy passes per
+        BFS level, O(len(sources)·n) memory — batch the sources to
+        bound memory on large graphs.
     """
-    n = len(indptr) - 1
+    indptr = csr.indptr
+    n = csr.num_nodes
     sources = np.asarray(sources, dtype=WIDE_DTYPE)
     k = len(sources)
     dist = np.full((k, n), -1, dtype=WIDE_DTYPE)
@@ -293,7 +164,7 @@ def _hop_block_shard(
     level = 0
     while nodes.size:
         counts = indptr[nodes + 1] - indptr[nodes]
-        _, nbrs, _ = _ragged_arrays(indptr, neighbor, edge_id, nodes)
+        _, nbrs, _ = ragged_rows(csr, nodes)
         keys = np.repeat(src, counts) * n + nbrs
         keys = np.unique(keys[flat[keys] < 0])
         if keys.size == 0:
@@ -304,59 +175,15 @@ def _hop_block_shard(
     return dist
 
 
-def multi_source_hop_distances(
-    csr: CSRAdjacency,
-    sources: np.ndarray,
-    parallel: ParallelConfig | None = None,
-) -> np.ndarray:
-    """Hop distances from each of ``sources``, advanced in lockstep.
-
-    Args:
-        csr: Adjacency.
-        sources: Source nodes (one BFS row each; duplicates allowed).
-        parallel: Optional sharded-execution config (``None`` resolves
-            to the ``REPRO_WORKERS`` process default). Sharding splits
-            the batch over contiguous source blocks; rows are
-            independent, so the stacked result is bit-identical to the
-            serial pass.
-
-    Returns:
-        ``(len(sources), n)`` int64 matrix, ``-1`` where unreachable.
-        O(len(sources)·m) work, a constant number of NumPy passes per
-        BFS level, O(len(sources)·n) memory — batch the sources to
-        bound memory on large graphs.
-    """
-    sources = np.asarray(sources, dtype=WIDE_DTYPE)
-    k = len(sources)
-    config = resolve_config(parallel)
-    if k >= 2 and config.should_shard(
-        k * (csr.num_nodes + len(csr.neighbor))
-    ):
-        plan = ShardPlan.even(k, config.workers)
-        if plan.num_shards > 1:
-            parts = get_pool(config).map(
-                _hop_block_shard,
-                [
-                    (csr.indptr, csr.neighbor, csr.edge_id, sources[lo:hi])
-                    for lo, hi in plan.ranges()
-                ],
-            )
-            return np.concatenate(parts, axis=0)
-    return _hop_block_shard(csr.indptr, csr.neighbor, csr.edge_id, sources)
-
-
 def all_pairs_hop_distances(
-    csr: CSRAdjacency,
-    max_batch_cells: int = 1 << 24,
-    parallel: ParallelConfig | None = None,
+    csr: CSRAdjacency, max_batch_cells: int = 1 << 24
 ) -> np.ndarray:
     """All-pairs hop distances via lockstep BFS over source batches.
 
     Returns:
         ``(n, n)`` int64 matrix, ``-1`` where unreachable. O(n·m) work;
         peak *working* memory beyond the result is bounded by
-        ``max_batch_cells`` matrix cells per batch. ``parallel`` is
-        forwarded to :func:`multi_source_hop_distances` per batch.
+        ``max_batch_cells`` matrix cells per batch.
     """
     n = csr.num_nodes
     batch = max(1, max_batch_cells // max(n, 1))
@@ -364,7 +191,7 @@ def all_pairs_hop_distances(
     for start in range(0, n, batch):
         sources = np.arange(start, min(start + batch, n), dtype=WIDE_DTYPE)
         out[start : start + len(sources)] = multi_source_hop_distances(
-            csr, sources, parallel=parallel
+            csr, sources
         )
     return out
 
@@ -462,26 +289,6 @@ def contract_edges(
     merged_cap = np.bincount(rank[inverse], weights=caps, minlength=k)
     rep = first_idx[first_order]
     return lo[rep], hi[rep], merged_cap, origin[rep]
-
-
-def contract_csr(
-    num_clusters: int,
-    new_u: np.ndarray,
-    new_v: np.ndarray,
-    parallel: ParallelConfig | None = None,
-) -> CSRAdjacency:
-    """Emit the quotient's CSR adjacency directly from a contraction.
-
-    :func:`contract_edges` produces the quotient's edge arrays already
-    in quotient-edge-id order, which is exactly the order
-    :func:`~repro.graphs.csr.build_csr` needs — so the child CSR can be
-    materialized in the same pass and seeded into the quotient's cache,
-    making the chained contractions of AKPW and the j-tree hierarchy
-    pay zero lazy adjacency rebuilds per level. Under a sharded config
-    the emission sorts per ``indptr`` node range on the worker pool
-    (see :func:`~repro.graphs.csr.build_csr`), still bit-identical.
-    """
-    return build_csr(num_clusters, new_u, new_v, parallel=parallel)
 
 
 def pair_first_edge_index(

@@ -9,8 +9,8 @@ workspace design exists to avoid, and nothing crashes — the solve is
 just slower, forever.
 
 ``@hot_kernel`` is a zero-overhead marker: it returns the function
-unchanged (same object — process-pool pickling and monkeypatching see
-no wrapper) and only sets an attribute and records the qualified name
+unchanged (same object — monkeypatching sees no wrapper) and only
+sets an attribute and records the qualified name
 in :data:`HOT_KERNELS`. The static side of the contract lives in
 repolint's ``hot-path-alloc`` rule, which flags allocating NumPy
 constructors lexically inside any decorated function unless the line
@@ -41,8 +41,8 @@ def hot_kernel(func: F) -> F:
     """Mark ``func`` as under the allocation-free hot-path contract.
 
     Returns ``func`` itself (no wrapper): the marker costs nothing at
-    call time and preserves function identity for pickling and
-    monkeypatched tests.
+    call time and preserves function identity for monkeypatched
+    tests.
     """
     func.__hot_kernel__ = True  # type: ignore[attr-defined]
     HOT_KERNELS.append(f"{func.__module__}.{func.__qualname__}")

@@ -74,7 +74,6 @@ from repro.graphs.trees import RootedTree, induced_cut_capacities
 from repro.jtree.madry import finish_jtree_step, madry_tree_phase
 from repro.jtree.mwu import mwu_lengths, _mwu_lambda
 from repro.lsst.akpw import akpw_spanning_tree
-from repro.parallel.config import ParallelConfig
 from repro.sparsify.sparsifier import sparsification_target, sparsify
 from repro.util.rng import as_generator, spawn
 
@@ -400,7 +399,6 @@ def sample_virtual_trees(
     rng: np.random.Generator | int | None = None,
     params: HierarchyParams | None = None,
     batched: bool = True,
-    parallel: ParallelConfig | None = None,
 ) -> list[VirtualTree]:
     """Sample ``num_samples`` independent virtual trees (Lemma 3.3).
 
@@ -416,11 +414,6 @@ def sample_virtual_trees(
             ``False`` runs the samples one after another — kept as the
             reference path; both produce identical trees for a fixed
             seed (golden-tested).
-        parallel: Optional sharded-execution config for the stacked
-            MWU length evaluations (``None`` resolves to the
-            ``REPRO_WORKERS`` process default inside
-            :func:`~repro.jtree.mwu.mwu_lengths`). Never changes a
-            sampled tree — the sharded evaluation is bit-identical.
 
     Returns:
         A list of ``num_samples`` :class:`VirtualTree` objects.
@@ -458,7 +451,6 @@ def sample_virtual_trees(
                     stacked = mwu_lengths(
                         np.stack([s.potentials for s in group]),
                         group[0].caps,
-                        parallel=parallel,
                     )
                     for row, state in zip(stacked, group):
                         state.mwu_iterate(row)

@@ -54,9 +54,6 @@ from repro.jtree.madry import (
     madry_jtree_step,
     madry_tree_phase,
 )
-from repro.parallel.config import ParallelConfig, resolve_config
-from repro.parallel.plan import ShardPlan
-from repro.parallel.pool import get_pool
 from repro.util.rng import as_generator
 
 __all__ = [
@@ -67,16 +64,6 @@ __all__ = [
     "mwu_lengths",
 ]
 
-#: Work-size divisor for the stacked length evaluation's sharding
-#: threshold: one exp/divide element is far cheaper than one
-#: gather-kernel work unit, and the shared ``min_size`` default is
-#: calibrated for the latter — dividing by this makes the default
-#: config shard only past ~0.5M stack elements, where the serial
-#: evaluation (several ms) clearly exceeds the pool's dispatch
-#: overhead. ``min_size=0`` (the harness's forced configs) still
-#: shards unconditionally.
-MWU_SHARD_WORK_DIVISOR = 64
-
 #: Per-iteration potential growth target (λ_i = PROGRESS / max rload).
 PROGRESS = 0.5
 #: Exponent rate for the length update.
@@ -85,17 +72,7 @@ ETA = 1.0
 MAX_EXPONENT = 40.0
 
 
-def _mwu_lengths_rows(potentials: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """The elementwise MWU length evaluation for one row block
-    (top-level so the worker pools can receive it)."""
-    return np.exp(np.minimum(ETA * potentials, MAX_EXPONENT)) / caps
-
-
-def mwu_lengths(
-    potentials: np.ndarray,
-    caps: np.ndarray,
-    parallel: ParallelConfig | None = None,
-) -> np.ndarray:
+def mwu_lengths(potentials: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """The MWU edge lengths ``exp(min(η·potential, cap_exp)) / cap``.
 
     Elementwise, so it applies unchanged to a single ``(m,)`` potential
@@ -103,31 +80,9 @@ def mwu_lengths(
     hierarchy computes every active sample's lengths in one call;
     broadcasting keeps the per-row results bitwise identical to the
     per-sample computation, which the golden tests rely on).
-
-    Under a sharded config (``parallel=`` / the ``REPRO_WORKERS``
-    process default) a large enough stacked evaluation splits over
-    contiguous sample-row blocks on the worker pool; rows are
-    independent elementwise work, so the concatenated result is
-    bit-identical to the serial evaluation. "Large enough" is scaled
-    by :data:`MWU_SHARD_WORK_DIVISOR` — elementwise work only beats
-    the dispatch overhead at much larger element counts than the
-    gather kernels' shared threshold assumes.
     """
     potentials = np.asarray(potentials)
-    if potentials.ndim == 2 and potentials.shape[0] >= 2:
-        config = resolve_config(parallel)
-        if config.should_shard(potentials.size // MWU_SHARD_WORK_DIVISOR):
-            plan = ShardPlan.even(potentials.shape[0], config.workers)
-            if plan.num_shards > 1:
-                parts = get_pool(config).map(
-                    _mwu_lengths_rows,
-                    [
-                        (potentials[lo:hi], caps)
-                        for lo, hi in plan.ranges()
-                    ],
-                )
-                return np.concatenate(parts, axis=0)
-    return _mwu_lengths_rows(potentials, caps)
+    return np.exp(np.minimum(ETA * potentials, MAX_EXPONENT)) / caps
 
 
 def _mwu_lambda(total: float, r_max: float) -> tuple[float, float]:

@@ -2,7 +2,7 @@
 
 Failures mutate the already-built topology exclusively through
 ``Graph.set_capacity`` — the write-through path that bumps the graph's
-``_version`` epoch and retags cached capacity views — so every scenario
+``_version`` epoch and journals the write — so every scenario
 with a non-trivial failure model doubles as a regression test of the
 dynamic-graph machinery. The runner asserts that ``_version`` advanced
 exactly once per touched edge (``FailureReport.version_delta``).

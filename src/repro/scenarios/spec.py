@@ -15,9 +15,8 @@ A *scenario* is a point in the three-axis product the ROADMAP's
   degradation, applied through the write-through
   ``Graph.set_capacity`` / ``_version`` epoch machinery.
 
-Routing runs on the calling thread, so a scenario names no execution
-backend; the construction kernels follow the ``REPRO_WORKERS`` process
-default, which never changes a result bit.
+Construction and routing run on the calling thread, so a scenario
+names no execution backend.
 
 Axes are registered by name so the corpus (:mod:`repro.scenarios
 .corpus`), the CLI (``tools/run_scenarios.py``), tests, and the

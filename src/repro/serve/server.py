@@ -21,9 +21,7 @@ unexpected failure, cache put. A batch column is therefore the
 one-shot answer bit for bit, singles and batch columns share one cache
 namespace (a demand routed inside a batch hits later as a single query
 and vice versa), and a demand repeated within one batch is solved once.
-The solve runs on the calling thread and never reaches a worker pool;
-only an approximator build or rebuild does, under the
-``REPRO_WORKERS`` process default.
+Solves, builds and rebuilds all run on the calling thread.
 
 Mutation safety: every entry point first compares the graph's
 cache-invalidation counter (``Graph._version``) against the epoch the

@@ -11,7 +11,6 @@ from repro.core.approximator import build_congestion_approximator
 from repro.core.softmax import smax
 from repro.errors import ConvergenceError, GraphError
 from repro.graphs.generators import random_connected
-from repro.parallel import ParallelConfig
 from repro.util.validation import st_demand
 
 
@@ -109,7 +108,7 @@ class TestAlmostRoute:
                 approx,
                 st_demand(g, 0, 15),
                 0.5,
-                parallel=ParallelConfig(workers=2, backend="thread"),
+                parallel=2,
             )
 
     def test_budget_exhaustion_flagged(self, setup):

@@ -3,9 +3,7 @@
 The contract is *bit-identity per column*: for any demand plane,
 :func:`almost_route_batch` (and its accelerated variant) must return,
 in column q, exactly the flow/residual/counters the one-shot call on
-demand q returns — under every process default (serial, sharded
-thread, sharded process), since routing runs on the calling thread.
-These tests pin that contract across the standard sweep matrix, plus
+demand q returns. These tests pin that contract for both solvers, plus
 the batched kernel substrate
 (``Graph.excess_batch``, ``check_demand_batch``) and the workspace
 ``ensure`` raise contract.
@@ -19,7 +17,6 @@ import pytest
 from parallel_harness import (
     assert_arrays_identical,
     build_test_approximator,
-    forced,
     make_graph,
 )
 from repro.core import (
@@ -31,7 +28,6 @@ from repro.core import (
 )
 from repro.errors import ConvergenceError, GraphError, InvalidDemandError
 from repro.graphs.generators import random_connected
-from repro.parallel import use_config
 from repro.util.validation import check_demand_batch, st_demand
 
 
@@ -111,22 +107,15 @@ class TestPlainBatchGolden:
         assert (batch.iterations == 0).all()
         assert_arrays_identical("residuals", plane, batch.residuals)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_backend_sweep(self, medium, workers, backend):
-        """The acceptance matrix: batched == one-shot, bit for bit,
-        under process defaults workers ∈ {1, 2} × {serial, thread,
-        process}."""
+    def test_batch_equals_one_shot(self, medium):
+        """Batched == one-shot, bit for bit, with an inactive column
+        inside the batch."""
         g, approx = medium
         plane = _demand_plane(g, 13, 4, zero_row=2)
         eps = 0.4
-        serial = almost_route_batch(g, approx, plane, eps)
-        with use_config(forced(workers, backend)):
-            singles = [almost_route(g, approx, plane[q], eps) for q in range(4)]
-            batch = almost_route_batch(g, approx, plane, eps)
+        singles = [almost_route(g, approx, plane[q], eps) for q in range(4)]
+        batch = almost_route_batch(g, approx, plane, eps)
         _assert_columns_identical(g, approx, plane, eps, batch, singles)
-        # Cross-config: the batch under the default == serial batch too.
-        assert_arrays_identical("flows[serial-vs-config]", serial.flows, batch.flows)
 
     def test_budget_and_raise(self, medium):
         """A tiny budget leaves columns unconverged; raise_on_budget
@@ -161,21 +150,16 @@ class TestAcceleratedBatchGolden:
         batch = accelerated_almost_route_batch(g, approx, plane, eps)
         _assert_columns_identical(g, approx, plane, eps, batch, singles)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_backend_sweep(self, medium, workers, backend):
+    def test_batch_equals_one_shot(self, medium):
         g, approx = medium
         plane = _demand_plane(g, 23, 3)
         eps = 0.4
-        serial = accelerated_almost_route_batch(g, approx, plane, eps)
-        with use_config(forced(workers, backend)):
-            singles = [
-                accelerated_almost_route(g, approx, plane[q], eps)
-                for q in range(3)
-            ]
-            batch = accelerated_almost_route_batch(g, approx, plane, eps)
+        singles = [
+            accelerated_almost_route(g, approx, plane[q], eps)
+            for q in range(3)
+        ]
+        batch = accelerated_almost_route_batch(g, approx, plane, eps)
         _assert_columns_identical(g, approx, plane, eps, batch, singles)
-        assert_arrays_identical("flows[serial-vs-config]", serial.flows, batch.flows)
 
     def test_ragged_convergence_freezes_columns(self, medium):
         """Queries converging at very different iteration counts: the

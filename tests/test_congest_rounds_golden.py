@@ -11,9 +11,7 @@ experiment while all value-level tests stayed green.
 
 These tests pin exact round counts on small goldens, including runs on
 **contracted** graphs (quotients from ``Graph.contract`` and a real
-Madry merge step), and assert the counts are invariant under the
-sharded execution backend (sharding must change schedules, never
-simulated cost).
+Madry merge step).
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from repro.graphs.generators import grid, path, random_connected
 from repro.graphs.graph import Graph
 from repro.graphs.trees import bfs_tree, induced_cut_capacities
 from repro.jtree.mwu import build_jtree_distribution
-from repro.parallel import ParallelConfig, use_config
 from repro.util.rng import as_generator
 
 
@@ -100,17 +97,6 @@ class TestClusterRoundGoldens:
             cg, list(range(quotient.num_nodes)), max
         )
         assert result.rounds == 2
-
-    def test_round_count_invariant_under_sharded_backend(self):
-        """REPRO_WORKERS-style sharding may change the execution
-        schedule of the *centralized* kernels, never the simulated
-        CONGEST cost."""
-        merged = _merged_cluster_graph()
-        with use_config(ParallelConfig(workers=2, backend="serial", min_size=0)):
-            result = simulate_cluster_round(
-                merged, list(range(merged.num_clusters)), max
-            )
-        assert result.rounds == 14
 
 
 class TestTreeFlowGoldens:

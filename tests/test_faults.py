@@ -4,11 +4,10 @@ The fault framework's contract, pinned here site by site:
 
 * every injected failure ends in either a **bit-identical recovered
   result** or a **typed** :class:`~repro.errors.ReproError` — never a
-  hang (every armed map runs under a timeout), never a partial write,
-  never a silent wrong answer;
-* recovery is *invisible*: shards are pure functions of their
-  arguments, so the only observable of a fired fault is the plan's
-  ``fired()`` counter and the owning layer's stats;
+  hang, never a partial write, never a silent wrong answer;
+* recovery is *invisible*: a retried solve is a fresh solve of the
+  same inputs, so the only observable of a fired fault is the plan's
+  ``fired()`` counter and the server's ``health()``;
 * the ``REPRO_FAULTS`` grammar is strictly validated — a typo raises
   :class:`~repro.errors.FaultSpecError` instead of silently running
   fault-free;
@@ -16,9 +15,9 @@ The fault framework's contract, pinned here site by site:
   ``ReproError``: it models an unexpected crash, and an escaped raw
   instance is a recovery bug by definition.
 
-CI's ``chaos`` job runs this file under ``REPRO_WORKERS=2`` and then
-sweeps ``REPRO_FAULTS`` over the ordinary equivalence suites (recovery
-is only real if tests that never heard of faults stay green).
+CI's ``chaos`` job runs this file and then sweeps ``REPRO_FAULTS`` over
+the ordinary serving suites (recovery is only real if tests that never
+heard of faults stay green).
 """
 
 from __future__ import annotations
@@ -26,16 +25,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from parallel_harness import (
-    assert_arrays_identical,
-    assert_recovery_invisible,
-)
+from parallel_harness import assert_arrays_identical
 from repro.errors import (
-    ArenaError,
     DeadlineExceededError,
     FaultSpecError,
     GraphError,
-    PoolFailureError,
     ReproError,
     ServingError,
 )
@@ -46,75 +40,25 @@ from repro.faults import (
     FaultSpec,
     InjectedFault,
     active_plan,
-    faults_active,
     parse_fault_specs,
     plan_from_env,
     set_fault_plan,
     use_faults,
 )
-from repro.core import (
-    accelerated_almost_route,
-    almost_route,
-    build_congestion_approximator,
-)
 from repro.faults.plan import UNLIMITED
 from repro.graphs.generators import random_connected
-from repro.parallel import (
-    ParallelConfig,
-    RecoveryPolicy,
-    shutdown_pools,
-    use_config,
-    use_recovery,
-)
-from repro.parallel.arena import SharedArena
-from repro.parallel.pool import _fork_available, get_pool
 from repro.serve import FlowServer
 from repro.util.validation import st_demand
 
 EPS = 0.4
 
-#: Fast supervision for injected-fault tests: tight-but-safe timeout,
-#: two retry waves, no backoff sleep.
-FAST = RecoveryPolicy(timeout=10.0, retries=2, backoff=0.0)
-
-needs_fork = pytest.mark.skipif(
-    not _fork_available(), reason="fork start method unavailable"
-)
-
 
 @pytest.fixture(autouse=True)
 def _clean_slate():
-    """Disarm any environment plan and reset pool state/stats per test."""
+    """Disarm any environment plan per test."""
     set_fault_plan(None)
-    shutdown_pools()
     yield
     set_fault_plan(None)
-    shutdown_pools()
-
-
-def _square(block: np.ndarray) -> np.ndarray:
-    return block * block
-
-
-def _raise_graph_error(block: np.ndarray) -> np.ndarray:
-    raise GraphError("deterministic library error from a shard")
-
-
-def _tasks(seed: int, count: int = 4):
-    """Fresh read-only arrays each call — the arena export cache is
-    keyed by array identity, so reusing arrays across scenarios would
-    let a cached segment absorb the injection before it fires."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        block = rng.normal(size=256)
-        block.flags.writeable = False
-        out.append((block,))
-    return out
-
-
-def _pool(backend: str):
-    return get_pool(ParallelConfig(workers=2, backend=backend, min_size=0))
 
 
 # ----------------------------------------------------------------------
@@ -122,15 +66,15 @@ def _pool(backend: str):
 # ----------------------------------------------------------------------
 class TestSpecGrammar:
     def test_defaults(self):
-        spec = FaultSpec.parse("pool.worker")
-        assert spec.site == "pool.worker"
-        assert spec.kind == SITES["pool.worker"][0] == "raise"
+        spec = FaultSpec.parse("serve.miss")
+        assert spec.site == "serve.miss"
+        assert spec.kind == SITES["serve.miss"][0] == "raise"
         assert spec.at == 1 and spec.count == 1
 
     def test_full_clause(self):
-        spec = FaultSpec.parse("pool.worker:hang@3*2")
+        spec = FaultSpec.parse("serve.miss:hang@3*2")
         assert (spec.site, spec.kind, spec.at, spec.count) == (
-            "pool.worker",
+            "serve.miss",
             "hang",
             3,
             2,
@@ -151,21 +95,21 @@ class TestSpecGrammar:
 
     def test_comma_separated_list(self):
         specs = parse_fault_specs(
-            " pool.dispatch@1 , arena.export:enospc*2 ,, "
+            " serve.checkout@1 , serve.miss:hang*2 ,, "
         )
-        assert [s.site for s in specs] == ["pool.dispatch", "arena.export"]
+        assert [s.site for s in specs] == ["serve.checkout", "serve.miss"]
         assert specs[1].count == 2
 
     @pytest.mark.parametrize(
         ("clause", "fragment"),
         [
-            ("pool.wrker", "pool.worker"),  # typo'd site: names valid sites
-            ("pool.worker:explode", "raise"),  # unknown kind: names kinds
-            ("arena.export:enoent", "enospc"),  # kind from another site
-            ("pool.worker@0", "1-based"),  # visits are 1-based
-            ("pool.worker*0", "count"),  # count must be >= 1 or inf
-            ("pool.worker@@2", "malformed"),  # broken syntax
-            ("POOL.WORKER", "malformed"),  # grammar is lowercase, strictly
+            ("serve.mis", "serve.miss"),  # typo'd site: names valid sites
+            ("serve.miss:explode", "raise"),  # unknown kind: names kinds
+            ("serve.checkout:hang", "raise"),  # kind from another site
+            ("serve.miss@0", "1-based"),  # visits are 1-based
+            ("serve.miss*0", "count"),  # count must be >= 1 or inf
+            ("serve.miss@@2", "malformed"),  # broken syntax
+            ("SERVE.MISS", "malformed"),  # grammar is lowercase, strictly
         ],
     )
     def test_garbage_raises_typed_error(self, clause, fragment):
@@ -187,11 +131,11 @@ class TestSpecGrammar:
     def test_plan_from_env(self):
         assert plan_from_env({}) is None
         assert plan_from_env({"REPRO_FAULTS": "   "}) is None
-        plan = plan_from_env({"REPRO_FAULTS": "pool.worker:exit@2"})
+        plan = plan_from_env({"REPRO_FAULTS": "serve.miss:hang@2"})
         assert plan is not None
-        assert plan.specs[0].kind == "exit" and plan.specs[0].at == 2
+        assert plan.specs[0].kind == "hang" and plan.specs[0].at == 2
         with pytest.raises(FaultSpecError):
-            plan_from_env({"REPRO_FAULTS": "pool.worker:exit@oops"})
+            plan_from_env({"REPRO_FAULTS": "serve.miss:hang@oops"})
 
 
 # ----------------------------------------------------------------------
@@ -199,24 +143,24 @@ class TestSpecGrammar:
 # ----------------------------------------------------------------------
 class TestFaultPlan:
     def test_explicit_schedule_counts_visits_and_firings(self):
-        plan = FaultPlan(["pool.dispatch@2"])
-        assert plan.maybe_fire("pool.dispatch") is None
-        action = plan.maybe_fire("pool.dispatch")
+        plan = FaultPlan(["serve.miss@2"])
+        assert plan.maybe_fire("serve.miss") is None
+        action = plan.maybe_fire("serve.miss")
         assert action is not None and action.kind == "raise"
-        assert plan.maybe_fire("pool.dispatch") is None
-        assert plan.visits()["pool.dispatch"] == 3
-        assert plan.fired()["pool.dispatch"] == 1
+        assert plan.maybe_fire("serve.miss") is None
+        assert plan.visits()["serve.miss"] == 3
+        assert plan.fired()["serve.miss"] == 1
 
     def test_unknown_site_rejected_at_fire_time(self):
         plan = FaultPlan()
         with pytest.raises(FaultSpecError):
-            plan.maybe_fire("pool.nonsense")
+            plan.maybe_fire("serve.nonsense")
 
     def test_seeded_schedule_is_deterministic_per_site(self):
         def pattern(seed):
-            plan = FaultPlan(seed=seed, rate=0.5, sites=("pool.dispatch",))
+            plan = FaultPlan(seed=seed, rate=0.5, sites=("serve.miss",))
             return [
-                plan.maybe_fire("pool.dispatch") is not None
+                plan.maybe_fire("serve.miss") is not None
                 for _ in range(64)
             ]
 
@@ -230,182 +174,17 @@ class TestFaultPlan:
             FaultPlan(rate=0.5)
 
     def test_use_faults_scopes_activation(self):
-        plan = FaultPlan(["pool.dispatch@1"])
-        assert not faults_active()
+        plan = FaultPlan(["serve.miss@1"])
+        assert active_plan() is None
         with use_faults(plan):
-            assert faults_active()
             assert active_plan() is plan
-        assert not faults_active()
+        assert active_plan() is None
 
     def test_every_site_has_a_registered_owner(self):
         # Importing the owning modules (done at the top of this file,
         # transitively) must register a fault point for every site in
         # the catalogue — an orphaned site is untestable dead grammar.
         assert set(FAULT_POINTS) == set(SITES)
-
-
-# ----------------------------------------------------------------------
-# Pool recovery: thread backend
-# ----------------------------------------------------------------------
-class TestThreadRecovery:
-    def test_worker_raise_once_is_recovered(self):
-        plan = FaultPlan(["pool.worker:raise@1"])
-        pool = _pool("thread")
-        with use_faults(plan), use_recovery(FAST):
-            assert_recovery_invisible(pool, _square, _tasks(11))
-        assert plan.fired()["pool.worker"] == 1
-        assert pool.stats.worker_faults == 1
-        assert pool.stats.retries == 1
-        assert pool.stats.failures == 0
-
-    def test_dispatch_raise_once_is_recovered(self):
-        plan = FaultPlan(["pool.dispatch@1"])
-        pool = _pool("thread")
-        with use_faults(plan), use_recovery(FAST):
-            assert_recovery_invisible(pool, _square, _tasks(12))
-        assert plan.fired()["pool.dispatch"] == 1
-        assert pool.stats.dispatch_faults == 1
-
-    def test_persistent_fault_surfaces_typed_with_cause(self):
-        plan = FaultPlan(["pool.worker*inf"])
-        pool = _pool("thread")
-        with use_faults(plan), use_recovery(FAST):
-            with pytest.raises(PoolFailureError) as excinfo:
-                pool.map(_square, _tasks(13))
-        assert isinstance(excinfo.value.__cause__, InjectedFault)
-        assert pool.stats.failures == 1
-        assert pool.stats.retries == FAST.retries
-
-    def test_thread_hang_times_out_typed_without_retry(self):
-        # A hung *thread* cannot be preempted and still owns the
-        # caller's scratch, so the pool surfaces a typed failure
-        # instead of re-executing into shared state.
-        plan = FaultPlan(["pool.worker:hang@1"], hang_seconds=1.0)
-        pool = _pool("thread")
-        with use_faults(plan), use_recovery(
-            RecoveryPolicy(timeout=0.2, retries=2, backoff=0.0)
-        ):
-            with pytest.raises(PoolFailureError):
-                pool.map(_square, _tasks(14))
-        assert pool.stats.timeouts == 1
-        assert pool.stats.retries == 0
-        shutdown_pools()  # drop the pool still running the hung shard
-
-    def test_repro_error_from_shard_propagates_without_retry(self):
-        # Deterministic library errors are not faults: retrying them
-        # would re-raise identically and mask the real diagnosis.
-        pool = _pool("thread")
-        with use_recovery(FAST):
-            with pytest.raises(GraphError):
-                pool.map(_raise_graph_error, _tasks(15))
-        assert pool.stats.retries == 0
-
-
-# ----------------------------------------------------------------------
-# Pool recovery: process backend (fork + shared-memory arena)
-# ----------------------------------------------------------------------
-@needs_fork
-class TestProcessRecovery:
-    def test_worker_raise_once_is_recovered(self):
-        plan = FaultPlan(["pool.worker:raise@1"])
-        pool = _pool("process")
-        with use_faults(plan), use_recovery(FAST):
-            assert_recovery_invisible(pool, _square, _tasks(21))
-        assert plan.fired()["pool.worker"] == 1
-        assert pool.stats.worker_faults == 1
-        assert pool.stats.retries == 1
-
-    def test_worker_exit_is_detected_and_reexecuted(self):
-        # os._exit in a worker: the shard's result never arrives; the
-        # parent detects it by timeout, respawns the pool, and
-        # re-executes only the missing shard.
-        plan = FaultPlan(["pool.worker:exit@1"])
-        pool = _pool("process")
-        with use_faults(plan), use_recovery(
-            RecoveryPolicy(timeout=1.0, retries=2, backoff=0.0)
-        ):
-            assert_recovery_invisible(pool, _square, _tasks(22))
-        assert plan.fired()["pool.worker"] == 1
-        assert pool.stats.timeouts >= 1
-        assert pool.stats.respawns >= 1
-
-    def test_worker_hang_is_preempted_by_respawn(self):
-        plan = FaultPlan(["pool.worker:hang@1"], hang_seconds=10.0)
-        pool = _pool("process")
-        with use_faults(plan), use_recovery(
-            RecoveryPolicy(timeout=0.5, retries=2, backoff=0.0)
-        ):
-            assert_recovery_invisible(pool, _square, _tasks(23))
-        assert pool.stats.timeouts >= 1
-        assert pool.stats.respawns >= 1
-
-    def test_attach_enoent_falls_back_to_fresh_segments(self):
-        # A worker that cannot attach the arena's cached segment
-        # (externally unlinked) reports ENOENT; the parent discards
-        # the stale entry and retries the shard on per-call segments.
-        plan = FaultPlan(["arena.attach:enoent@1"])
-        pool = _pool("process")
-        with use_faults(plan), use_recovery(FAST):
-            assert_recovery_invisible(pool, _square, _tasks(24))
-        assert plan.fired()["arena.attach"] == 1
-        assert pool.stats.attach_failures == 1
-        assert pool.stats.degraded_exports == 1
-
-    def test_persistent_fault_surfaces_typed(self):
-        plan = FaultPlan(["pool.worker*inf"])
-        pool = _pool("process")
-        with use_faults(plan), use_recovery(FAST):
-            with pytest.raises(PoolFailureError) as excinfo:
-                pool.map(_square, _tasks(25))
-        assert isinstance(excinfo.value.__cause__, InjectedFault)
-
-
-# ----------------------------------------------------------------------
-# Arena degradation
-# ----------------------------------------------------------------------
-class TestArenaRecovery:
-    def test_enospc_once_recovered_by_drain_and_retry(self):
-        arena = SharedArena()
-        plan = FaultPlan(["arena.export:enospc@1"])
-        (block,) = _tasks(31, count=1)[0]
-        try:
-            with use_faults(plan):
-                ref = arena.export(block)
-            assert ref.shape == block.shape
-            assert plan.fired()["arena.export"] == 1
-            assert len(arena) == 1
-        finally:
-            arena.release()
-
-    def test_enospc_after_drain_exhaustion_is_typed_and_descriptive(self):
-        arena = SharedArena()
-        plan = FaultPlan(["arena.export:enospc@1*2"])  # initial + retry
-        (block,) = _tasks(32, count=1)[0]
-        try:
-            with use_faults(plan):
-                with pytest.raises(ArenaError) as excinfo:
-                    arena.export(block)
-            message = str(excinfo.value)
-            # The error must name the byte budget and the live working
-            # set — the two numbers an operator needs to re-tune.
-            assert "byte budget" in message
-            assert "working set" in message
-            assert isinstance(excinfo.value.__cause__, OSError)
-        finally:
-            arena.release()
-
-    @needs_fork
-    def test_pool_degrades_to_transient_segments_bit_identically(self):
-        # Arena export fails twice (initial + post-drain retry) ->
-        # ArenaError absorbed by the pool as a counted degradation to
-        # per-call transient segments; results stay bit-identical.
-        plan = FaultPlan(["arena.export:enospc@1*2"])
-        pool = _pool("process")
-        with use_faults(plan), use_recovery(FAST):
-            assert_recovery_invisible(pool, _square, _tasks(33))
-        assert plan.fired()["arena.export"] == 2
-        assert pool.stats.degraded_exports == 1
-        assert pool.stats.failures == 0
 
 
 # ----------------------------------------------------------------------
@@ -548,81 +327,38 @@ class TestServeRecovery:
 
 
 # ----------------------------------------------------------------------
-# Routing never reaches a worker pool
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "router", ["almost_route", "accelerated_almost_route", "FlowServer.route"]
-)
-def test_routing_never_dispatches_to_a_pool(graph, router):
-    """Under a sharded process default with every pool dispatch armed
-    to fail, routing on an approximator built beforehand answers bit
-    for bit like a plain run and never visits a dispatch: products run
-    on the calling thread."""
-    approximator = build_congestion_approximator(graph, rng=602)
-    server = FlowServer(graph, approximator=approximator, epsilon=EPS)
-    demand = st_demand(graph, 0, graph.num_nodes - 1)
-
-    def route():
-        if router == "FlowServer.route":
-            return server.route(demand, use_cache=False)
-        solver = (
-            almost_route if router == "almost_route" else accelerated_almost_route
-        )
-        return solver(graph, approximator, demand, EPS)
-
-    expected = route()
-    plan = FaultPlan(["pool.dispatch*inf"])
-    sharded = ParallelConfig(workers=2, backend="thread", min_size=0)
-    with use_config(sharded), use_faults(plan):
-        result = route()
-    assert_arrays_identical("flow", expected.flow, result.flow)
-    assert result.iterations == expected.iterations
-    assert plan.visits()["pool.dispatch"] == 0
-
-
-# ----------------------------------------------------------------------
 # REPRO_FAULTS sweep: every (site, kind) the env grammar can name,
-# driven exactly as the env would drive it, against each backend that
-# exercises the site. Contract: bit-identical recovery or a typed
-# ReproError — nothing else escapes, and nothing hangs.
+# driven exactly as the env would drive it, against FlowServer.route.
+# Contract: bit-identical recovery or a typed ReproError — nothing else
+# escapes, and nothing hangs.
 # ----------------------------------------------------------------------
-_SWEEP = [
-    ("thread", "pool.dispatch@1"),
-    ("thread", "pool.dispatch:hang@1"),
-    ("thread", "pool.worker@1"),
-    ("thread", "pool.worker:hang@1"),
-    ("thread", "pool.worker:exit@1"),  # degrades to raise in threads
-    ("process", "pool.dispatch@1"),
-    ("process", "pool.worker@1"),
-    ("process", "pool.worker:hang@1"),
-    ("process", "pool.worker:exit@1"),
-    ("process", "arena.export:enospc@1"),
-    ("process", "arena.export:enospc@1*2"),
-    ("process", "arena.attach:enoent@1"),
-]
+_SWEEP = ["serve.checkout:raise@1", "serve.miss:raise@1", "serve.miss:hang@1"]
 
 
-@pytest.mark.parametrize(
-    ("backend", "spec"), _SWEEP, ids=[f"{b}-{s}" for b, s in _SWEEP]
-)
-def test_env_spec_sweep(backend, spec):
-    if backend == "process" and not _fork_available():
-        pytest.skip("fork start method unavailable")
+def test_env_sweep_covers_every_site_and_kind():
+    swept = {tuple(spec.split("@")[0].split(":")) for spec in _SWEEP}
+    assert swept == {
+        (site, kind) for site, kinds in SITES.items() for kind in kinds
+    }
+
+
+@pytest.mark.parametrize("spec", _SWEEP)
+def test_env_spec_sweep(graph, spec):
     plan = plan_from_env({"REPRO_FAULTS": spec})
     assert plan is not None
-    tasks = _tasks(99)
-    expected = [_square(*task) for task in tasks]
-    pool = _pool(backend)
-    with use_faults(plan), use_recovery(
-        RecoveryPolicy(timeout=1.5, retries=3, backoff=0.0)
-    ):
+    server = FlowServer(graph, epsilon=EPS, rng=602)
+    demand = st_demand(graph, 0, graph.num_nodes - 1)
+    expected = server.route(demand, use_cache=False)
+    with use_faults(plan):
         try:
-            got = pool.map(_square, tasks)
+            result = server.route(demand, use_cache=False)
         except ReproError:
-            # Typed surfacing is within contract (e.g. a thread-pool
-            # timeout, which cannot safely re-execute).
+            # Typed surfacing is within contract.
             assert sum(plan.fired().values()) >= 1
             return
-    for i, (want, have) in enumerate(zip(expected, got)):
-        assert_arrays_identical(f"{spec}[shard {i}]", want, have)
-    assert sum(plan.fired().values()) >= 1
+    assert_arrays_identical(f"{spec} flow", expected.flow, result.flow)
+    assert_arrays_identical(
+        f"{spec} residual", expected.residual, result.residual
+    )
+    assert result.iterations == expected.iterations
+    assert plan.fired()[plan.specs[0].site] == 1

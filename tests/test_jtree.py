@@ -25,6 +25,7 @@ from repro.jtree import (
     sample_virtual_trees,
     select_load_classes,
 )
+from repro.jtree.mwu import MAX_EXPONENT, mwu_lengths
 from repro.util.rng import as_generator, spawn
 
 
@@ -387,6 +388,23 @@ class TestBatchedSampling:
         assert any(vt.sparsifier_rounds > 0 for vt in batched)
         for a, b in zip(batched, sequential):
             self._assert_same(a, b)
+
+    def test_stacked_mwu_lengths_equal_the_rows(self):
+        # The batched sampler evaluates every coinciding sample's MWU
+        # lengths as one (samples × edges) stack; each row must equal
+        # the 1-D evaluation bit for bit, clamped potentials included.
+        g = random_connected(72, 0.08, rng=101)
+        caps = g.capacities()
+        stack = np.random.default_rng(101).uniform(
+            0.0, 60.0, size=(9, g.num_edges)
+        )
+        assert (stack > MAX_EXPONENT).any() and (stack < MAX_EXPONENT).any()
+        stacked = mwu_lengths(stack, caps)
+        assert stacked.shape == stack.shape
+        for row in range(len(stack)):
+            np.testing.assert_array_equal(
+                mwu_lengths(stack[row], caps), stacked[row]
+            )
 
     def test_sample_jtree_step_matches_distribution_sample(self):
         # The lazily finished sampled step equals building the full

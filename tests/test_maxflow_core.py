@@ -8,8 +8,11 @@ import math
 import numpy as np
 import pytest
 
+from parallel_harness import assert_arrays_identical, build_test_approximator
 from repro.core import (
+    RouteWorkspace,
     accelerated_almost_route,
+    almost_route,
     build_congestion_approximator,
     max_flow,
     min_congestion_flow,
@@ -233,3 +236,48 @@ class TestEndToEndFamilies:
         exact = dinic_max_flow(g, s, t).value
         assert result.value >= exact / 1.5
         check_feasible_flow(g, result.flow, st_demand(g, s, t, result.value))
+
+
+class TestRouteWorkspaceReuse:
+    def test_two_max_flows_on_one_workspace_match_fresh(self):
+        """Reusing one RouteWorkspace across max_flow calls with
+        *different* demands must not leak state (stale soft-max
+        scratch, flow buffers) into the second result."""
+        graph = random_connected(48, 0.1, rng=606)
+        approximator = build_test_approximator(graph, 606)
+        workspace = RouteWorkspace(graph, approximator)
+        max_flow(graph, 0, 9, approximator=approximator, workspace=workspace)
+        reused = max_flow(
+            graph, 3, 21, approximator=approximator, workspace=workspace
+        )
+        fresh = max_flow(graph, 3, 21, approximator=approximator)
+        assert reused.value == fresh.value
+        assert_arrays_identical("workspace.flow", fresh.flow, reused.flow)
+        assert (
+            reused.congestion_result.congestion
+            == fresh.congestion_result.congestion
+        )
+        assert (
+            reused.congestion_result.iterations
+            == fresh.congestion_result.iterations
+        )
+
+    def test_almost_route_workspace_reuse_matches_fresh(self):
+        graph = random_connected(48, 0.1, rng=707)
+        approximator = build_test_approximator(graph, 707)
+        workspace = RouteWorkspace(graph, approximator)
+        demands = []
+        rng = np.random.default_rng(708)
+        for _ in range(2):
+            demand = rng.normal(size=graph.num_nodes)
+            demand -= demand.mean()
+            demands.append(demand)
+        almost_route(graph, approximator, demands[0], 0.5, workspace=workspace)
+        reused = almost_route(
+            graph, approximator, demands[1], 0.5, workspace=workspace
+        )
+        fresh = almost_route(graph, approximator, demands[1], 0.5)
+        assert reused.iterations == fresh.iterations
+        assert reused.potential == fresh.potential
+        assert_arrays_identical("route.flow", fresh.flow, reused.flow)
+        assert_arrays_identical("route.residual", fresh.residual, reused.residual)

@@ -22,7 +22,6 @@ PUBLIC_MODULES = [
     "repro.cluster",
     "repro.jtree",
     "repro.core",
-    "repro.parallel",
     "repro.util",
 ]
 

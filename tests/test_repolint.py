@@ -151,8 +151,9 @@ def test_pool_bypass_flags_direct_threading_import():
     )
 
 
-def test_pool_bypass_clean_inside_parallel_package():
-    assert "pool-bypass" not in rules_hit(
+def test_pool_bypass_flags_the_former_parallel_package():
+    # No path under src/repro is exempt, the old package path included.
+    assert "pool-bypass" in rules_hit(
         "import threading\n", rel_path="src/repro/parallel/pool.py"
     )
 
@@ -353,7 +354,7 @@ def test_except_discipline_flags_bare_and_silent_broad_handlers():
 
 def test_except_discipline_clean_on_counted_or_narrow_handlers():
     src = """
-        from repro.errors import ArenaError
+        from repro.errors import ServingError
 
         def recover(pool, x):
             try:
@@ -367,7 +368,7 @@ def test_except_discipline_clean_on_counted_or_narrow_handlers():
             try:
                 x.solve()
             except Exception:
-                raise ArenaError("wrapped")
+                raise ServingError("wrapped")
         """
     assert "except-discipline" not in rules_hit(src)
 

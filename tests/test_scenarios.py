@@ -1,15 +1,10 @@
 """Scenario corpus tests: grammar, demand models, failures, runner
-invariants, the mutation test proving the invariants have teeth, and
-the scenario x fault-injection interaction contract."""
+invariants, and the mutation test proving the invariants have teeth."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
-
-from parallel_harness import forced
 
 from repro.core.approximator import (
     TreeCongestionApproximator,
@@ -17,19 +12,10 @@ from repro.core.approximator import (
 )
 from repro.errors import (
     InvariantViolation,
-    PoolFailureError,
     ReproError,
     ScenarioError,
 )
-from repro.faults import FaultPlan, set_fault_plan, use_faults
 from repro.graphs.csr import WIDE_DTYPE
-from repro.parallel import (
-    RecoveryPolicy,
-    shutdown_pools,
-    use_config,
-    use_recovery,
-)
-from repro.parallel.pool import _fork_available
 from repro.scenarios import (
     DEMANDS,
     FAILURES,
@@ -52,23 +38,6 @@ from repro.scenarios.failures import (
 )
 from repro.scenarios.report import bench_rows, scenario_report
 from repro.util.validation import check_demand_batch
-
-needs_fork = pytest.mark.skipif(
-    not _fork_available(), reason="fork start method unavailable"
-)
-
-#: Fast supervision for the fault-interaction tests.
-FAST = RecoveryPolicy(timeout=10.0, retries=2, backoff=0.0)
-
-
-@pytest.fixture(autouse=True)
-def _clean_slate():
-    set_fault_plan(None)
-    shutdown_pools()
-    yield
-    set_fault_plan(None)
-    shutdown_pools()
-
 
 def _planted_instance(seed: int = 77):
     return resolve_topology("planted_60").build(seed)
@@ -276,12 +245,6 @@ def _small_matrix(demand="adversarial_cut", failure="none", num_queries=1):
     ]
 
 
-def _timing_free(result):
-    """A run's records with the wall-clock field zeroed, for exact
-    comparison of everything deterministic."""
-    return [replace(record, route_seconds=0.0) for record in result.records]
-
-
 class TestRunner:
     def test_group_passes_and_records(self):
         result = run_matrix(_small_matrix())
@@ -369,40 +332,3 @@ class TestMutation:
         # scenario.
         result = run_matrix(_small_matrix())
         assert result.records[0].invariants_checked >= 5
-
-
-# ----------------------------------------------------------------------
-# Scenario x fault-injection interaction: recovered-bit-identical or
-# typed ReproError, never a hang (extends the tests/test_faults.py
-# contract to the scenario runner). Routing never reaches a pool, so
-# the faults land in the construction maps — CSR builds, BFS and MWU
-# lengths of the topology and approximator builds — which run on the
-# process pool under a sharded process default.
-# ----------------------------------------------------------------------
-@needs_fork
-class TestFaultInteraction:
-    def _sharded_run(self, plan, policy):
-        with use_config(forced(2, "process")), use_faults(plan):
-            with use_recovery(policy):
-                return run_matrix(_small_matrix())
-
-    def test_worker_exit_recovers_bit_identically(self):
-        expected = _timing_free(run_matrix(_small_matrix()))
-        plan = FaultPlan(["pool.worker:exit@2"])
-        result = self._sharded_run(
-            plan, RecoveryPolicy(timeout=1.0, retries=2, backoff=0.0)
-        )
-        assert plan.fired()["pool.worker"] == 1
-        assert _timing_free(result) == expected
-
-    def test_arena_enospc_recovers_bit_identically(self):
-        expected = _timing_free(run_matrix(_small_matrix()))
-        plan = FaultPlan(["arena.export:enospc@1"])
-        result = self._sharded_run(plan, FAST)
-        assert plan.fired()["arena.export"] == 1
-        assert _timing_free(result) == expected
-
-    def test_persistent_fault_surfaces_typed_never_hangs(self):
-        plan = FaultPlan(["pool.worker*inf"])
-        with pytest.raises(PoolFailureError):
-            self._sharded_run(plan, FAST)

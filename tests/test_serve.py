@@ -20,12 +20,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from parallel_harness import assert_arrays_identical, forced
+from parallel_harness import assert_arrays_identical
 from repro.core import almost_route
 from repro.errors import GraphError
 from repro.flow import dinic_max_flow
 from repro.graphs.generators import random_connected
-from repro.parallel import use_config
 from repro.serve import FlowServer, ResultCache, WorkspacePool, demand_digest
 from repro.util.validation import st_demand
 
@@ -80,22 +79,6 @@ class TestServing:
         direct = server.route(st_demand(graph, 1, 5, 2.0))
         assert result is direct  # second call hits the cache
 
-    def test_parallel_config_is_bit_identical(self, graph):
-        """A server built and queried under a sharded process default
-        (its approximator built on the pool) answers bit for bit like
-        the serial one."""
-        plain = FlowServer(graph, epsilon=EPS, rng=602)
-        plane = _plane(graph, 604, 3)
-        expected = plain.route_batch(plane)
-        with use_config(forced(2, "thread")):
-            sharded = FlowServer(
-                random_connected(40, 0.12, rng=601), epsilon=EPS, rng=602
-            )
-            served = sharded.route_batch(plane)
-        for a, b in zip(expected, served):
-            assert_arrays_identical("flow", a.flow, b.flow)
-            assert a.iterations == b.iterations
-
     def test_rejects_foreign_approximator(self, graph):
         other = random_connected(10, 0.4, rng=605)
         foreign = FlowServer(other, epsilon=EPS, rng=606).approximator
@@ -112,7 +95,7 @@ class TestServing:
         with pytest.raises(TypeError):
             FlowServer(graph, max_batch=8)  # no such option: batches route per column
         with pytest.raises(TypeError):
-            FlowServer(graph, parallel=forced(2, "thread"))  # routing never shards
+            FlowServer(graph, parallel=2)  # no option: everything runs in-process
         with pytest.raises(TypeError):
             FlowServer(graph, breaker_threshold=3)  # no pool to lose
 

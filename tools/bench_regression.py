@@ -6,12 +6,10 @@ wall-clock of ``build_congestion_approximator``), the apply-path rows
 ``approximator_apply_n*`` / ``approximator_apply_transpose_n*`` /
 ``almost_route_n*`` (median wall-clock of the flat stacked operator
 products and one AlmostRoute solve, same configuration the benchmark
-harness records) and the execution-backend rows ``*_sharded_n4096``
-(median wall-clock of the sharded construction kernels — frontier BFS,
-multi-source hop distances and the stacked MWU length evaluation — under
-the ``REPRO_WORKERS=2`` thread-pool config, compared against the
-checked-in *sharded* medians; the live serial-vs-sharded ratio is
-printed alongside for visibility) and the serving rows
+harness records), the construction-kernel rows
+``{bfs_levels,hop_distances,mwu_lengths}_n4096`` (median wall-clock of
+frontier BFS, multi-source hop distances and the stacked MWU length
+evaluation) and the serving rows
 ``route_batch_q{8,64}_n1024`` (median wall-clock of one
 ``almost_route_batch`` call — ``Q`` one-shot solves, one per column —
 compared against the checked-in *batched* medians with the live
@@ -143,15 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     bench = _load_bench_module()
     measured = bench.measure_approximator_benchmarks()
     measured.update(bench.measure_apply_benchmarks())
-    backend_rows = bench.measure_execution_backend_benchmarks()
-    for name, pair in backend_rows.items():
-        measured[name] = pair["sharded_s"]
-        ratio = pair["serial_s"] / pair["sharded_s"]
-        print(
-            f"info {name}: serial={pair['serial_s']:.6f}s "
-            f"sharded={pair['sharded_s']:.6f}s "
-            f"(sharded is {ratio:.2f}x serial on this host)"
-        )
+    measured.update(bench.measure_kernel_benchmarks())
     serving_rows = bench.measure_serving_benchmarks()
     for name, pair in serving_rows.items():
         measured[name] = pair["batched_s"]

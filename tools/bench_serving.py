@@ -62,7 +62,6 @@ from repro.core import (  # noqa: E402
     build_congestion_approximator,
 )
 from repro.graphs.generators import random_connected  # noqa: E402
-from repro.parallel import ParallelConfig  # noqa: E402
 from repro.serve import FlowServer  # noqa: E402
 
 #: (n, edge probability, Q, epsilon) of the batch-throughput experiment
@@ -122,7 +121,7 @@ def run_batch_throughput(profile: str) -> dict:
     graph = random_connected(n, p, rng=GRAPH_SEED)
     t0 = time.perf_counter()
     approximator = build_congestion_approximator(
-        graph, rng=BUILD_SEED, alpha=1.0, parallel=ParallelConfig()
+        graph, rng=BUILD_SEED, alpha=1.0
     )
     build_s = time.perf_counter() - t0
     rng = np.random.default_rng(DEMAND_SEED)

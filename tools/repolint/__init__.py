@@ -1,10 +1,10 @@
 """repolint — AST-based contract checker for this repository.
 
 PRs 1–6 grew a substrate whose correctness rests on cross-cutting
-*conventions*: bit-identical ordered-map sharding, ``Graph._version``
-epoch discipline, ``INDEX_DTYPE``/``WIDE_DTYPE`` single-point dtype
+*conventions*: one-process execution, ``Graph._version`` epoch
+discipline, ``INDEX_DTYPE``/``WIDE_DTYPE`` single-point dtype
 control, allocation-free hot kernels, seeded-``Generator``-only
-randomness, lock-guarded arena state, and a ``ReproError``-family
+randomness, lock-guarded shared state, and a ``ReproError``-family
 exception contract. Every one of them used to be enforced only
 dynamically — by golden tests that catch a violation *after* it has
 corrupted a result. repolint enforces them statically, at the source

@@ -164,10 +164,10 @@ class IndexDtype(Rule):
 
     name = "index-dtype"
     description = (
-        "integer array constructors in graphs/, core/, parallel/ must "
-        "use INDEX_DTYPE / WIDE_DTYPE, not literal np.int32/np.int64/int"
+        "integer array constructors in graphs/ and core/ must use "
+        "INDEX_DTYPE / WIDE_DTYPE, not literal np.int32/np.int64/int"
     )
-    paths = (f"{SRC}/graphs", f"{SRC}/core", f"{SRC}/parallel")
+    paths = (f"{SRC}/graphs", f"{SRC}/core")
 
     _BAD_ATTRS = {"int32", "int64", "intc", "longlong", "intp"}
     #: The definition sites themselves assign the literal once.
@@ -229,28 +229,28 @@ class IndexDtype(Rule):
 
 @register
 class PoolBypass(Rule):
-    """Concurrency primitives are importable only in src/repro/parallel.
+    """The library runs in one process, on the calling thread.
 
-    Everything else must go through the ordered-map pool contract
-    (PR 4): ShardPlan partitions + serial/thread/process pools whose
-    shard-output fold is bit-identical to serial by construction. A
-    stray Executor or Thread elsewhere would compute outside the
-    determinism contract (and outside the arena's export accounting).
+    Construction and routing both run serially: sharding them over
+    thread and process pools measured slower on the recorded host and
+    was deleted. A stray Executor, Thread or Process would reintroduce
+    a schedule the bit-identity goldens never exercise. Every import
+    of ``threading``, ``multiprocessing`` or ``concurrent`` under
+    ``src/repro`` therefore needs a justified per-line suppression
+    (today: the ``Lock`` of the serving workspace pool and the one of
+    the fault plan's visit counters).
     """
 
     name = "pool-bypass"
     description = (
-        "concurrent.futures/multiprocessing/threading import outside "
-        "src/repro/parallel (use the ordered-map pool contract)"
+        "concurrent.futures/multiprocessing/threading import under "
+        "src/repro (the library runs on the calling thread)"
     )
     paths = (SRC,)
 
     _BANNED_ROOTS = {"threading", "multiprocessing", "concurrent"}
-    _EXEMPT_PREFIX = f"{SRC}/parallel"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.under(self._EXEMPT_PREFIX):
-            return
         for node in ast.walk(ctx.tree):
             modules: list[str] = []
             if isinstance(node, ast.Import):
@@ -262,9 +262,9 @@ class PoolBypass(Rule):
                     yield self.finding(
                         ctx,
                         node,
-                        f"import of '{module}' outside src/repro/parallel: "
-                        "route work through repro.parallel's ordered-map "
-                        "pool contract",
+                        f"import of '{module}': the library runs on the "
+                        "calling thread; justify a lock-only import with "
+                        "a per-line suppression",
                     )
 
 
@@ -354,8 +354,8 @@ class _LockWalker:
 class LockDiscipline(Rule):
     """Writes to ``_GUARDED_BY`` attributes need ``with self._lock``.
 
-    Classes sharing state across threads (the arena's export cache,
-    the serving workspace pool — PRs 5/6) declare their lock-protected
+    Classes sharing state across threads (the serving workspace pool,
+    PR 6) declare their lock-protected
     fields in a ``_GUARDED_BY`` class attribute; any lexical write to
     one of them outside a ``with self._lock`` block is a data race
     waiting for a free-threaded build. ``__init__`` is exempt
@@ -427,9 +427,8 @@ class LockDiscipline(Rule):
 class EpochDiscipline(Rule):
     """Graph buffer mutations must bump the version epoch.
 
-    ``Graph._version`` (PR 5) is what keys the shared-memory arena's
-    export cache, the serving layer's result cache, and every
-    ``capacities()`` view retag: a method that writes the edge or
+    ``Graph._version`` (PR 5) is what keys the serving layer's result
+    cache and its approximator epoch: a method that writes the edge or
     capacity buffers and exits without ``self._invalidate()`` or a
     ``self._version`` bump hands every downstream cache a stale epoch
     — the wrong-but-plausible-flow failure mode. The check is
