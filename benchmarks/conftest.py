@@ -69,7 +69,8 @@ SEED_BASELINES = {
 }
 
 #: Median-of-N seconds at the PR 1 commit (array-native substrate, but
-#: per-sample hierarchy recursion) for the batched-sampling rows added
+#: each sample copied its level-0 core and finished every MWU iteration)
+#: for the approximator_build_n* rows added
 #: in PR 2 — `build_congestion_approximator` at the scales the j-tree
 #: recursion actually runs multi-level. Medians (not best-of) because
 #: the CI regression gate compares medians.
@@ -116,9 +117,9 @@ APPLY_BENCH_CONFIG = {
 #: evaluation (n + 2m >> SMALL_GRAPH_LIMIT, so the whole-array kernels
 #: run).
 KERNEL_BENCH_CONFIG = {4096: (0.003, 940, 77, 20, 5, 40)}
-#: Source count for the hop_distances_n* rows and sample-row count for
-#: the mwu_lengths_n* rows (the O(log n) stack the batched hierarchy
-#: evaluates).
+#: Source count for the hop_distances_n* rows and row count for the
+#: mwu_lengths_n* rows (an O(log n) stack of potential vectors, over
+#: which the kernel is elementwise).
 KERNEL_BENCH_HOP_SOURCES = 64
 KERNEL_BENCH_MWU_SAMPLES = 12
 #: AlmostRoute solve parameters for the almost_route_n* rows (a fixed
@@ -419,8 +420,10 @@ def pytest_sessionfinish(session, exitstatus):
             "decompose/akpw rows: best-of-N, seed commit (pure-Python "
             "adjacency lists) vs current. approximator_build_n{256,1024,"
             "4096} rows: median-of-N, PR 1 (per-sample hierarchy "
-            "recursion) vs current (batched level-synchronous sampling "
-            "+ persistent quotient CSR + int32 indices). "
+            "recursion that copied each level-0 core and finished every "
+            "MWU iteration) vs current (the same recursion on a shared "
+            "level-0 core, finishing only the sampled MWU iteration, "
+            "persistent quotient CSR + int32 indices). "
             "approximator_apply*/almost_route rows: median-of-N, PR 2 "
             "(per-tree operator loop with np.add.at, allocating "
             "AlmostRoute inner loop) vs current (flat stacked operator "

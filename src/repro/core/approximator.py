@@ -38,7 +38,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.trees import RootedTree, bfs_tree, induced_cut_capacities
 from repro.core.stacked import StackedTreeOperator
 from repro.jtree.hierarchy import HierarchyParams, sample_virtual_trees
-from repro.jtree.madry import madry_jtree_step
+from repro.jtree.mwu import mwu_lengths
 from repro.lsst.akpw import akpw_spanning_tree
 from repro.util.rng import as_generator
 
@@ -245,7 +245,7 @@ def racke_sample_trees(
     out: list[RootedTree] = []
     iteration = 0
     while len(out) < num_trees:
-        lengths = np.exp(np.minimum(potentials, 40.0)) / caps
+        lengths = mwu_lengths(potentials, caps)
         lsst = akpw_spanning_tree(graph, lengths=lengths, rng=rng)
         cut_caps = induced_cut_capacities(graph, lsst.tree)
         rload = np.zeros(graph.num_edges)
@@ -342,11 +342,8 @@ def build_congestion_approximator(
 
     trees: list[RootedTree] = []
     if method == "hierarchy":
-        # Batched level-synchronous sampling: identical trees to the
-        # legacy one-sample-at-a-time loop for a fixed seed (the child
-        # generators are spawned the same way), but the per-level MWU
-        # work is stacked across samples and coinciding cores are
-        # shared.
+        # O(log n) independent samples of the Theorem 8.10 recursion,
+        # each on its own child generator spawned from ``rng``.
         samples = sample_virtual_trees(
             graph, num_trees, rng=rng, params=hierarchy_params
         )

@@ -17,8 +17,7 @@ Design
 
 * **Deterministic schedules.**  A :class:`FaultPlan` is built from
   explicit :class:`FaultSpec` entries (``site[:kind][@at][*count]`` —
-  fire ``count`` times starting at the ``at``-th visit) and/or a
-  seeded per-site Bernoulli schedule (``seed=``/``rate=``).  Visit
+  fire ``count`` times starting at the ``at``-th visit).  Visit
   counters are lock-guarded and per-site, so a given plan fires at
   exactly the same visits on every run.
 
@@ -46,12 +45,9 @@ import os
 import re
 import threading  # repolint: disable=pool-bypass -- Lock for visit counters only, no pool primitives
 import time
-import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, ParamSpec, TypeVar
-
-import numpy as np
 
 from repro.errors import FaultSpecError
 
@@ -92,10 +88,9 @@ SITES: dict[str, tuple[str, ...]] = {
 #: Introspection/diagnostic hook, mirroring ``hotpath.HOT_KERNELS``.
 FAULT_POINTS: dict[str, str] = {}
 
-#: How long an injected ``hang`` stalls by default
-#: (``FaultPlan(hang_seconds=...)`` overrides it).  Nothing times the
-#: stall out, so it is kept short: an env-driven ``serve.miss:hang``
-#: sweep slows the run rather than stopping it.
+#: How long an injected ``hang`` stalls.  Nothing times the stall out,
+#: so it is kept short: an env-driven ``serve.miss:hang`` sweep slows
+#: the run rather than stopping it.
 DEFAULT_HANG_SECONDS = 0.05
 
 
@@ -115,12 +110,10 @@ class FaultAction:
     Attributes:
         site: The site that fired.
         kind: One of the site's kinds from :data:`SITES`.
-        seconds: Stall length for ``hang`` actions (ignored otherwise).
     """
 
     site: str
     kind: str
-    seconds: float = DEFAULT_HANG_SECONDS
 
 
 _SPEC_RE = re.compile(
@@ -231,20 +224,12 @@ def parse_fault_specs(text: str) -> tuple[FaultSpec, ...]:
     )
 
 
-def _site_seed(seed: int, site: str) -> int:
-    """A stable per-site stream seed (independent of site interleaving)."""
-    return (seed << 32) ^ zlib.crc32(site.encode("ascii"))
-
-
 class FaultPlan:
     """A deterministic schedule of injected failures.
 
     Built from explicit :class:`FaultSpec` entries (or their string
-    forms) and/or a seeded Bernoulli schedule: with ``seed`` and
-    ``rate`` set, every visit to a site in ``sites`` (default: all
-    sites) fires with probability ``rate``, drawn from a per-site
-    ``PCG64`` stream — deterministic for a given seed and per-site
-    visit order, regardless of how sites interleave.
+    forms); the first spec covering a site's current visit decides
+    what that visit does.
 
     Visit counters are per-site and lock-guarded; :meth:`visits` and
     :meth:`fired` expose snapshots so tests can assert a fault
@@ -252,51 +237,11 @@ class FaultPlan:
     results, so the counters are the only observable).
     """
 
-    def __init__(
-        self,
-        specs: Iterable[FaultSpec | str] = (),
-        *,
-        seed: int | None = None,
-        rate: float = 0.0,
-        sites: Iterable[str] | None = None,
-        hang_seconds: float = DEFAULT_HANG_SECONDS,
-    ) -> None:
-        parsed: list[FaultSpec] = []
-        for spec in specs:
-            parsed.append(
-                FaultSpec.parse(spec) if isinstance(spec, str) else spec
-            )
-        self.specs: tuple[FaultSpec, ...] = tuple(parsed)
-        if not 0.0 <= rate <= 1.0:
-            raise FaultSpecError(
-                f"fault rate must be in [0, 1], got {rate}"
-            )
-        if rate > 0.0 and seed is None:
-            raise FaultSpecError(
-                "a seeded schedule needs an explicit seed: "
-                "FaultPlan(seed=..., rate=...) — determinism is the "
-                "whole point"
-            )
-        if hang_seconds < 0.0:
-            raise FaultSpecError(
-                f"hang_seconds must be >= 0, got {hang_seconds}"
-            )
-        self.rate = float(rate)
-        self.hang_seconds = float(hang_seconds)
-        chosen = tuple(sites) if sites is not None else tuple(SITES)
-        for site in chosen:
-            if site not in SITES:
-                raise FaultSpecError(
-                    f"unknown fault site {site!r}; expected one of "
-                    f"{sorted(SITES)}"
-                )
-        self._seeded_sites = frozenset(chosen) if rate > 0.0 else frozenset()
-        self._rngs: dict[str, np.random.Generator] = {}
-        if seed is not None:
-            for site in self._seeded_sites:
-                self._rngs[site] = np.random.Generator(
-                    np.random.PCG64(_site_seed(seed, site))
-                )
+    def __init__(self, specs: Iterable[FaultSpec | str] = ()) -> None:
+        self.specs: tuple[FaultSpec, ...] = tuple(
+            FaultSpec.parse(spec) if isinstance(spec, str) else spec
+            for spec in specs
+        )
         self._lock = threading.Lock()
         self._visits: dict[str, int] = {site: 0 for site in SITES}
         self._fired: dict[str, int] = {site: 0 for site in SITES}
@@ -304,9 +249,8 @@ class FaultPlan:
     def maybe_fire(self, site: str) -> FaultAction | None:
         """Record a visit to ``site``; return the action to take, if any.
 
-        Explicit specs are consulted first (first matching spec wins),
-        then the seeded schedule.  Thread-safe; each call advances the
-        site's visit counter exactly once."""
+        The first spec covering this visit wins.  Thread-safe; each
+        call advances the site's visit counter exactly once."""
         if site not in SITES:
             raise FaultSpecError(
                 f"unknown fault site {site!r}; expected one of "
@@ -320,16 +264,10 @@ class FaultPlan:
                 if spec.site == site and spec.covers(visit):
                     kind = spec.kind
                     break
-            if kind is None and site in self._seeded_sites:
-                if self._rngs[site].random() < self.rate:
-                    kinds = SITES[site]
-                    kind = kinds[
-                        int(self._rngs[site].integers(len(kinds)))
-                    ]
             if kind is None:
                 return None
             self._fired[site] += 1
-        return FaultAction(site=site, kind=kind, seconds=self.hang_seconds)
+        return FaultAction(site=site, kind=kind)
 
     def visits(self) -> dict[str, int]:
         """Snapshot of per-site visit counts."""
@@ -343,10 +281,11 @@ class FaultPlan:
 
 
 def execute_action(action: FaultAction) -> None:
-    """Carry out a fault action: ``hang`` stalls for ``action.seconds``
-    and returns, and every other kind raises :class:`InjectedFault`."""
+    """Carry out a fault action: ``hang`` stalls for
+    :data:`DEFAULT_HANG_SECONDS` and returns, and every other kind
+    raises :class:`InjectedFault`."""
     if action.kind == "hang":
-        time.sleep(action.seconds)
+        time.sleep(DEFAULT_HANG_SECONDS)
         return
     raise InjectedFault(
         f"injected {action.kind!r} fault at site {action.site!r}"

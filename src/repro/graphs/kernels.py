@@ -61,18 +61,12 @@ def ragged_rows(
     return origin, csr.neighbor[idx], csr.edge_id[idx]
 
 
-def bfs_levels(
-    csr: CSRAdjacency,
-    sources: int | np.ndarray,
-    allowed_edges: np.ndarray | None = None,
-) -> np.ndarray:
+def bfs_levels(csr: CSRAdjacency, sources: int | np.ndarray) -> np.ndarray:
     """Multi-source hop distances by frontier-at-a-time BFS.
 
     Args:
         csr: Adjacency.
         sources: One source or an array of sources (all at distance 0).
-        allowed_edges: Optional boolean mask over edge ids; masked-out
-            edges are not traversed.
 
     Returns:
         ``(n,)`` int64 distances, ``-1`` for unreachable nodes.
@@ -82,9 +76,7 @@ def bfs_levels(
     dist[frontier] = 0
     level = 0
     while frontier.size:
-        _, nbrs, eids = ragged_rows(csr, frontier)
-        if allowed_edges is not None:
-            nbrs = nbrs[allowed_edges[eids]]
+        _, nbrs, _ = ragged_rows(csr, frontier)
         nbrs = nbrs[dist[nbrs] < 0]
         if nbrs.size == 0:
             break

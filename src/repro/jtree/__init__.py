@@ -10,12 +10,7 @@ from repro.jtree.madry import (
     madry_tree_phase,
     select_load_classes,
 )
-from repro.jtree.mwu import (
-    JTreeDistribution,
-    SampledJTree,
-    build_jtree_distribution,
-    sample_jtree_step,
-)
+from repro.jtree.mwu import JTreeDistribution, build_jtree_distribution
 from repro.jtree.embedding import EmbeddingReport, embedding_report
 from repro.jtree.hierarchy import (
     HierarchyParams,
@@ -35,9 +30,7 @@ __all__ = [
     "madry_tree_phase",
     "select_load_classes",
     "JTreeDistribution",
-    "SampledJTree",
     "build_jtree_distribution",
-    "sample_jtree_step",
     "HierarchyParams",
     "VirtualTree",
     "sample_virtual_tree",

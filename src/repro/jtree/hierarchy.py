@@ -23,33 +23,23 @@ unconditional (every row of R is a true cut of G; cf. Lemma 3.3's
 one-sided argument), while the tree distribution controls the upper
 bound α.
 
-Batched sampling
-----------------
+Independent samples
+-------------------
 
-Lemma 3.3 needs O(log n) *independent* samples, and
-:func:`sample_virtual_trees` draws them all in one level-synchronous
-pass instead of running the recursion once per sample:
+Lemma 3.3 needs O(log n) *independent* samples.
+:func:`sample_virtual_trees` spawns one child generator per sample and
+runs :func:`sample_virtual_tree` on each, one after another. Two things
+keep a sample cheap:
 
-* every sample advances through the same level structure in lockstep,
-  each driven by its own child generator (spawned exactly as the
-  legacy per-tree loop spawns them, so the two paths are
-  draw-for-draw identical — the golden tests pin this);
-* samples whose recursion paths still coincide (they hold the *same*
-  core object — always true at level 0, where the cores are the
-  shared input graph and its cached CSR) have their per-iteration MWU
-  length updates computed as one stacked ``(num_samples × num_edges)``
-  NumPy evaluation (:func:`repro.jtree.mwu.mwu_lengths`) instead of a
-  Python loop per tree;
-* the level-0 core is *shared*, not copied, per sample: nothing in the
-  recursion mutates a core, so all samples reuse the input graph's
-  cached CSR/adjacency/connectivity instead of re-deriving them;
+* its level-0 core is the input graph itself, shared rather than
+  copied: nothing in the recursion mutates a core, so every sample
+  reuses the graph's cached CSR, adjacency and connectivity;
 * within a level, only the **sampled** MWU iteration pays for
-  skeleton/portals/core-edge materialization: each iteration keeps
-  only its cheap :class:`~repro.jtree.madry.TreePhase`, and
-  :func:`~repro.jtree.madry.finish_jtree_step` — deterministic,
-  consuming no randomness — runs once per level on the sampled phase
-  (the same lazy loop :func:`repro.jtree.mwu.sample_jtree_step`
-  exposes for a single quotient).
+  skeleton, portals and core edges: the MWU loop
+  (:func:`repro.jtree.mwu.mwu_tree_phases`) keeps only each
+  iteration's cheap :class:`~repro.jtree.madry.TreePhase`, and
+  :func:`~repro.jtree.madry.finish_jtree_step`, which consumes no
+  randomness, runs once per level on the phase the sample picked.
 
 Stage-to-paper map: the per-level sparsifier is Lemma 6.1; each MWU
 iteration is one Madry step (§4 steps 1–3 = Theorem 3.1 trees plus the
@@ -71,8 +61,8 @@ from repro.cluster.cluster_graph import ClusterGraph
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
 from repro.graphs.trees import RootedTree, induced_cut_capacities
-from repro.jtree.madry import finish_jtree_step, madry_tree_phase
-from repro.jtree.mwu import mwu_lengths, _mwu_lambda
+from repro.jtree.madry import JTreeStep, finish_jtree_step
+from repro.jtree.mwu import mwu_tree_phases
 from repro.lsst.akpw import akpw_spanning_tree
 from repro.sparsify.sparsifier import sparsification_target, sparsify
 from repro.util.rng import as_generator, spawn
@@ -151,13 +141,13 @@ class VirtualTree:
 
 
 def _finish_with_spanning_tree(
-    cg: ClusterGraph, rng: np.random.Generator, phases_acc: list[int]
-) -> ClusterGraph:
-    """Collapse the remaining core with one low-stretch spanning tree."""
+    cg: ClusterGraph, rng: np.random.Generator
+) -> tuple[ClusterGraph, int]:
+    """Collapse the remaining core with one low-stretch spanning tree;
+    returns the one-cluster graph and the AKPW phases spent."""
     quotient = cg.quotient
     lengths = 1.0 / quotient.capacities()
     lsst = akpw_spanning_tree(quotient, lengths=lengths, rng=rng)
-    phases_acc.append(lsst.phases)
     tree = lsst.tree
     chosen_by_pair: dict[tuple[int, int], int] = {}
     for eid in lsst.tree_edges:
@@ -170,197 +160,60 @@ def _finish_with_spanning_tree(
         if p >= 0:
             forest_edge[c] = chosen_by_pair[(min(c, p), max(c, p))]
     single = Graph(1)
-    return cg.merge_along_forest(
+    merged = cg.merge_along_forest(
         forest_parent=forest_parent,
         forest_edge=forest_edge,
         new_quotient=single,
         new_edge_origin=[],
         component_of=[0] * quotient.num_nodes,
     )
+    return merged, lsst.phases
 
 
-class _SampleState:
-    """One virtual-tree sample's recursion state, advanced level by
-    level so the batched driver can run many samples in lockstep.
-
-    The methods partition one level of the legacy loop into
-    ``level_begin`` (sparsify + MWU init), ``mwu_iterate`` (one Madry
-    tree phase; the caller supplies the lengths so it can compute them
-    stacked across samples), and ``level_end`` (sample the iteration,
-    finish it, merge the cluster graph). Each sample owns its
-    generator, so any interleaving across samples leaves the
-    per-sample draw sequences — and therefore the outputs — identical
-    to running the samples one after another.
-    """
-
-    __slots__ = (
-        "rng",
-        "params",
-        "beta",
-        "threshold",
-        "cg",
-        "cluster_counts",
-        "phases_acc",
-        "sparsifier_rounds",
-        "levels",
-        "quotient",
-        "origin",
-        "j",
-        "caps",
-        "potentials",
-        "tree_phases",
-        "raw_weights",
-        "weight_total",
+def _sparsify_core(
+    cg: ClusterGraph, rng: np.random.Generator
+) -> tuple[ClusterGraph, int]:
+    """Sparsify the core to Õ(N) edges when it is above the Lemma 6.1
+    target; returns the cluster graph and the peeling rounds spent."""
+    quotient = cg.quotient
+    target = sparsification_target(quotient.num_nodes, 0.5)
+    if quotient.num_edges <= target:
+        return cg, 0
+    result = sparsify(quotient, rng=rng, target_edges=target)
+    sparse = ClusterGraph(
+        base=cg.base,
+        assignment=cg.assignment,
+        parent=cg.parent,
+        roots=cg.roots,
+        quotient=result.graph,
+        edge_origin=[cg.edge_origin[e] for e in result.edge_origin],
     )
-
-    def __init__(
-        self,
-        cg: ClusterGraph,
-        rng: np.random.Generator,
-        params: HierarchyParams,
-        beta: float,
-        threshold: int,
-    ) -> None:
-        self.rng = rng
-        self.params = params
-        self.beta = beta
-        self.threshold = threshold
-        self.cg = cg
-        self.cluster_counts = [cg.num_clusters]
-        self.phases_acc: list[int] = []
-        self.sparsifier_rounds = 0
-        self.levels = 0
-
-    def active(self) -> bool:
-        return (
-            self.cg.num_clusters > self.threshold
-            and self.levels < self.params.max_levels
-        )
-
-    def level_begin(self) -> None:
-        """Sparsify the core if needed and reset the MWU accumulators."""
-        quotient, origin = self.cg.quotient, self.cg.edge_origin
-        if self.params.sparsify_cores:
-            target = sparsification_target(quotient.num_nodes, 0.5)
-            if quotient.num_edges > target:
-                result = sparsify(quotient, rng=self.rng, target_edges=target)
-                self.sparsifier_rounds += result.rounds
-                origin = [origin[e] for e in result.edge_origin]
-                quotient = result.graph
-                self.cg = ClusterGraph(
-                    base=self.cg.base,
-                    assignment=self.cg.assignment,
-                    parent=self.cg.parent,
-                    roots=self.cg.roots,
-                    quotient=quotient,
-                    edge_origin=origin,
-                )
-        self.quotient = quotient
-        self.origin = origin
-        self.j = max(1, int(quotient.num_nodes / (4.0 * self.beta)))
-        self.caps = quotient.capacities()
-        self.potentials = np.zeros(quotient.num_edges)
-        self.tree_phases = []
-        self.raw_weights = []
-        self.weight_total = 0.0
-
-    def mwu_needs_iteration(self) -> bool:
-        return (
-            len(self.tree_phases) < self.params.trees_per_level
-            and self.weight_total < 1.0
-        )
-
-    def mwu_iterate(self, lengths: np.ndarray) -> None:
-        """One Madry tree phase with the supplied MWU lengths."""
-        phase = madry_tree_phase(
-            self.quotient,
-            lengths,
-            self.j,
-            rng=self.rng,
-            removal_policy=self.params.removal_policy,
-        )
-        lam, _ = _mwu_lambda(
-            self.weight_total, float(phase.rload_per_edge.max())
-        )
-        self.tree_phases.append(phase)
-        self.raw_weights.append(lam)
-        self.weight_total += lam
-        self.potentials = self.potentials + lam * phase.rload_per_edge
-
-    def level_end(self) -> None:
-        """Sample one iteration, finish it, and merge the level."""
-        weights = np.asarray(self.raw_weights, dtype=float)
-        weights = weights / weights.sum()
-        index = int(self.rng.choice(len(self.tree_phases), p=weights))
-        step = finish_jtree_step(self.quotient, self.tree_phases[index])
-        self.phases_acc.append(sum(p.phases for p in self.tree_phases))
-        if step.num_components >= self.cg.num_clusters:
-            raise GraphError("j-tree step made no progress")
-        if len(step.core_cap) and float(step.core_cap.min()) <= 0:
-            raise GraphError("j-tree core produced a non-positive capacity")
-        new_quotient = Graph._from_trusted_arrays(
-            step.num_components, step.core_u, step.core_v, step.core_cap
-        )
-        # Cores stay connected through sparsify (spanner skeleton) and
-        # contraction; seeding saves one BFS per downstream AKPW call.
-        new_quotient._connected_cache = True
-        new_origin = (
-            np.asarray(self.origin, dtype=np.int64)[step.core_origin].tolist()
-        )
-        self.cg = self.cg.merge_along_forest(
-            forest_parent=step.forest_parent,
-            forest_edge=step.forest_edge,
-            new_quotient=new_quotient,
-            new_edge_origin=new_origin,
-            component_of=step.component_of,
-        )
-        self.cluster_counts.append(self.cg.num_clusters)
-        self.levels += 1
-
-    def finish(self, graph: Graph) -> VirtualTree:
-        """Collapse any remainder and materialize the virtual tree."""
-        if self.cg.num_clusters > self.threshold:
-            raise GraphError(
-                f"hierarchy exhausted max_levels={self.params.max_levels} "
-                f"with {self.cg.num_clusters} clusters still above the "
-                f"threshold {self.threshold}"
-            )
-        if self.cg.num_clusters > 1:
-            self.cg = _finish_with_spanning_tree(
-                self.cg, self.rng, self.phases_acc
-            )
-            self.cluster_counts.append(1)
-        tree = RootedTree(self.cg.parent)
-        capacities = induced_cut_capacities(graph, tree)
-        tree = RootedTree(self.cg.parent, capacities)
-        return VirtualTree(
-            tree=tree,
-            levels=self.levels,
-            cluster_counts=self.cluster_counts,
-            phases=sum(self.phases_acc),
-            sparsifier_rounds=self.sparsifier_rounds,
-        )
+    return sparse, result.rounds
 
 
-def _run_level_sequential(state: _SampleState) -> None:
-    state.level_begin()
-    while state.mwu_needs_iteration():
-        state.mwu_iterate(mwu_lengths(state.potentials, state.caps))
-    state.level_end()
-
-
-def _make_states(
-    graph: Graph,
-    rngs: list[np.random.Generator],
-    params: HierarchyParams,
-) -> list[_SampleState]:
-    n = graph.num_nodes
-    beta = params.resolved_beta(n)
-    threshold = params.resolved_threshold(n)
-    shared = ClusterGraph.trivial(graph, share_quotient=True)
-    return [
-        _SampleState(shared, rng, params, beta, threshold) for rng in rngs
-    ]
+def _merge_level(cg: ClusterGraph, step: JTreeStep) -> ClusterGraph:
+    """Merge the clusters along the sampled j-tree's forest; its core
+    becomes the next level's quotient."""
+    if step.num_components >= cg.num_clusters:
+        raise GraphError("j-tree step made no progress")
+    if len(step.core_cap) and float(step.core_cap.min()) <= 0:
+        raise GraphError("j-tree core produced a non-positive capacity")
+    new_quotient = Graph._from_trusted_arrays(
+        step.num_components, step.core_u, step.core_v, step.core_cap
+    )
+    # Cores stay connected through sparsify (spanner skeleton) and
+    # contraction; seeding saves one BFS per downstream AKPW call.
+    new_quotient._connected_cache = True
+    new_origin = (
+        np.asarray(cg.edge_origin, dtype=np.int64)[step.core_origin].tolist()
+    )
+    return cg.merge_along_forest(
+        forest_parent=step.forest_parent,
+        forest_edge=step.forest_edge,
+        new_quotient=new_quotient,
+        new_edge_origin=new_origin,
+        component_of=step.component_of,
+    )
 
 
 def sample_virtual_tree(
@@ -387,10 +240,51 @@ def sample_virtual_tree(
     params = params or HierarchyParams()
     if graph.num_nodes == 1:
         return VirtualTree(tree=RootedTree([-1]), levels=0)
-    state = _make_states(graph, [rng], params)[0]
-    while state.active():
-        _run_level_sequential(state)
-    return state.finish(graph)
+    beta = params.resolved_beta(graph.num_nodes)
+    threshold = params.resolved_threshold(graph.num_nodes)
+    cg = ClusterGraph.trivial(graph, share_quotient=True)
+    cluster_counts = [cg.num_clusters]
+    phases = 0
+    sparsifier_rounds = 0
+    levels = 0
+    while cg.num_clusters > threshold and levels < params.max_levels:
+        if params.sparsify_cores:
+            cg, rounds = _sparsify_core(cg, rng)
+            sparsifier_rounds += rounds
+        quotient = cg.quotient
+        j = max(1, int(quotient.num_nodes / (4.0 * beta)))
+        tree_phases, weights, _ = mwu_tree_phases(
+            quotient,
+            j,
+            params.trees_per_level,
+            rng=rng,
+            removal_policy=params.removal_policy,
+        )
+        index = int(rng.choice(len(tree_phases), p=weights))
+        step = finish_jtree_step(quotient, tree_phases[index])
+        phases += sum(phase.phases for phase in tree_phases)
+        cg = _merge_level(cg, step)
+        cluster_counts.append(cg.num_clusters)
+        levels += 1
+    if cg.num_clusters > threshold:
+        raise GraphError(
+            f"hierarchy exhausted max_levels={params.max_levels} "
+            f"with {cg.num_clusters} clusters still above the "
+            f"threshold {threshold}"
+        )
+    if cg.num_clusters > 1:
+        cg, lsst_phases = _finish_with_spanning_tree(cg, rng)
+        phases += lsst_phases
+        cluster_counts.append(1)
+    tree = RootedTree(cg.parent)
+    capacities = induced_cut_capacities(graph, tree)
+    return VirtualTree(
+        tree=RootedTree(cg.parent, capacities),
+        levels=levels,
+        cluster_counts=cluster_counts,
+        phases=phases,
+        sparsifier_rounds=sparsifier_rounds,
+    )
 
 
 def sample_virtual_trees(
@@ -398,69 +292,25 @@ def sample_virtual_trees(
     num_samples: int,
     rng: np.random.Generator | int | None = None,
     params: HierarchyParams | None = None,
-    batched: bool = True,
 ) -> list[VirtualTree]:
     """Sample ``num_samples`` independent virtual trees (Lemma 3.3).
 
     Args:
         graph: Connected capacitated input graph G.
         num_samples: How many trees to draw (the O(log n) of Lemma 3.3).
-        rng: Randomness source; each sample runs on its own child
-            generator spawned from it, exactly as the per-tree loop
-            would.
+        rng: Randomness source; each sample runs
+            :func:`sample_virtual_tree` on its own child generator
+            spawned from it.
         params: Hierarchy tunables (shared across samples).
-        batched: Run all samples level-synchronously, sharing coinciding
-            cores and stacking the MWU length updates (the default).
-            ``False`` runs the samples one after another — kept as the
-            reference path; both produce identical trees for a fixed
-            seed (golden-tested).
 
     Returns:
         A list of ``num_samples`` :class:`VirtualTree` objects.
     """
     graph.require_connected()
     rng = as_generator(rng)
-    params = params or HierarchyParams()
     if num_samples <= 0:
         return []
-    children = spawn(rng, num_samples)
-    if graph.num_nodes == 1:
-        return [
-            VirtualTree(tree=RootedTree([-1]), levels=0) for _ in children
-        ]
-    if not batched:
-        return [
-            sample_virtual_tree(graph, rng=child, params=params)
-            for child in children
-        ]
-    states = _make_states(graph, children, params)
-    active = [s for s in states if s.active()]
-    while active:
-        for state in active:
-            state.level_begin()
-        # MWU iterations in lockstep: samples holding the *same* core
-        # object get their length updates computed as one stacked
-        # (num_samples × num_edges) evaluation.
-        pending = [s for s in active if s.mwu_needs_iteration()]
-        while pending:
-            groups: dict[int, list[_SampleState]] = {}
-            for state in pending:
-                groups.setdefault(id(state.quotient), []).append(state)
-            for group in groups.values():
-                if len(group) > 1:
-                    stacked = mwu_lengths(
-                        np.stack([s.potentials for s in group]),
-                        group[0].caps,
-                    )
-                    for row, state in zip(stacked, group):
-                        state.mwu_iterate(row)
-                else:
-                    state = group[0]
-                    state.mwu_iterate(
-                        mwu_lengths(state.potentials, state.caps)
-                    )
-            pending = [s for s in pending if s.mwu_needs_iteration()]
-        for state in active:
-            state.level_end()
-        active = [s for s in states if s.active()]
-    return [state.finish(graph) for state in states]
+    return [
+        sample_virtual_tree(graph, rng=child, params=params)
+        for child in spawn(rng, num_samples)
+    ]

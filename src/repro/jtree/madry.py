@@ -28,7 +28,7 @@ tree, loads, and removal set — everything the weight update consumes,
 and everything that draws randomness) and :func:`finish_jtree_step`
 (stages 4–5: skeleton, portals, forest orientation, and core edges —
 deterministic given the phase, so it can be run for *only the sampled*
-iteration of a distribution; cf. :func:`repro.jtree.mwu.sample_jtree_step`).
+iteration of a distribution; cf. :func:`repro.jtree.mwu.mwu_tree_phases`).
 """
 
 from __future__ import annotations

@@ -14,29 +14,21 @@ iterations, λ renormalized): Lemma 3.3 samples O(log n) trees from the
 distribution anyway, and Experiment E4 measures the resulting
 approximation quality directly.
 
-Two entry points:
+Two entry points share one loop:
 
-* :func:`build_jtree_distribution` materializes every iteration as a
-  full :class:`~repro.jtree.madry.JTreeStep` (the ablation /
-  inspection API);
-* :func:`sample_jtree_step` runs the same iterations but keeps only
-  the cheap :class:`~repro.jtree.madry.TreePhase` per iteration (the
-  MWU update consumes nothing else) and finishes skeleton/portals/core
-  edges for *only the sampled* iteration — the single-quotient form of
-  the lazy loop.
+* :func:`mwu_tree_phases` runs the truncated iterations and keeps only
+  each iteration's cheap :class:`~repro.jtree.madry.TreePhase` (the
+  weight update consumes nothing else). The hierarchy
+  (:mod:`repro.jtree.hierarchy`) calls it once per level, samples one
+  phase by λ, and finishes skeleton, portals and core edges for only
+  that phase;
+* :func:`build_jtree_distribution` runs the same loop and finishes
+  every phase into a full :class:`~repro.jtree.madry.JTreeStep` (the
+  ablation / inspection API).
 
-The hierarchy itself does not call either entry point: its
-``_SampleState`` (:mod:`repro.jtree.hierarchy`) re-runs the same lazy
-loop level-synchronously across many samples, which is why the loop's
-ingredients are factored here — :func:`mwu_lengths` (the length
-update, applied stacked over samples there) and :func:`_mwu_lambda`
-(the truncation rule). All three loops share those helpers plus
-:func:`~repro.jtree.madry.madry_tree_phase` /
-:func:`~repro.jtree.madry.finish_jtree_step`, so their randomness
-streams are draw-for-draw identical for a fixed seed — the golden
-tests pin ``sample_jtree_step`` against
-``build_jtree_distribution(...).sample(...)`` and the batched
-hierarchy against the sequential one.
+:func:`~repro.jtree.madry.finish_jtree_step` consumes no randomness,
+so finishing every phase or only the sampled one leaves the generator
+stream unchanged.
 """
 
 from __future__ import annotations
@@ -51,17 +43,15 @@ from repro.jtree.madry import (
     JTreeStep,
     TreePhase,
     finish_jtree_step,
-    madry_jtree_step,
     madry_tree_phase,
 )
 from repro.util.rng import as_generator
 
 __all__ = [
     "JTreeDistribution",
-    "SampledJTree",
     "build_jtree_distribution",
-    "sample_jtree_step",
     "mwu_lengths",
+    "mwu_tree_phases",
 ]
 
 #: Per-iteration potential growth target (λ_i = PROGRESS / max rload).
@@ -76,23 +66,79 @@ def mwu_lengths(potentials: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """The MWU edge lengths ``exp(min(η·potential, cap_exp)) / cap``.
 
     Elementwise, so it applies unchanged to a single ``(m,)`` potential
-    vector or to a ``(num_samples, m)`` stack of them (the batched
-    hierarchy computes every active sample's lengths in one call;
-    broadcasting keeps the per-row results bitwise identical to the
-    per-sample computation, which the golden tests rely on).
+    vector or to a ``(num_samples, m)`` stack of them; broadcasting
+    keeps each row of a stacked call bitwise identical to the 1-D call
+    on that row.
     """
     potentials = np.asarray(potentials)
     return np.exp(np.minimum(ETA * potentials, MAX_EXPONENT)) / caps
 
 
-def _mwu_lambda(total: float, r_max: float) -> tuple[float, float]:
-    """One iteration's (λ, r_max) under the truncation rule."""
+def _mwu_lambda(total: float, r_max: float) -> float:
+    """One iteration's λ under the truncation rule."""
     if r_max <= 0:
         r_max = 1.0
     lam = min(1.0 - total, PROGRESS / r_max)
     if lam <= 0:
         lam = PROGRESS / r_max
-    return lam, r_max
+    return lam
+
+
+def mwu_tree_phases(
+    quotient: Graph,
+    j: int,
+    num_trees: int,
+    rng: np.random.Generator | int | None = None,
+    removal_policy: str = "classes",
+) -> tuple[list[TreePhase], np.ndarray, np.ndarray]:
+    """Run the truncated MWU loop: Madry tree phases under exponentially
+    up-weighted lengths, until ``num_trees`` phases or total weight 1.
+
+    Each iteration draws one
+    :func:`~repro.jtree.madry.madry_tree_phase` under the lengths
+    :func:`mwu_lengths` derives from the potentials, weights it by the
+    truncation rule, and adds ``λ · rload`` to the potentials.
+
+    Args:
+        quotient: Cluster multigraph (the current core).
+        j: The j parameter handed to every Madry step.
+        num_trees: Iteration cap (the paper's full construction runs
+            Θ(|E| α log n / j); the hierarchy truncates because it
+            samples O(log n) trees overall, cf. Lemma 3.3).
+        rng: Randomness source.
+        removal_policy: Passed to every Madry step.
+
+    Returns:
+        ``(phases, weights, potentials)``: every iteration's
+        :class:`~repro.jtree.madry.TreePhase`, their λ normalized to sum
+        to 1, and the final per-edge potentials.
+
+    Raises:
+        GraphError: If ``num_trees < 1``.
+    """
+    if num_trees < 1:
+        raise GraphError("num_trees must be >= 1")
+    rng = as_generator(rng)
+    caps = quotient.capacities()
+    potentials = np.zeros(quotient.num_edges)
+    phases: list[TreePhase] = []
+    raw_weights: list[float] = []
+    total = 0.0
+    while len(phases) < num_trees and total < 1.0:
+        phase = madry_tree_phase(
+            quotient,
+            mwu_lengths(potentials, caps),
+            j,
+            rng=rng,
+            removal_policy=removal_policy,
+        )
+        lam = _mwu_lambda(total, float(phase.rload_per_edge.max()))
+        phases.append(phase)
+        raw_weights.append(lam)
+        total += lam
+        potentials = potentials + lam * phase.rload_per_edge
+    weights = np.asarray(raw_weights, dtype=float)
+    return phases, weights / weights.sum(), potentials
 
 
 @dataclass
@@ -116,22 +162,6 @@ class JTreeDistribution:
         return self.steps[index]
 
 
-@dataclass
-class SampledJTree:
-    """One j-tree sampled from a (lazily built) MWU distribution.
-
-    Attributes:
-        step: The finished :class:`JTreeStep` of the sampled iteration.
-        phases: Total SplitGraph phases over *all* iterations (round
-            accounting charges the whole distribution build).
-        num_iterations: Iterations the truncated construction ran.
-    """
-
-    step: JTreeStep
-    phases: int
-    num_iterations: int
-
-
 def build_jtree_distribution(
     quotient: Graph,
     j: int,
@@ -141,85 +171,18 @@ def build_jtree_distribution(
 ) -> JTreeDistribution:
     """Build a truncated MWU distribution of j-trees.
 
-    Args:
-        quotient: Cluster multigraph (the current core).
-        j: The j parameter handed to every Madry step.
-        num_trees: Number of iterations (the paper's full construction
-            runs Θ(|E| α log n / j); the hierarchy truncates because it
-            samples O(log n) trees overall, cf. Lemma 3.3).
-        rng: Randomness source.
+    Runs :func:`mwu_tree_phases` and finishes every phase into a
+    :class:`~repro.jtree.madry.JTreeStep`; the arguments are that
+    function's.
 
     Returns:
         A :class:`JTreeDistribution`.
     """
-    if num_trees < 1:
-        raise GraphError("num_trees must be >= 1")
-    rng = as_generator(rng)
-    caps = quotient.capacities()
-    potentials = np.zeros(quotient.num_edges)
-    steps: list[JTreeStep] = []
-    raw_weights: list[float] = []
-    total = 0.0
-    for _ in range(num_trees):
-        lengths = mwu_lengths(potentials, caps)
-        step = madry_jtree_step(
-            quotient, lengths, j, rng=rng, removal_policy=removal_policy
-        )
-        lam, _ = _mwu_lambda(total, float(step.rload_per_edge.max()))
-        steps.append(step)
-        raw_weights.append(lam)
-        total += lam
-        potentials = potentials + lam * step.rload_per_edge
-        if total >= 1.0:
-            break
-    weights = np.asarray(raw_weights, dtype=float)
-    weights = weights / weights.sum()
-    return JTreeDistribution(
-        steps=steps, weights=weights, potentials=potentials
+    phases, weights, potentials = mwu_tree_phases(
+        quotient, j, num_trees, rng=rng, removal_policy=removal_policy
     )
-
-
-def sample_jtree_step(
-    quotient: Graph,
-    j: int,
-    num_trees: int,
-    rng: np.random.Generator | int | None = None,
-    removal_policy: str = "classes",
-) -> SampledJTree:
-    """Sample one j-tree from the truncated MWU distribution, lazily.
-
-    Runs the same iterations as :func:`build_jtree_distribution` but
-    materializes only the sampled iteration's skeleton / portals /
-    core edges (:func:`~repro.jtree.madry.finish_jtree_step` is
-    deterministic, so deferring it does not touch the randomness
-    stream). For a fixed seed the returned step equals
-    ``build_jtree_distribution(...).sample(rng)`` exactly.
-    """
-    if num_trees < 1:
-        raise GraphError("num_trees must be >= 1")
-    rng = as_generator(rng)
-    caps = quotient.capacities()
-    potentials = np.zeros(quotient.num_edges)
-    phases_list: list[TreePhase] = []
-    raw_weights: list[float] = []
-    total = 0.0
-    for _ in range(num_trees):
-        lengths = mwu_lengths(potentials, caps)
-        phase = madry_tree_phase(
-            quotient, lengths, j, rng=rng, removal_policy=removal_policy
-        )
-        lam, _ = _mwu_lambda(total, float(phase.rload_per_edge.max()))
-        phases_list.append(phase)
-        raw_weights.append(lam)
-        total += lam
-        potentials = potentials + lam * phase.rload_per_edge
-        if total >= 1.0:
-            break
-    weights = np.asarray(raw_weights, dtype=float)
-    weights = weights / weights.sum()
-    index = int(rng.choice(len(phases_list), p=weights))
-    return SampledJTree(
-        step=finish_jtree_step(quotient, phases_list[index]),
-        phases=sum(p.phases for p in phases_list),
-        num_iterations=len(phases_list),
+    return JTreeDistribution(
+        steps=[finish_jtree_step(quotient, phase) for phase in phases],
+        weights=weights,
+        potentials=potentials,
     )

@@ -117,11 +117,6 @@ class ServerHealth:
         deadline_hits: Requests that exceeded their deadline.
         last_error: ``repr``-style description of the most recent
             absorbed failure (``None`` when the server never failed).
-        incremental_refreshes: Epoch moves absorbed by the
-            journal-driven exact cut refresh instead of a full rebuild
-            (``refresh="incremental"`` only).
-        warm_starts: Queries seeded from a salvaged previous-epoch
-            flow instead of starting cold.
     """
 
     workspace_fallbacks: int
@@ -129,8 +124,6 @@ class ServerHealth:
     miss_retries: int
     deadline_hits: int
     last_error: str | None
-    incremental_refreshes: int = 0
-    warm_starts: int = 0
 
 
 class FlowServer:
@@ -499,8 +492,6 @@ class FlowServer:
             miss_retries=self._miss_retries,
             deadline_hits=self._deadline_hits,
             last_error=self._last_error,
-            incremental_refreshes=self._incremental_refreshes,
-            warm_starts=self._warm_starts,
         )
 
     def cache_stats(self) -> CacheStats:

@@ -156,23 +156,6 @@ class TestFaultPlan:
         with pytest.raises(FaultSpecError):
             plan.maybe_fire("serve.nonsense")
 
-    def test_seeded_schedule_is_deterministic_per_site(self):
-        def pattern(seed):
-            plan = FaultPlan(seed=seed, rate=0.5, sites=("serve.miss",))
-            return [
-                plan.maybe_fire("serve.miss") is not None
-                for _ in range(64)
-            ]
-
-        first, again = pattern(7), pattern(7)
-        assert first == again
-        assert any(first) and not all(first)
-        assert pattern(8) != first
-
-    def test_seeded_schedule_needs_a_seed(self):
-        with pytest.raises(FaultSpecError):
-            FaultPlan(rate=0.5)
-
     def test_use_faults_scopes_activation(self):
         plan = FaultPlan(["serve.miss@1"])
         assert active_plan() is None

@@ -44,27 +44,23 @@ from parallel_harness import (
 # ----------------------------------------------------------------------
 # Pure-Python references and the derived-cache contract
 # ----------------------------------------------------------------------
-def reference_adjacency(
-    graph: Graph, allowed=None
-) -> list[list[tuple[int, int]]]:
-    """``(neighbor, edge_id)`` lists in edge-insertion order, skipping
-    edges whose ``allowed`` entry is False."""
+def reference_adjacency(graph: Graph) -> list[list[tuple[int, int]]]:
+    """``(neighbor, edge_id)`` lists in edge-insertion order."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.num_nodes)]
     tails, heads = graph.edge_index_arrays()
     for eid, (u, v) in enumerate(zip(tails.tolist(), heads.tolist())):
-        if allowed is None or allowed[eid]:
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
     return adj
 
 
 def reference_bfs(
-    graph: Graph, sources, allowed=None
+    graph: Graph, sources
 ) -> tuple[list[int], list[int], list[int]]:
     """FIFO-queue BFS from ``sources``: ``(dist, parent, parent_edge)``
     with the kernels' conventions (root parent ``-1``, unreached
     ``-1`` / ``-2`` / ``-1``)."""
-    adj = reference_adjacency(graph, allowed)
+    adj = reference_adjacency(graph)
     dist = [-1] * graph.num_nodes
     parent = [-2] * graph.num_nodes
     parent_edge = [-1] * graph.num_nodes
@@ -116,19 +112,17 @@ def assert_cache_invariants(graph: Graph) -> None:
 # Kernel sweep
 # ----------------------------------------------------------------------
 def assert_bfs_matches_reference(graph: Graph) -> None:
-    """BFS levels (single source, masked multi-source) and the BFS
-    parent tree == the FIFO reference, exactly."""
+    """BFS levels (single and multi-source) and the BFS parent tree ==
+    the FIFO reference, exactly."""
     csr = graph.csr()
     assert_arrays_identical(
         "bfs_levels", reference_bfs(graph, [0])[0], kernels.bfs_levels(csr, 0)
     )
     sources = np.array([0, graph.num_nodes // 2], dtype=np.int64)
-    mask = np.zeros(graph.num_edges, dtype=bool)
-    mask[::2] = True
     assert_arrays_identical(
-        "bfs_levels[masked multi-source]",
-        reference_bfs(graph, sources.tolist(), allowed=mask)[0],
-        kernels.bfs_levels(csr, sources, allowed_edges=mask),
+        "bfs_levels[multi-source]",
+        reference_bfs(graph, sources.tolist())[0],
+        kernels.bfs_levels(csr, sources),
     )
     for part, expected, actual in zip(
         ("dist", "parent", "parent_edge"),

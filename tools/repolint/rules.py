@@ -81,10 +81,10 @@ class RngDiscipline(Rule):
 
     Module-level NumPy RNG state (``np.random.seed`` / ``np.random.rand``
     / …) and the stdlib ``random`` module are process-global: any use
-    breaks run-to-run reproducibility and the draw-for-draw golden
-    equivalence the batched samplers are pinned against (PR 2). The
-    single coercion point is ``repro.util.rng.as_generator``; that file
-    is the one place allowed to touch ``np.random.default_rng``.
+    breaks run-to-run reproducibility and the draw-for-draw goldens the
+    tree samplers are pinned against. The single coercion point is
+    ``repro.util.rng.as_generator``; that file is the one place allowed
+    to touch ``np.random.default_rng``.
     """
 
     name = "rng-discipline"
