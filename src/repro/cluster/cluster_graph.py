@@ -45,25 +45,22 @@ class ClusterGraph:
 
     # ------------------------------------------------------------------
     @classmethod
-    def trivial(cls, graph: Graph, share_quotient: bool = False) -> "ClusterGraph":
-        """The level-0 cluster graph: every node its own cluster, the
-        quotient is (a copy of) the graph itself.
+    def trivial(cls, graph: Graph) -> "ClusterGraph":
+        """The level-0 cluster graph: every node its own cluster, and
+        ``graph`` itself is the quotient.
 
-        Args:
-            graph: The base network graph.
-            share_quotient: Use ``graph`` itself as the level-0 quotient
-                instead of a copy. The hierarchy does this for every
-                sample — nothing in the recursion mutates a core, and
-                sharing keeps the input graph's cached CSR / adjacency /
-                connectivity warm across all O(log n) samples. Callers
-                that mutate the quotient must keep the copying default.
+        The quotient is shared, not copied: the hierarchy builds one
+        trivial cluster graph per sample, and sharing keeps the input
+        graph's cached CSR, adjacency and connectivity warm across all
+        O(log n) samples. Callers must not mutate the quotient of a
+        trivial cluster graph; every level transition builds a new one.
         """
         return cls(
             base=graph,
             assignment=list(range(graph.num_nodes)),
             parent=[-1] * graph.num_nodes,
             roots=list(range(graph.num_nodes)),
-            quotient=graph if share_quotient else graph.copy(),
+            quotient=graph,
             edge_origin=list(range(graph.num_edges)),
         )
 

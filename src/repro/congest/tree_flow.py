@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.congest.model import CongestNetwork, Message, NodeContext
+from repro.errors import TreeError
 from repro.graphs.graph import Graph
 from repro.graphs.trees import RootedTree
 
@@ -63,7 +64,7 @@ class _TreeFlowNode:
         self,
         node: int,
         tree: RootedTree,
-        edge_map: dict[int, int],
+        edge_map: list[int],
         window: int,
     ) -> None:
         self.node = node
@@ -198,7 +199,9 @@ def distributed_tree_flow(
 
     Args:
         graph: The host graph; capacities are the |f'| weights.
-        tree: A rooted spanning tree whose edges are graph edges.
+        tree: A rooted spanning tree built from the graph's edges (such
+            as :func:`~repro.graphs.trees.bfs_tree`); each node talks
+            to its parent over ``tree.parent_edge``.
         network: Optional simulator (a fresh one is built otherwise).
         max_rounds: Safety cap.
 
@@ -206,15 +209,13 @@ def distributed_tree_flow(
         A :class:`TreeFlowRun`; ``cut_capacity[v]`` equals the
         centralized ``induced_cut_capacities(graph, tree)[v]`` for
         every non-root v (verified in tests).
+
+    Raises:
+        TreeError: If the tree records no graph edges.
     """
-    edge_of_pair: dict[tuple[int, int], int] = {}
-    for e in graph.edges():
-        edge_of_pair.setdefault((min(e.u, e.v), max(e.u, e.v)), e.id)
-    edge_map: dict[int, int] = {}
-    for v in range(tree.num_nodes):
-        p = tree.parent[v]
-        if p >= 0:
-            edge_map[v] = edge_of_pair[(min(v, p), max(v, p))]
+    if tree.parent_edge is None:
+        raise TreeError("tree records no graph edges to send messages on")
+    edge_map = tree.parent_edge.tolist()
     window = tree.height() + 1
     net = network or CongestNetwork(graph)
     result = net.run(

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.flow.mst import maximum_spanning_tree
-from repro.graphs import kernels
 from repro.graphs.csr import WIDE_DTYPE
 from repro.graphs.graph import Graph
 from repro.graphs.trees import RootedTree, bfs_tree, induced_cut_capacities
@@ -246,27 +245,17 @@ def racke_sample_trees(
     iteration = 0
     while len(out) < num_trees:
         lengths = mwu_lengths(potentials, caps)
-        lsst = akpw_spanning_tree(graph, lengths=lengths, rng=rng)
-        cut_caps = induced_cut_capacities(graph, lsst.tree)
+        tree = akpw_spanning_tree(graph, lengths=lengths, rng=rng).tree
+        cut_caps = induced_cut_capacities(graph, tree)
+        nonroot = np.flatnonzero(tree.parent_edge >= 0)
+        eids = tree.parent_edge[nonroot]
         rload = np.zeros(graph.num_edges)
-        tree_edges = np.asarray(lsst.tree_edges, dtype=WIDE_DTYPE)
-        tails, heads = graph.edge_index_arrays()
-        keys, first = kernels.pair_first_edge_index(
-            tails[tree_edges], heads[tree_edges], graph.num_nodes
-        )
-        parents = np.asarray(lsst.tree.parent, dtype=WIDE_DTYPE)
-        nonroot = np.flatnonzero(parents >= 0)
-        eids = tree_edges[
-            kernels.lookup_pairs(
-                keys, first, graph.num_nodes, nonroot, parents[nonroot]
-            )
-        ]
         rload[eids] = cut_caps[nonroot] / caps[eids]
         r_max = max(float(rload.max()), 1.0)
         potentials += 0.5 * rload / r_max * np.log(max(graph.num_edges, 2))
         iteration += 1
         if iteration % mwu_rounds_per_tree == 0 or len(out) == 0:
-            out.append(RootedTree(lsst.tree.parent, cut_caps))
+            out.append(RootedTree(tree.parent, cut_caps))
     return out[:num_trees]
 
 

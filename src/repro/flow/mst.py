@@ -43,6 +43,10 @@ class _DisjointSets:
 
 
 def _kruskal(graph: Graph, maximize: bool, root: int) -> RootedTree:
+    """Kruskal's tree, rooted at ``root``; each tree edge carries the
+    capacity of the graph edge Kruskal picked for it (``parent_edge``).
+    Among parallel edges that is the first in the sorted order: the
+    extreme capacity, lowest id on ties."""
     graph.require_connected()
     caps_arr = graph.capacities()
     # Stable argsort = sorted(..., reverse=maximize): equal capacities
@@ -58,26 +62,9 @@ def _kruskal(graph: Graph, maximize: bool, root: int) -> RootedTree:
             if len(chosen) == graph.num_nodes - 1:
                 break
     tree = spanning_tree_from_edges(graph, chosen, root=root)
-    # Attach capacities to the tree edges: capacity of the graph edge
-    # joining child and parent (max over parallel edges in `chosen`).
-    chosen_arr = np.asarray(chosen, dtype=np.int64)
-    n = graph.num_nodes
-    parents = np.asarray(tree.parent, dtype=np.int64)
-    nonroot = np.flatnonzero(parents >= 0)
-    caps = np.zeros(n)
-    if len(chosen_arr):
-        lo = np.minimum(tails[chosen_arr], heads[chosen_arr])
-        hi = np.maximum(tails[chosen_arr], heads[chosen_arr])
-        keys = lo * np.int64(n) + hi
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        pair_cap = np.full(len(uniq), -np.inf)
-        np.maximum.at(pair_cap, inverse, caps_arr[chosen_arr])
-        query = (
-            np.minimum(nonroot, parents[nonroot]) * np.int64(n)
-            + np.maximum(nonroot, parents[nonroot])
-        )
-        caps[nonroot] = pair_cap[np.searchsorted(uniq, query)]
-    return RootedTree(parents, caps)
+    child = tree.parent_edge >= 0
+    tree.capacity[child] = caps_arr[tree.parent_edge[child]]
+    return tree
 
 
 def maximum_spanning_tree(graph: Graph, root: int = 0) -> RootedTree:

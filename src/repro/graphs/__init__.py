@@ -6,12 +6,10 @@ from repro.graphs.csr import CSRAdjacency, build_csr
 from repro.graphs.graph import Edge, Graph
 from repro.graphs.trees import (
     RootedTree,
-    average_stretch,
     bfs_tree,
     induced_cut_capacities,
     spanning_tree_from_edges,
     tree_route_demand,
-    weighted_average_stretch,
 )
 from repro.graphs.io import read_dimacs, read_json, write_dimacs, write_json
 from repro.graphs.cuts import (
@@ -29,12 +27,10 @@ __all__ = [
     "Edge",
     "Graph",
     "RootedTree",
-    "average_stretch",
     "bfs_tree",
     "induced_cut_capacities",
     "spanning_tree_from_edges",
     "tree_route_demand",
-    "weighted_average_stretch",
     "cut_capacity",
     "cut_congestion_lower_bound",
     "cut_demand",

@@ -38,7 +38,6 @@ per edge.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -70,6 +69,42 @@ SMALL_GRAPH_LIMIT = 8192
 #: (contraction, batched LCA) loses to plain loops — the j-tree
 #: recursion spends most of its calls on such tiny quotient graphs.
 TINY_GRAPH_LIMIT = 512
+
+
+def fifo_bfs(
+    adjacency: Sequence[Sequence[tuple[int, int]]],
+    source: int,
+    dist: list[int],
+    parent: list[int] | None = None,
+    parent_edge: list[int] | None = None,
+) -> list[int]:
+    """First-in-first-out BFS from ``source`` over ``(neighbor,
+    edge_id)`` adjacency lists: the Python side of every small-graph
+    traversal, output-identical to
+    :func:`~repro.graphs.kernels.bfs_parents`.
+
+    ``dist`` doubles as the visited mark: entries below 0 are
+    unvisited, and the search fills the hop distance of every node it
+    reaches. When ``parent`` and ``parent_edge`` are given, it also
+    records, per reached node, the node that claimed it and the edge id
+    it was claimed over: the first reached neighbour in FIFO order,
+    ties broken by adjacency order.
+
+    Returns:
+        The reached nodes in visit order, ``source`` first.
+    """
+    dist[source] = 0
+    order = [source]
+    for node in order:  # appending while iterating makes ``order`` the queue
+        step = dist[node] + 1
+        for neighbor, eid in adjacency[node]:
+            if dist[neighbor] < 0:
+                dist[neighbor] = step
+                order.append(neighbor)
+                if parent is not None and parent_edge is not None:
+                    parent[neighbor] = node
+                    parent_edge[neighbor] = eid
+    return order
 
 
 @dataclass(frozen=True)
@@ -540,23 +575,13 @@ class Graph:
         if not self.is_small():
             return kernels.connected_components(self.csr())
         adj = self.adjacency_lists()
-        seen = [False] * self._n
-        components: list[list[int]] = []
-        for start in range(self._n):
-            if seen[start]:
-                continue
-            component = [start]
-            seen[start] = True
-            queue = deque([start])
-            while queue:
-                node = queue.popleft()
-                for neighbor, _ in adj[node]:
-                    if not seen[neighbor]:
-                        seen[neighbor] = True
-                        component.append(neighbor)
-                        queue.append(neighbor)
-            components.append(component)
-        return components
+        # One shared mark: each search skips what earlier ones reached.
+        dist = [-1] * self._n
+        return [
+            fifo_bfs(adj, start, dist)
+            for start in range(self._n)
+            if dist[start] < 0
+        ]
 
     def is_connected(self) -> bool:
         """Return True iff the graph is connected (single BFS; memoized
@@ -566,19 +591,8 @@ class Graph:
         if not self.is_small():
             connected = bool(kernels.bfs_levels(self.csr(), 0).min() >= 0)
         else:
-            adj = self.adjacency_lists()
-            seen = [False] * self._n
-            seen[0] = True
-            count = 1
-            queue = deque([0])
-            while queue:
-                node = queue.popleft()
-                for neighbor, _ in adj[node]:
-                    if not seen[neighbor]:
-                        seen[neighbor] = True
-                        count += 1
-                        queue.append(neighbor)
-            connected = count == self._n
+            reached = fifo_bfs(self.adjacency_lists(), 0, [-1] * self._n)
+            connected = len(reached) == self._n
         self._connected_cache = connected
         return connected
 
@@ -594,16 +608,8 @@ class Graph:
         """Return hop distances from ``source`` (-1 for unreachable)."""
         if not self.is_small():
             return kernels.bfs_levels(self.csr(), source).tolist()
-        adj = self.adjacency_lists()
         dist = [-1] * self._n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            node = queue.popleft()
-            for neighbor, _ in adj[node]:
-                if dist[neighbor] < 0:
-                    dist[neighbor] = dist[node] + 1
-                    queue.append(neighbor)
+        fifo_bfs(self.adjacency_lists(), source, dist)
         return dist
 
     def diameter(self) -> int:
@@ -772,15 +778,6 @@ class Graph:
                 compact[label] = len(compact)
             node_map.append(compact[label])
         return node_map
-
-    def node_map_after_contract(self, labels: Sequence[int]) -> list[int]:
-        """Return the compacted node map used by :meth:`contract`."""
-        if len(labels) != self._n:
-            raise GraphError("labels must have one entry per node")
-        if self.is_tiny():
-            return self._compact_tiny(labels)
-        node_map, _ = kernels.compact_labels(labels)
-        return node_map.tolist()
 
     # ------------------------------------------------------------------
     # Subgraphs

@@ -1,13 +1,17 @@
 """Vectorized graph kernels over :class:`~repro.graphs.csr.CSRAdjacency`.
 
 These are the shared frontier-at-a-time / scatter-gather primitives the
-whole library runs on: BFS (levels and deterministic parent trees),
-connected components, label compaction and contraction, and
-first-edge-per-node-pair indexing.  Every kernel is NumPy-whole-array —
-no Python work proportional to ``m`` — and every kernel that has a
-legacy pure-Python equivalent reproduces its output *exactly*,
-including tie-breaking and discovery order (the golden tests in
-``tests/test_csr.py`` pin this equivalence on random multigraphs).
+whole library runs on: BFS (levels and deterministic parent trees with
+the edge each node was claimed over, which rooted spanning trees keep as
+their ``parent_edge``), connected components, label compaction and
+contraction, and first-edge-per-node-pair indexing (the CONGEST cluster
+simulation's lookup of cluster-tree edges).  Every kernel is
+NumPy-whole-array — no Python work proportional to ``m`` — and every
+kernel that has a pure-Python equivalent
+(:func:`~repro.graphs.graph.fifo_bfs` and the tiny-graph contraction)
+reproduces its output *exactly*, including tie-breaking and discovery
+order (the golden tests in ``tests/test_csr.py`` pin this equivalence on
+random multigraphs).
 
 The determinism contract matters because several algorithms (SplitGraph
 ball growing, BFS tree construction, component-order-dependent
@@ -27,7 +31,6 @@ __all__ = [
     "bfs_levels",
     "bfs_parents",
     "multi_source_hop_distances",
-    "all_pairs_hop_distances",
     "connected_components",
     "compact_labels",
     "contract_edges",
@@ -165,27 +168,6 @@ def multi_source_hop_distances(
         flat[keys] = level
         src, nodes = np.divmod(keys, n)
     return dist
-
-
-def all_pairs_hop_distances(
-    csr: CSRAdjacency, max_batch_cells: int = 1 << 24
-) -> np.ndarray:
-    """All-pairs hop distances via lockstep BFS over source batches.
-
-    Returns:
-        ``(n, n)`` int64 matrix, ``-1`` where unreachable. O(n·m) work;
-        peak *working* memory beyond the result is bounded by
-        ``max_batch_cells`` matrix cells per batch.
-    """
-    n = csr.num_nodes
-    batch = max(1, max_batch_cells // max(n, 1))
-    out = np.empty((n, n), dtype=WIDE_DTYPE)
-    for start in range(0, n, batch):
-        sources = np.arange(start, min(start + batch, n), dtype=WIDE_DTYPE)
-        out[start : start + len(sources)] = multi_source_hop_distances(
-            csr, sources
-        )
-    return out
 
 
 def connected_components(csr: CSRAdjacency) -> list[list[int]]:

@@ -9,8 +9,12 @@ tree. This module implements all of those tree operations centrally
 performs on the virtual trees, cf. Section 9 and Corollary 9.3).
 
 A :class:`RootedTree` is a parent-pointer array over nodes ``0..n-1``
-with per-edge capacities on the (child -> parent) edges. On top of the
-parent array it caches, built once per tree:
+with per-edge capacities on the (child -> parent) edges. A tree built
+from graph edges (:func:`bfs_tree`, :func:`spanning_tree_from_edges`
+and the spanning-tree constructors on top of it) also records which
+graph edge each (child -> parent) edge is, so nothing downstream looks
+that edge up again. On top of the parent array it caches, built once
+per tree:
 
 * a DFS **Euler tour** (``order`` / ``tin`` / ``tout``), making every
   subtree aggregation two cumulative-sum lookups and every
@@ -23,7 +27,6 @@ parent array it caches, built once per tree:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,7 +34,7 @@ import numpy as np
 from repro.errors import TreeError
 from repro.graphs import kernels
 from repro.graphs.csr import WIDE_DTYPE, build_csr
-from repro.graphs.graph import SMALL_GRAPH_LIMIT, Graph
+from repro.graphs.graph import SMALL_GRAPH_LIMIT, Graph, fifo_bfs
 
 __all__ = [
     "RootedTree",
@@ -39,8 +42,6 @@ __all__ = [
     "bfs_tree",
     "tree_route_demand",
     "induced_cut_capacities",
-    "average_stretch",
-    "weighted_average_stretch",
 ]
 
 
@@ -53,6 +54,11 @@ class RootedTree:
         root: The root node.
         capacity: ``capacity[v]`` is the capacity of the edge
             ``(v, parent[v])``; ``capacity[root]`` is ignored (0).
+        parent_edge: ``parent_edge[v]`` is the id of the graph edge
+            joining ``v`` and ``parent[v]`` (``WIDE_DTYPE``), ``-1`` at
+            the root. Set by the builders that root a tree on graph
+            edges; ``None`` for a tree built from a bare parent array
+            (the virtual trees, ``congest.build_bfs_tree``).
 
     Construction validates acyclicity and computes depths in one
     amortized pass; the Euler intervals, child lists, and the
@@ -65,6 +71,7 @@ class RootedTree:
         self,
         parent: Sequence[int],
         capacity: Sequence[float] | None = None,
+        parent_edge: Sequence[int] | None = None,
     ) -> None:
         if isinstance(parent, np.ndarray):
             self._parent_arr = parent.astype(WIDE_DTYPE)
@@ -87,6 +94,11 @@ class RootedTree:
                 raise TreeError("capacity array must have one entry per node")
             self.capacity = np.asarray(capacity, dtype=float).copy()
         self.capacity[self.root] = 0.0
+        self.parent_edge: np.ndarray | None = None
+        if parent_edge is not None:
+            self.parent_edge = np.asarray(parent_edge, dtype=WIDE_DTYPE)
+            if self.parent_edge.shape != (n,):
+                raise TreeError("parent_edge must have one entry per node")
         self._depth_list = self._validate_depths()
         self._euler: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._children_cache: list[list[int]] | None = None
@@ -289,20 +301,6 @@ class RootedTree:
                 node = self.parent[node]
         return total
 
-    def path_lengths_batch(
-        self,
-        us: np.ndarray,
-        vs: np.ndarray,
-        edge_length: Sequence[float] | None = None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`path_length` over pair arrays."""
-        anc = self.lca_batch(us, vs)
-        if edge_length is None:
-            dist = self.depths.astype(float)
-        else:
-            dist = self.prefix_sums_from_root(edge_length)
-        return dist[us] + dist[vs] - 2.0 * dist[anc]
-
     # ------------------------------------------------------------------
     # Aggregations (the paper's convergecast / downcast)
     # ------------------------------------------------------------------
@@ -376,28 +374,27 @@ class RootedTree:
 
 
 def bfs_tree(graph: Graph, root: int = 0) -> RootedTree:
-    """Breadth-first spanning tree of a connected graph."""
+    """Breadth-first spanning tree of a connected graph, rooted at
+    ``root``. Each node hangs off the first reached neighbour in FIFO
+    order; its ``parent_edge`` is the lowest-id edge joining the two,
+    because adjacency rows are in edge-id order."""
     graph.require_connected()
     if not graph.is_small():
-        _, parent, _ = kernels.bfs_parents(graph.csr(), root)
-        return RootedTree(parent)
-    parent = [-2] * graph.num_nodes
-    parent[root] = -1
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for neighbor, _ in graph.neighbors(node):
-            if parent[neighbor] == -2:
-                parent[neighbor] = node
-                queue.append(neighbor)
-    return RootedTree(parent)
+        _, parent, parent_edge = kernels.bfs_parents(graph.csr(), root)
+        return RootedTree(parent, parent_edge=parent_edge)
+    n = graph.num_nodes
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    fifo_bfs(graph.adjacency_lists(), root, [-1] * n, parent, parent_edge)
+    return RootedTree(parent, parent_edge=parent_edge)
 
 
 def spanning_tree_from_edges(
     graph: Graph, edge_ids: Iterable[int], root: int = 0
 ) -> RootedTree:
-    """Build a :class:`RootedTree` from a set of graph edge ids that form
-    a spanning tree of ``graph``.
+    """Root the spanning tree of ``graph`` formed by the given edge ids
+    at ``root`` (one BFS over those edges). The tree's ``parent_edge``
+    holds the given ids, so callers need not look them up again.
 
     Raises:
         TreeError: If the edge set is not a spanning tree.
@@ -412,30 +409,24 @@ def spanning_tree_from_edges(
     tails, heads = graph.edge_index_arrays()
     if n + 2 * len(ids) >= SMALL_GRAPH_LIMIT:
         csr = build_csr(n, tails[ids], heads[ids])
-        dist, parent, _ = kernels.bfs_parents(csr, root)
+        dist, parent, local_edge = kernels.bfs_parents(csr, root)
         if np.any(dist < 0):
             raise TreeError("edge set does not span the graph")
-        return RootedTree(parent)
-    sel_u = tails[ids].tolist()
-    sel_v = heads[ids].tolist()
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(sel_u, sel_v):
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    parent = [-2] * n
-    parent[root] = -1
-    queue = deque([root])
-    visited = 1
-    while queue:
-        node = queue.popleft()
-        for neighbor in adjacency[node]:
-            if parent[neighbor] == -2:
-                parent[neighbor] = node
-                visited += 1
-                queue.append(neighbor)
-    if visited != n:
+        # The kernel reports edges of the tree's own CSR; map them back.
+        parent_edge = np.full(n, -1, dtype=WIDE_DTYPE)
+        child = local_edge >= 0
+        parent_edge[child] = ids[local_edge[child]]
+        return RootedTree(parent, parent_edge=parent_edge)
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    ends = zip(tails[ids].tolist(), heads[ids].tolist(), ids.tolist())
+    for u, v, eid in ends:
+        adjacency[u].append((v, eid))
+        adjacency[v].append((u, eid))
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    if len(fifo_bfs(adjacency, root, [-1] * n, parent, parent_edge)) != n:
         raise TreeError("edge set does not span the graph")
-    return RootedTree(parent)
+    return RootedTree(parent, parent_edge=parent_edge)
 
 
 def induced_cut_capacities(graph: Graph, tree: RootedTree) -> np.ndarray:
@@ -479,68 +470,34 @@ def induced_cut_capacities(graph: Graph, tree: RootedTree) -> np.ndarray:
 def tree_route_demand(
     graph: Graph, tree: RootedTree, demand: Sequence[float]
 ) -> np.ndarray:
-    """Route ``demand`` on a spanning tree whose edges are graph edges,
+    """Route ``demand`` on a spanning tree built from ``graph``'s edges,
     returning a flow vector indexed by *graph* edge ids.
 
-    The tree's (v, parent[v]) edges must each correspond to at least one
-    graph edge between v and parent[v]; the lowest-id such edge carries
-    the flow. Used for Algorithm 1's final residual routing.
+    Each tree edge (v, parent[v]) carries its flow on the tree's own
+    edge, ``tree.parent_edge[v]``. Used for Algorithm 1's final
+    residual routing.
+
+    Raises:
+        TreeError: If the tree records no graph edges, or an edge it
+            records does not join ``v`` and ``parent[v]`` in ``graph``.
     """
+    if tree.parent_edge is None:
+        raise TreeError("tree records no graph edges to route on")
     demand = np.asarray(demand, dtype=float)
     flows_on_tree = tree.edge_flows_for_demand(demand)
+    nonroot = np.flatnonzero(tree.parent_edge >= 0)
+    eids = tree.parent_edge[nonroot]
+    parents = tree._parent_arr[nonroot]
+    if eids.size and int(eids.max()) >= graph.num_edges:
+        raise TreeError("tree records edges the graph does not have")
     tails, heads = graph.edge_index_arrays()
-    keys, first_eid = kernels.pair_first_edge_index(
-        tails, heads, graph.num_nodes
-    )
-    nonroot = np.flatnonzero(np.asarray(tree.parent, dtype=WIDE_DTYPE) >= 0)
-    parents = np.asarray(tree.parent, dtype=WIDE_DTYPE)[nonroot]
-    eids = kernels.lookup_pairs(keys, first_eid, graph.num_nodes, nonroot, parents)
-    if np.any(eids < 0):
-        v = int(nonroot[int(np.argmax(eids < 0))])
-        raise TreeError(
-            f"tree edge ({v}, {tree.parent[v]}) has no corresponding graph edge"
-        )
+    tails, heads = tails[eids], heads[eids]
     # Positive tree flow moves v -> p; positive graph flow moves
     # tail -> head. Align signs.
-    signs = np.where(tails[eids] == nonroot, 1.0, -1.0)
+    forward = (tails == nonroot) & (heads == parents)
+    if not np.all(forward | ((heads == nonroot) & (tails == parents))):
+        raise TreeError("a recorded edge does not join its child and parent")
     flow = np.zeros(graph.num_edges)
+    signs = np.where(forward, 1.0, -1.0)
     np.add.at(flow, eids, signs * flows_on_tree[nonroot])
     return flow
-
-
-def average_stretch(graph: Graph, tree: RootedTree) -> float:
-    """Average (unweighted) stretch of ``tree`` over the edges of
-    ``graph``: mean over edges {u,v} of the hop length of the u-v tree
-    path. For an edge of the tree itself the stretch is 1."""
-    if graph.num_edges == 0:
-        return 0.0
-    tails, heads = graph.edge_index_arrays()
-    if graph.is_tiny():
-        total = sum(
-            tree.path_length(u, v)
-            for u, v in zip(tails.tolist(), heads.tolist())
-        )
-        return total / graph.num_edges
-    return float(tree.path_lengths_batch(tails, heads).mean())
-
-
-def weighted_average_stretch(
-    graph: Graph,
-    tree: RootedTree,
-    edge_length: Sequence[float],
-    tree_edge_length: Sequence[float],
-) -> float:
-    """Average stretch with lengths (paper Section 7 / Eq. (2)):
-    ``mean over e={u,v} of d_T(u, v) / ℓ(e)`` where d_T uses
-    ``tree_edge_length[w]`` for tree edge (w, parent[w])."""
-    if graph.num_edges == 0:
-        return 0.0
-    tails, heads = graph.edge_index_arrays()
-    if graph.is_tiny():
-        lengths = np.asarray(edge_length, dtype=float).tolist()
-        total = 0.0
-        for eid, (u, v) in enumerate(zip(tails.tolist(), heads.tolist())):
-            total += tree.path_length(u, v, tree_edge_length) / lengths[eid]
-        return total / graph.num_edges
-    d_t = tree.path_lengths_batch(tails, heads, tree_edge_length)
-    return float((d_t / np.asarray(edge_length, dtype=float)).mean())

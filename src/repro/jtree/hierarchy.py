@@ -148,22 +148,10 @@ def _finish_with_spanning_tree(
     quotient = cg.quotient
     lengths = 1.0 / quotient.capacities()
     lsst = akpw_spanning_tree(quotient, lengths=lengths, rng=rng)
-    tree = lsst.tree
-    chosen_by_pair: dict[tuple[int, int], int] = {}
-    for eid in lsst.tree_edges:
-        u, v = quotient.endpoints(eid)
-        chosen_by_pair[(min(u, v), max(u, v))] = eid
-    forest_parent = list(tree.parent)
-    forest_edge = [-1] * quotient.num_nodes
-    for c in range(quotient.num_nodes):
-        p = tree.parent[c]
-        if p >= 0:
-            forest_edge[c] = chosen_by_pair[(min(c, p), max(c, p))]
-    single = Graph(1)
     merged = cg.merge_along_forest(
-        forest_parent=forest_parent,
-        forest_edge=forest_edge,
-        new_quotient=single,
+        forest_parent=lsst.tree.parent,
+        forest_edge=lsst.tree.parent_edge.tolist(),
+        new_quotient=Graph(1),
         new_edge_origin=[],
         component_of=[0] * quotient.num_nodes,
     )
@@ -242,7 +230,7 @@ def sample_virtual_tree(
         return VirtualTree(tree=RootedTree([-1]), levels=0)
     beta = params.resolved_beta(graph.num_nodes)
     threshold = params.resolved_threshold(graph.num_nodes)
-    cg = ClusterGraph.trivial(graph, share_quotient=True)
+    cg = ClusterGraph.trivial(graph)
     cluster_counts = [cg.num_clusters]
     phases = 0
     sparsifier_rounds = 0

@@ -40,7 +40,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graphs import kernels
 from repro.graphs.graph import Graph
 from repro.graphs.trees import RootedTree, induced_cut_capacities
 from repro.jtree.skeleton import SkeletonResult, build_skeleton
@@ -87,9 +86,8 @@ class TreePhase:
     needs to deterministically complete the j-tree.
 
     Attributes:
-        tree: The spanning tree T of the quotient.
-        tree_edge_of_child: ``(n,)`` int array; quotient edge id
-            realizing (c, parent(c)), -1 at the root.
+        tree: The spanning tree T of the quotient; ``tree.parent_edge``
+            is the quotient edge realizing (c, parent(c)).
         tree_capacity: cap_T per child node (induced cut capacities).
         rload: Relative load per child node (cap_T / cap).
         rload_per_edge: Relative load per *quotient edge* (0 off-tree)
@@ -99,7 +97,6 @@ class TreePhase:
     """
 
     tree: RootedTree
-    tree_edge_of_child: np.ndarray
     tree_capacity: np.ndarray
     rload: np.ndarray
     rload_per_edge: np.ndarray
@@ -112,8 +109,8 @@ class JTreeStep:
     """Everything one Madry step produces.
 
     Attributes:
-        tree: The spanning tree T of the quotient.
-        tree_edge_of_child: Quotient edge id realizing (c, parent(c)).
+        tree: The spanning tree T of the quotient; ``tree.parent_edge``
+            is the quotient edge realizing (c, parent(c)).
         tree_capacity: cap_T per child node (induced cut capacities).
         rload: Relative load per child node (cap_T / cap).
         rload_per_edge: Relative load per *quotient edge* (0 off-tree) —
@@ -135,7 +132,6 @@ class JTreeStep:
     """
 
     tree: RootedTree
-    tree_edge_of_child: list[int]
     tree_capacity: np.ndarray
     rload: np.ndarray
     rload_per_edge: np.ndarray
@@ -240,28 +236,13 @@ def madry_tree_phase(
         lengths = 1.0 / quotient.capacities()
     lsst = akpw_spanning_tree(quotient, lengths=lengths, rng=rng)
     tree = lsst.tree
-
-    # Map each tree edge (child, parent) to the quotient edge realizing
-    # it. A spanning tree holds one edge per node pair, so the lowest
-    # edge id per pair over `tree_edges` is exactly the chosen edge.
-    tree_edges = np.asarray(lsst.tree_edges, dtype=np.int64)
-    tails, heads = quotient.edge_index_arrays()
-    parents = np.asarray(tree.parent, dtype=np.int64)
-    nonroot = np.flatnonzero(parents >= 0)
-    tree_edge_of_child = np.full(n, -1, dtype=np.int64)
-    if len(tree_edges):
-        keys, first = kernels.pair_first_edge_index(
-            tails[tree_edges], heads[tree_edges], n
-        )
-        tree_edge_of_child[nonroot] = tree_edges[
-            kernels.lookup_pairs(keys, first, n, nonroot, parents[nonroot])
-        ]
+    nonroot = np.flatnonzero(tree.parent_edge >= 0)
+    child_eids = tree.parent_edge[nonroot]
 
     # Tree capacities = induced cut capacities (the |f'| of Lemma 8.3).
     tree_capacity = induced_cut_capacities(quotient, tree)
     caps = quotient.capacities()
     rload = np.zeros(n)
-    child_eids = tree_edge_of_child[nonroot]
     rload[nonroot] = tree_capacity[nonroot] / caps[child_eids]
     rload_per_edge = np.zeros(quotient.num_edges)
     rload_per_edge[child_eids] = rload[nonroot]
@@ -277,7 +258,6 @@ def madry_tree_phase(
     removed.update(int(c) for c in extra_removals if tree.parent[c] >= 0)
     return TreePhase(
         tree=tree,
-        tree_edge_of_child=tree_edge_of_child,
         tree_capacity=tree_capacity,
         rload=rload,
         rload_per_edge=rload_per_edge,
@@ -295,7 +275,7 @@ def finish_jtree_step(quotient: Graph, phase: TreePhase) -> JTreeStep:
     n = quotient.num_nodes
     tree = phase.tree
     tree_capacity = phase.tree_capacity
-    tree_edge_of_child = phase.tree_edge_of_child
+    parent_edge = tree.parent_edge
     removed = phase.removed
 
     # Forest T \ F and primary portals.
@@ -324,7 +304,7 @@ def finish_jtree_step(quotient: Graph, phase: TreePhase) -> JTreeStep:
         adjacency[p].append(c)
     forest_parent = [-1] * n
     forest_edge = [-1] * n
-    tec = tree_edge_of_child.tolist()
+    tec = parent_edge.tolist()
     for comp_index, portal in enumerate(skeleton.component_portal):
         stack = [portal]
         seen = {portal}
@@ -351,9 +331,7 @@ def finish_jtree_step(quotient: Graph, phase: TreePhase) -> JTreeStep:
     comp_v = component[heads]
     eids = np.flatnonzero(comp_u != comp_v)
     e_tails, e_heads = tails[eids], heads[eids]
-    is_tree = (tree_edge_of_child[e_tails] == eids) | (
-        tree_edge_of_child[e_heads] == eids
-    )
+    is_tree = (parent_edge[e_tails] == eids) | (parent_edge[e_heads] == eids)
     core_cap = quotient.capacities()[eids].copy()
     is_d = np.zeros(len(eids), dtype=bool)
     if skeleton.deleted_path_edges:
@@ -378,7 +356,6 @@ def finish_jtree_step(quotient: Graph, phase: TreePhase) -> JTreeStep:
         core_cap[is_d] = d_caps[pos_c[is_d]]
     return JTreeStep(
         tree=tree,
-        tree_edge_of_child=tec,
         tree_capacity=tree_capacity,
         rload=phase.rload,
         rload_per_edge=phase.rload_per_edge,

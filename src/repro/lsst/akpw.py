@@ -42,9 +42,9 @@ class LsstResult:
     """A low-stretch spanning tree with construction metadata.
 
     Attributes:
-        tree: The spanning tree, rooted at node 0, with no capacities
-            attached (callers attach induced-cut capacities).
-        tree_edges: Graph edge ids forming the tree.
+        tree: The spanning tree, rooted at ``root``, with no capacities
+            attached (callers attach induced-cut capacities); its
+            ``parent_edge`` holds the graph edge ids forming it.
         iterations: Number of contract-and-recurse iterations.
         phases: Total SplitGraph phases executed (for round accounting;
             the CONGEST cost is ``phases · Õ(D + √n)``, Lemma 5.1).
@@ -52,7 +52,6 @@ class LsstResult:
     """
 
     tree: RootedTree
-    tree_edges: list[int]
     iterations: int
     phases: int
     class_base: float
@@ -95,7 +94,7 @@ def akpw_spanning_tree(
     rng = as_generator(rng)
     n = graph.num_nodes
     if n == 1:
-        return LsstResult(RootedTree([-1]), [], 0, 0, 0.0)
+        return LsstResult(spanning_tree_from_edges(graph, []), 0, 0, 0.0)
     z = class_base if class_base is not None else default_class_base(n)
     if z <= 1:
         raise GraphError("class_base must exceed 1")
@@ -156,10 +155,8 @@ def akpw_spanning_tree(
             stalls += 1
             if stalls > 50:
                 raise GraphError("AKPW stalled without contracting")
-    tree = spanning_tree_from_edges(graph, tree_edges, root=root)
     return LsstResult(
-        tree=tree,
-        tree_edges=tree_edges,
+        tree=spanning_tree_from_edges(graph, tree_edges, root=root),
         iterations=iterations,
         phases=phases,
         class_base=z,

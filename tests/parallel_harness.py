@@ -4,7 +4,8 @@ The library's deletions and rewrites are made safe by exact-equality
 goldens: a rewritten path must return the arrays the reference path
 returns, bit for bit. This module packages what those suites share:
 the standard seed × generator matrix (:data:`SEEDS`,
-:data:`GENERATORS`, :func:`make_graph`), exact array equality with a
+:data:`GENERATORS`, :func:`make_graph`), a multigraph with parallel
+edges (:func:`tree_multigraph`), exact array equality with a
 readable label (:func:`assert_arrays_identical`), a deterministic
 approximator (:func:`build_test_approximator`), and
 :func:`per_tree_reference`, the readable per-tree twin the flat
@@ -12,7 +13,8 @@ stacked operator is golden-tested against.
 
 Used by the construction-kernel sweep (``tests/test_parallel_backend.py``),
 the stacked-operator, batch-routing, serving, dynamic-graph, max-flow
-and fault suites and by ``benchmarks/test_bench_almost_route.py``.
+and fault suites, the tree, spanning-tree, approximator and sampler
+goldens, and by ``benchmarks/test_bench_almost_route.py``.
 """
 
 from __future__ import annotations
@@ -81,6 +83,22 @@ def per_tree_reference(approximator) -> PerTreeApproximator:
 
 def make_graph(name: str, seed: int) -> Graph:
     return GENERATORS[name](seed)
+
+
+def tree_multigraph(num_nodes: int, seed: int) -> Graph:
+    """A random recursive spanning tree plus ``4 n`` uniformly random
+    extra edges with integer capacities 1..100: connected, with
+    parallel edges, and built with plain NumPy so no library change can
+    move a golden recorded on it."""
+    n = int(num_nodes)
+    rng = np.random.default_rng(seed)
+    attach = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
+    extra_u = rng.integers(0, n, size=4 * n)
+    extra_v = (extra_u + rng.integers(1, n, size=4 * n)) % n
+    u = np.concatenate((np.arange(1, n), extra_u))
+    v = np.concatenate((attach, extra_v))
+    capacity = rng.integers(1, 101, size=u.size).astype(float)
+    return Graph.from_edge_arrays(n, u, v, capacity)
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from parallel_harness import tree_multigraph
 from repro.core.approximator import (
     TreeCongestionApproximator,
     TreeOperator,
@@ -129,6 +132,21 @@ class TestApproximator:
         assert len(trees) == 3
         for t in trees:
             assert t.num_nodes == small_graph.num_nodes
+
+    def test_mwu_trees_on_multigraph_match_golden(self):
+        """The flat MWU sampler's trees on a multigraph, pinned: each
+        round's length update reads the tree edges' relative loads, so
+        a wrong pick among parallel edges moves every later tree. Only
+        the parent arrays (little-endian int64) are hashed."""
+        g = tree_multigraph(64, 112)
+        approx = build_congestion_approximator(
+            g, num_trees=4, rng=12, method="mwu"
+        )
+        digest = hashlib.sha256()
+        for tree in approx.trees():
+            digest.update(np.asarray(tree.parent, dtype="<i8").tobytes())
+        assert approx.num_trees == 4
+        assert digest.hexdigest()[:16] == "e59d84247bed2463"
 
     def test_alpha_estimate_at_least_safety(self, small_graph, small_approximator):
         alpha = estimate_alpha_st(

@@ -223,7 +223,9 @@ class TestKernelGoldenEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_all_pairs_distances_match_per_source_bfs(self, seed):
         g = random_multigraph(seed, max_nodes=20)
-        matrix = kernels.all_pairs_hop_distances(g.csr())
+        matrix = kernels.multi_source_hop_distances(
+            g.csr(), np.arange(g.num_nodes)
+        )
         for source in range(g.num_nodes):
             assert matrix[source].tolist() == reference_bfs(g, source)
 

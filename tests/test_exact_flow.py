@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from parallel_harness import tree_multigraph
 from repro.errors import GraphError
 from repro.flow import (
     dinic_max_flow,
@@ -145,6 +148,17 @@ class TestSpanningTrees:
             if t.parent[v] >= 0
         }
         assert (0, 2) not in pairs
+
+    def test_max_st_on_multigraph_matches_golden(self):
+        """Parents and tree capacities of Kruskal's tree on a multigraph
+        whose parallel edges carry distinct capacities, pinned. The
+        capacities are copies of integer inputs, so hashing their float
+        bytes is exact."""
+        t = maximum_spanning_tree(tree_multigraph(64, 112))
+        digest = hashlib.sha256()
+        digest.update(np.asarray(t.parent, dtype="<i8").tobytes())
+        digest.update(np.asarray(t.capacity, dtype="<f8").tobytes())
+        assert digest.hexdigest()[:16] == "f057c890838edf62"
 
     def test_spanning_tree_spans(self, medium_graph):
         t = maximum_spanning_tree(medium_graph)

@@ -234,11 +234,6 @@ class TestContraction:
         q, _ = g.contract([100, -5, 100])
         assert q.num_nodes == 2
 
-    def test_node_map_after_contract_matches(self):
-        g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        node_map = g.node_map_after_contract([7, 7, 3])
-        assert node_map == [0, 0, 1]
-
     def test_edge_subgraph(self):
         g = triangle()
         sub = g.edge_subgraph([0, 2])

@@ -8,6 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from parallel_harness import tree_multigraph
 from repro.errors import GraphError
 from repro.graphs.cuts import sparsest_cut_brute_force
 from repro.graphs.generators import (
@@ -363,7 +364,9 @@ def _trees_digest(trees) -> str:
 #: case -> ((nodes, edge probability, graph seed), samples, rng seed,
 #: params, digest). The digests were recorded from a sampler that
 #: matched the one-sample-at-a-time loop draw for draw, so they pin the
-#: order of every generator draw in the recursion.
+#: order of every generator draw in the recursion. An edge probability
+#: of ``None`` selects :func:`tree_multigraph` instead of
+#: ``random_connected``.
 SAMPLER_GOLDENS = {
     "default-0": ((70, 0.08, 100), 5, 0, None, "57f367393b64fcb6"),
     "default-1": ((70, 0.08, 101), 5, 1, None, "9a79de33b07c2b4f"),
@@ -379,6 +382,9 @@ SAMPLER_GOLDENS = {
     # Dense enough that the level-0 core is above the sparsifier
     # target, so every sample sparsifies before its first MWU loop.
     "sparsified": ((64, 0.6, 111), 4, 10, None, "a958c8bb08206af8"),
+    # Parallel edges with distinct capacities, so every AKPW tree picks
+    # one edge out of several joining the same pair of clusters.
+    "multigraph": ((64, None, 112), 4, 11, None, "4d92f2067700b4d4"),
 }
 
 
@@ -391,7 +397,10 @@ class TestBatchedSampling:
         (nodes, prob, graph_seed), samples, seed, params, expected = (
             SAMPLER_GOLDENS[case]
         )
-        g = random_connected(nodes, prob, rng=graph_seed)
+        if prob is None:
+            g = tree_multigraph(nodes, graph_seed)
+        else:
+            g = random_connected(nodes, prob, rng=graph_seed)
         trees = sample_virtual_trees(g, samples, rng=seed, params=params)
         assert len(trees) == samples
         if case == "topj":

@@ -198,7 +198,7 @@ def assert_contract_paths_agree(name: str, seed: int, monkeypatch) -> None:
 
 def assert_hop_distances_match_bfs(graph: Graph) -> None:
     """Lockstep multi-source hop distances == one reference BFS per
-    source, row for row; batched all-pairs == the same rows."""
+    source, row for row; all sources at once == the same rows."""
     csr = graph.csr()
     n = graph.num_nodes
     step = max(1, n // 12)
@@ -212,11 +212,11 @@ def assert_hop_distances_match_bfs(graph: Graph) -> None:
             [reference_bfs(graph, [s])[0] for s in sources.tolist()],
             kernels.multi_source_hop_distances(csr, sources),
         )
-    # Five sources per batch: the batch seams must not show.
+    # Every node as a source at once: the all-pairs matrix.
     assert_arrays_identical(
-        "all_pairs_hop_distances",
+        "multi_source_hop_distances[all]",
         [reference_bfs(graph, [s])[0] for s in range(n)],
-        kernels.all_pairs_hop_distances(csr, max_batch_cells=5 * n),
+        kernels.multi_source_hop_distances(csr, np.arange(n)),
     )
     assert_cache_invariants(graph)
 

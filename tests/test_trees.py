@@ -5,16 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.graphs.graph as graph_mod
+import repro.graphs.trees as trees_mod
+from parallel_harness import tree_multigraph
 from repro.errors import TreeError
+from repro.flow.mst import maximum_spanning_tree
 from repro.graphs.graph import Graph
 from repro.graphs.trees import (
     RootedTree,
-    average_stretch,
     bfs_tree,
     induced_cut_capacities,
     spanning_tree_from_edges,
     tree_route_demand,
 )
+from repro.lsst.akpw import akpw_spanning_tree
+from repro.lsst.stretch import stretch_per_edge
 
 
 def path_tree(n: int) -> RootedTree:
@@ -215,15 +220,101 @@ class TestTreeRouting:
         with pytest.raises(TreeError):
             tree_route_demand(g, fake, [1.0, 0.0, -1.0])
 
+    def test_mst_fixup_uses_the_msts_own_parallel_edge(self):
+        """Algorithm 1's fix-up routes over the edge the maximum
+        spanning tree contains: the capacity-5 edge 1, not the
+        lower-id capacity-1 edge 0 beside it."""
+        g = Graph(3, [(0, 1, 1.0), (0, 1, 5.0), (1, 2, 5.0)])
+        mst = maximum_spanning_tree(g)
+        flow = tree_route_demand(g, mst, [1.0, 0.0, -1.0])
+        assert flow[0] == 0.0
+        assert float(g.congestion(flow).max()) == pytest.approx(0.2)
+        assert mst.parent_edge.tolist() == [-1, 1, 2]
+
+
+def _highest_id_spanning_edges(graph: Graph) -> list[int]:
+    """A spanning tree of a :func:`tree_multigraph`: its first n-1
+    edges, each swapped for the highest-id edge joining the same pair."""
+    tails, heads = graph.edge_index_arrays()
+    n = graph.num_nodes
+    keys = np.minimum(tails, heads) * n + np.maximum(tails, heads)
+    return [int(np.flatnonzero(keys == keys[e])[-1]) for e in range(n - 1)]
+
+
+class TestParentEdges:
+    """Every spanning tree built from graph edges records, for each
+    non-root ``v``, the graph edge joining ``v`` and ``parent[v]``."""
+
+    @staticmethod
+    def assert_parent_edges_join(graph, tree, lowest=False):
+        tails, heads = graph.edge_index_arrays()
+        parent_edge = tree.parent_edge
+        assert parent_edge.shape == (graph.num_nodes,)
+        assert parent_edge[tree.root] == -1
+        for v in range(graph.num_nodes):
+            p = tree.parent[v]
+            if p < 0:
+                continue
+            e = int(parent_edge[v])
+            assert {int(tails[e]), int(heads[e])} == {v, p}
+            if lowest:
+                joining = ((tails == v) & (heads == p)) | (
+                    (tails == p) & (heads == v)
+                )
+                assert e == int(np.flatnonzero(joining)[0])
+
+    @pytest.mark.parametrize(
+        "python_path", [True, False], ids=["python", "kernel"]
+    )
+    def test_bfs_tree_records_lowest_id_edges(self, python_path, monkeypatch):
+        if not python_path:
+            monkeypatch.setattr(graph_mod, "SMALL_GRAPH_LIMIT", 0)
+        g = tree_multigraph(64, 112)
+        assert g.is_small() == python_path
+        self.assert_parent_edges_join(g, bfs_tree(g, root=5), lowest=True)
+
+    @pytest.mark.parametrize(
+        "python_path", [True, False], ids=["python", "kernel"]
+    )
+    def test_spanning_tree_from_edges_records_given_edges(
+        self, python_path, monkeypatch
+    ):
+        if not python_path:
+            monkeypatch.setattr(trees_mod, "SMALL_GRAPH_LIMIT", 0)
+        g = tree_multigraph(64, 112)
+        ids = _highest_id_spanning_edges(g)
+        assert ids != list(range(g.num_nodes - 1))  # some pair is parallel
+        tree = spanning_tree_from_edges(g, ids, root=3)
+        self.assert_parent_edges_join(g, tree)
+        recorded = tree.parent_edge[tree.parent_edge >= 0].tolist()
+        assert sorted(recorded) == sorted(ids)
+
+    def test_akpw_tree_records_its_edges(self):
+        g = tree_multigraph(64, 112)
+        lengths = 1.0 / g.capacities()
+        tree = akpw_spanning_tree(g, lengths=lengths, rng=13).tree
+        self.assert_parent_edges_join(g, tree)
+
+    def test_maximum_spanning_tree_records_its_edges(self):
+        g = tree_multigraph(64, 112)
+        tree = maximum_spanning_tree(g)
+        self.assert_parent_edges_join(g, tree)
+        np.testing.assert_array_equal(
+            tree.capacity[1:], g.capacities()[tree.parent_edge[1:]]
+        )
+
+    def test_bare_parent_array_has_no_parent_edges(self):
+        assert RootedTree([-1, 0, 1]).parent_edge is None
+
 
 class TestStretchHelpers:
     def test_average_stretch_of_tree_is_one(self):
         g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         t = spanning_tree_from_edges(g, [0, 1, 2])
-        assert average_stretch(g, t) == pytest.approx(1.0)
+        assert stretch_per_edge(g, t).mean() == pytest.approx(1.0)
 
     def test_average_stretch_cycle(self):
         g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
         t = spanning_tree_from_edges(g, [0, 1, 2])
         # three tree edges stretch 1, chord stretches 3 => (1+1+1+3)/4
-        assert average_stretch(g, t) == pytest.approx(1.5)
+        assert stretch_per_edge(g, t).mean() == pytest.approx(1.5)
