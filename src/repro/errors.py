@@ -74,11 +74,6 @@ class DeadlineExceededError(ServingError):
     deadline is observed."""
 
 
-class FaultSpecError(ReproError):
-    """Raised for a malformed ``REPRO_FAULTS`` spec or an unknown fault
-    site/kind handed to :class:`repro.faults.FaultSpec`."""
-
-
 class ScenarioError(ReproError):
     """Raised for a malformed scenario specification handed to
     :mod:`repro.scenarios` — an unknown topology/demand/failure name, an

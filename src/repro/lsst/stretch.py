@@ -25,35 +25,29 @@ def tree_edge_lengths(
     tree: RootedTree,
     lengths: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """Assign each tree edge (v, parent[v]) the minimum graph length
-    among parallel graph edges joining v and parent[v].
+    """Assign each tree edge (v, parent[v]) the length of the graph
+    edge the tree contains there, ``tree.parent_edge[v]``.
 
     Args:
         graph: The host graph.
-        tree: A spanning tree whose edges are graph edges.
+        tree: A spanning tree built from ``graph``'s edges.
         lengths: Per-graph-edge lengths (default all ones).
 
     Returns:
         Array L with L[v] = length of tree edge (v, parent[v]).
+
+    Raises:
+        TreeError: If the tree records no graph edges (it was built
+            from a bare parent array).
     """
+    if tree.parent_edge is None:
+        raise TreeError("tree records no graph edges to measure")
     if lengths is None:
         lengths = np.ones(graph.num_edges)
     lengths = np.asarray(lengths, dtype=float)
-    best: dict[tuple[int, int], float] = {}
-    for e in graph.edges():
-        key = (min(e.u, e.v), max(e.u, e.v))
-        value = float(lengths[e.id])
-        if key not in best or value < best[key]:
-            best[key] = value
+    nonroot = np.flatnonzero(tree.parent_edge >= 0)
     out = np.zeros(tree.num_nodes)
-    for v in range(tree.num_nodes):
-        p = tree.parent[v]
-        if p < 0:
-            continue
-        key = (min(v, p), max(v, p))
-        if key not in best:
-            raise TreeError(f"tree edge ({v}, {p}) is not a graph edge")
-        out[v] = best[key]
+    out[nonroot] = lengths[tree.parent_edge[nonroot]]
     return out
 
 

@@ -26,7 +26,6 @@ import threading  # repolint: disable=pool-bypass -- Lock only, no pool primitiv
 
 from repro.core.almost_route import RouteWorkspace
 from repro.core.approximator import TreeCongestionApproximator
-from repro.faults import fault_point
 from repro.graphs.graph import Graph
 
 __all__ = ["WorkspacePool"]
@@ -58,7 +57,7 @@ class WorkspacePool:
     def rebind(
         self, graph: Graph, approximator: TreeCongestionApproximator
     ) -> None:
-        """Point the pool at a (possibly new) pair, flushing every
+        """Point the pool at a (possibly new) pair, dropping every
         pooled workspace whose shapes no longer fit."""
         with self._lock:
             self._graph = graph
@@ -69,18 +68,12 @@ class WorkspacePool:
                 ws for ws in self._singles if ws.shape_key == key
             ]
 
-    def flush(self) -> None:
-        """Drop every pooled workspace (keeps the binding)."""
-        with self._lock:
-            self._singles.clear()
-
-    @fault_point("serve.checkout", kinds=("raise",))
     def acquire(self) -> RouteWorkspace:
         """Pop a warm workspace, building one on a dry pool.
 
-        Fault site ``serve.checkout``: a failed checkout is recoverable
-        by design — the server falls back to a per-call workspace (the
-        solver allocates internally) and counts the degradation."""
+        A failed checkout is recoverable by design: the server falls
+        back to a per-call workspace (the solver allocates internally)
+        and counts the degradation."""
         with self._lock:
             if self._singles:
                 return self._singles.pop()

@@ -16,12 +16,19 @@ and serves single demands (:meth:`FlowServer.route`,
 
 There is one miss path. A single query and every column of a batch
 take the same steps: cache lookup, salvaged warm seed, workspace
-checkout, one-shot solve (fault site ``serve.miss``), one retry of an
-unexpected failure, cache put. A batch column is therefore the
-one-shot answer bit for bit, singles and batch columns share one cache
-namespace (a demand routed inside a batch hits later as a single query
-and vice versa), and a demand repeated within one batch is solved once.
-Solves, builds and rebuilds all run on the calling thread.
+checkout, one-shot solve, one retry of an unexpected failure, cache
+put. A batch column is therefore the one-shot answer bit for bit,
+singles and batch columns share one cache namespace (a demand routed
+inside a batch hits later as a single query and vice versa), and a
+demand repeated within one batch is solved once. Solves, builds and
+rebuilds all run on the calling thread.
+
+Recovery is invisible in results and counted in
+:meth:`FlowServer.health`: a failed workspace checkout falls back to a
+per-call workspace, and a solve failure that is not a
+:class:`~repro.errors.ReproError` is retried once on a fresh one. What
+is not recovered surfaces typed: a failure that survives its retry, a
+missed deadline, a poisoned batch column (isolated to its slot).
 
 Mutation safety: every entry point first compares the graph's
 cache-invalidation counter (``Graph._version``) against the epoch the
@@ -61,7 +68,6 @@ from repro.errors import (
     ReproError,
     ServingError,
 )
-from repro.faults import fault_point
 from repro.graphs.graph import Graph
 from repro.graphs.journal import rescale_flow
 from repro.serve.cache import CacheStats, ResultCache, demand_digest
@@ -309,14 +315,14 @@ class FlowServer:
             self._last_error = f"{type(exc).__name__}: {exc}"
             return None
 
-    @fault_point("serve.miss", kinds=("raise", "hang"))
     def _solve(
         self,
         demand: np.ndarray,
         workspace: RouteWorkspace | None,
         seed: np.ndarray | None,
     ) -> AlmostRouteResult:
-        """Solve one missed demand (fault site ``serve.miss``)."""
+        """Solve one missed demand: the one call every miss makes, from
+        :meth:`route` or from a :meth:`route_batch` column."""
         (solver,) = _SOLVERS[self.solver]
         return solver(
             self.graph,

@@ -12,9 +12,9 @@ approximator (:func:`build_test_approximator`), and
 stacked operator is golden-tested against.
 
 Used by the construction-kernel sweep (``tests/test_parallel_backend.py``),
-the stacked-operator, batch-routing, serving, dynamic-graph, max-flow
-and fault suites, the tree, spanning-tree, approximator and sampler
-goldens, and by ``benchmarks/test_bench_almost_route.py``.
+the stacked-operator, batch-routing, serving, dynamic-graph, max-flow,
+fault and stretch suites, the tree, spanning-tree, approximator and
+sampler goldens, and by ``benchmarks/test_bench_almost_route.py``.
 """
 
 from __future__ import annotations

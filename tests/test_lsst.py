@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from parallel_harness import tree_multigraph
 from repro.errors import GraphError
 from repro.graphs.generators import (
     cycle,
@@ -206,12 +207,42 @@ class TestAkpw:
 
 
 class TestStretchHelpers:
-    def test_tree_edge_lengths_pick_min_parallel(self):
+    def test_tree_edge_lengths_use_the_trees_own_edge(self):
+        # Two parallel edges; the tree keeps edge 0, so its length is
+        # edge 0's even though the parallel edge 1 is shorter.
         g = Graph(2, [(0, 1, 1.0), (0, 1, 1.0)])
         result = akpw_spanning_tree(g, lengths=[5.0, 2.0], rng=1)
+        assert result.tree.parent_edge.tolist() == [-1, 0]
         lengths = tree_edge_lengths(g, result.tree, [5.0, 2.0])
-        child = 1 if result.tree.parent[1] == 0 else 0
-        assert lengths[child] == pytest.approx(2.0)
+        assert lengths.tolist() == [0.0, 5.0]
+
+    def test_multigraph_stretch_follows_parent_edges(self):
+        # A tree path runs over the tree's own edges: recompute every
+        # edge's stretch by walking parent_edge up to the common
+        # ancestor, without the library's path code.
+        g = tree_multigraph(64, 112)
+        lengths = 1.0 / g.capacities()
+        tree = akpw_spanning_tree(g, lengths=lengths, rng=8).tree
+
+        def ancestor_distances(x):
+            out, d = {}, 0.0
+            while x >= 0:
+                out[x] = d
+                if tree.parent[x] >= 0:
+                    d += lengths[tree.parent_edge[x]]
+                x = tree.parent[x]
+            return out
+
+        tails, heads = g.edge_index_arrays()
+        expected = []
+        for e in range(g.num_edges):
+            up_u = ancestor_distances(int(tails[e]))
+            up_v = ancestor_distances(int(heads[e]))
+            path = min(up_u[x] + up_v[x] for x in up_u if x in up_v)
+            expected.append(path / lengths[e])
+        stretches = stretch_per_edge(g, tree, lengths)
+        np.testing.assert_allclose(stretches, expected, rtol=1e-12)
+        assert stretches.mean() == pytest.approx(4.0777, abs=1e-4)
 
     def test_non_graph_tree_edge_rejected(self):
         from repro.errors import TreeError

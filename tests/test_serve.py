@@ -343,12 +343,6 @@ class TestWorkspacePool:
         )
         assert pooled_singles == len(server.pool._singles)
 
-    def test_flush(self, graph, server):
-        server.route(st_demand(graph, 0, 7), use_cache=False)
-        server.route_batch(_plane(graph, 615, 2), use_cache=False)
-        server.pool.flush()
-        assert server.pool.pooled_counts() == 0
-
 
 # ----------------------------------------------------------------------
 # ResultCache / digest unit behaviour

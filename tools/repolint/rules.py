@@ -237,8 +237,7 @@ class PoolBypass(Rule):
     a schedule the bit-identity goldens never exercise. Every import
     of ``threading``, ``multiprocessing`` or ``concurrent`` under
     ``src/repro`` therefore needs a justified per-line suppression
-    (today: the ``Lock`` of the serving workspace pool and the one of
-    the fault plan's visit counters).
+    (today there is one: the ``Lock`` of the serving workspace pool).
     """
 
     name = "pool-bypass"
@@ -770,10 +769,10 @@ class ShadowedBuiltin(Rule):
 class ExceptDiscipline(Rule):
     """Recovery paths must recover, not swallow.
 
-    PR 8's fault model makes this a contract: every failure a layer
-    absorbs must either re-raise a ``ReproError`` or record a counted
-    degradation (a ``PoolStats``/``ServerHealth`` counter), so that
-    "recovered" is observable and "silently ignored" is impossible.
+    Every failure a layer absorbs must either re-raise a
+    ``ReproError`` or record a counted ``ServerHealth`` degradation,
+    so that "recovered" is observable and "silently ignored" is
+    impossible.
     A bare ``except:`` (which also eats ``KeyboardInterrupt``) or an
     ``except Exception: pass`` body is exactly the silent-swallow
     shape that rots into a wrong-answer bug; teardown paths that
