@@ -175,6 +175,42 @@ class TestServeRecovery:
         assert stats.incremental_refreshes == 1
         assert stats.warm_starts == 1
 
+    def test_checkout_failure_falls_back_to_fresh_workspace(
+        self, graph, server, monkeypatch
+    ):
+        """A checkout that fails on every call still serves: each solve
+        falls back to a per-call workspace, and none is pooled."""
+        demand = st_demand(graph, 0, graph.num_nodes - 1)
+        baseline = server.route(demand, use_cache=False)
+        pooled = server.pool.pooled_counts()
+        calls = inject(monkeypatch, server, "pool.acquire", crash={1, 2, 3})
+        for _ in range(3):
+            served = server.route(demand, use_cache=False)
+            assert_arrays_identical("flow", baseline.flow, served.flow)
+            assert served.iterations == baseline.iterations
+        assert len(calls) == 3
+        assert server.health().workspace_fallbacks == 3
+        assert server.pool.pooled_counts() == pooled
+
+    def test_miss_failure_on_route_is_retried(
+        self, graph, server, monkeypatch
+    ):
+        """A crash on a pooled workspace is retried on a fresh one,
+        invisibly; the crashed workspace is dropped, never re-pooled."""
+        demand = st_demand(graph, 0, graph.num_nodes - 1)
+        baseline = server.route(demand, use_cache=False)
+        assert server.pool.created_singles == 1
+        calls = inject(monkeypatch, server, "_solve", crash={1})
+        served = server.route(demand, use_cache=False)
+        assert_arrays_identical("flow", baseline.flow, served.flow)
+        assert_arrays_identical("residual", baseline.residual, served.residual)
+        assert served.iterations == baseline.iterations
+        assert len(calls) == 2
+        assert server.health().miss_retries == 1
+        # The retry built a second workspace; only it went back.
+        assert server.pool.created_singles == 2
+        assert server.pool.pooled_counts() == 1
+
     def test_persistent_miss_failure_on_route_is_typed(
         self, graph, server, monkeypatch
     ):
