@@ -191,10 +191,8 @@ def apply_bench_instance(n: int):
 
 def measure_apply_benchmarks() -> dict[str, float]:
     """Median R·b / Rᵀ·g product and AlmostRoute-solve wall-clock per
-    scale (also invoked by tools/bench_regression.py for the CI gate).
-
-    Measured on the default adaptive operator mode, i.e. the flat
-    stacked pass at these scales.
+    scale (also invoked by tools/bench_regression.py for the CI gate),
+    measured on the flat stacked pass every product runs through.
     """
     out = {}
     for n, (_, _, _, _, op_reps, route_reps) in APPLY_BENCH_CONFIG.items():

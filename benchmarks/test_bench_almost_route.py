@@ -2,8 +2,9 @@
 
 The per-tree side is the test-suite reference
 (``tests/parallel_harness.per_tree_reference``: the approximator's
-products run block by block through ``TreeOperator.apply`` /
-``apply_transpose``); the flat side is the library's only product path.
+products run tree by tree through ``RootedTree.subtree_sums`` /
+``prefix_sums_from_root``); the flat side is the library's only product
+path.
 
 ISSUE 3's tentpole: R·b and Rᵀ·g are the inner loop of the Sherman
 descent, so fusing the per-tree blocks into one stacked pass must make

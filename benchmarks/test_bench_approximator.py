@@ -3,7 +3,7 @@
 Regenerates the α-quality table: for random and s-t demands, the ratio
 opt(b) / ‖Rb‖∞ (≥ 1 by soundness, ≤ α by the sampling argument). Also
 compares the three constructions (paper hierarchy, flat Räcke MWU,
-naive BFS+MST) — the ablation of DESIGN.md.
+naive BFS+MST).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.congest import CostModel, distributed_push_relabel
 from repro.core import estimate_rounds, max_flow
-from repro.core.approximator import TreeCongestionApproximator, TreeOperator
+from repro.core.approximator import TreeCongestionApproximator
 from repro.graphs.generators import barbell
 from repro.jtree import sample_virtual_tree
 from repro.util.rng import as_generator, spawn
@@ -21,7 +21,7 @@ def _pipeline_rounds(graph, source, sink, epsilon=0.5, seed=904):
     rng = as_generator(seed)
     samples = [sample_virtual_tree(graph, rng=r) for r in spawn(rng, 3)]
     approx = TreeCongestionApproximator(
-        graph, [TreeOperator(s.tree) for s in samples], alpha=2.5
+        graph, [s.tree for s in samples], alpha=2.5
     )
     result = max_flow(graph, source, sink, epsilon=epsilon, approximator=approx)
     return estimate_rounds(

@@ -18,7 +18,7 @@ from repro.congest import (
     distributed_push_relabel,
     pipelined_aggregate,
 )
-from repro.core.approximator import TreeCongestionApproximator, TreeOperator
+from repro.core.approximator import TreeCongestionApproximator
 from repro.graphs.generators import barbell
 from repro.jtree import sample_virtual_tree
 from repro.util.rng import as_generator, spawn
@@ -54,7 +54,7 @@ def main() -> None:
     rng = as_generator(42)
     samples = [sample_virtual_tree(network, rng=r) for r in spawn(rng, 3)]
     approximator = TreeCongestionApproximator(
-        network, [TreeOperator(s.tree) for s in samples], alpha=2.5
+        network, [s.tree for s in samples], alpha=2.5
     )
     result = max_flow(network, source, sink, epsilon=0.5,
                       approximator=approximator)

@@ -75,7 +75,7 @@ def main() -> None:
     for server in servers.values():
         server.route_batch(plane)  # warm: build + populate the cache
     # The incremental server's trees: every epoch below must keep them.
-    trees = list(servers["incremental"].approximator.operators)
+    trees = servers["incremental"].approximator.trees()
 
     # --- drift stream ----------------------------------------------
     update_rng = np.random.default_rng(84)
@@ -98,8 +98,8 @@ def main() -> None:
 
     # --- verdict ----------------------------------------------------
     stats = servers["incremental"].stats()
-    operators = servers["incremental"].approximator.operators
-    kept = sum(now is before for now, before in zip(operators, trees))
+    now_trees = servers["incremental"].approximator.trees()
+    kept = sum(now is before for now, before in zip(now_trees, trees))
     print(f"\nincremental: {stats.incremental_refreshes} exact cut "
           f"refreshes, {stats.warm_starts} warm starts, "
           f"{stats.rebuilds} rebuilds; {kept} of {len(trees)} trees "

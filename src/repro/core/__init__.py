@@ -9,7 +9,6 @@ from repro.core.softmax import (
 from repro.core.approximator import (
     StackedTreeOperator,
     TreeCongestionApproximator,
-    TreeOperator,
     build_congestion_approximator,
     estimate_alpha_st,
     racke_sample_trees,
@@ -44,7 +43,6 @@ __all__ = [
     "smax_gradient",
     "StackedTreeOperator",
     "TreeCongestionApproximator",
-    "TreeOperator",
     "build_congestion_approximator",
     "estimate_alpha_st",
     "racke_sample_trees",

@@ -16,13 +16,15 @@ paper's Algorithm 2 reference and ``FlowServer``'s default solver.
 
 The scaled-potential bookkeeping (17/16 re-scalings, kb/kf factors) is
 identical to :func:`repro.core.almost_route.almost_route`; benchmarks
-compare the two head-to-head (the ablation bench E6a2). Like the plain
-variant, the inner loop is allocation free: all per-iteration vectors
-live in a reusable :class:`~repro.core.almost_route.RouteWorkspace`
-(plus the f/f_prev/z triple, which rotates by buffer swap), products
-run through the flat stacked operator with ``out=``, and re-scaling
-steps rescale the cached soft-max arguments instead of re-evaluating
-the residual and the R product.
+compare the two head-to-head
+(``benchmarks/test_bench_ablations.py::test_ablation_accelerated_descent``).
+Like the plain variant, the inner loop is allocation free: all
+per-iteration vectors live in a reusable
+:class:`~repro.core.almost_route.RouteWorkspace` (plus the f/f_prev/z
+triple, which rotates by buffer swap), products run through the flat
+stacked operator with ``out=``, and re-scaling steps rescale the
+cached soft-max arguments instead of re-evaluating the residual and
+the R product.
 """
 
 from __future__ import annotations

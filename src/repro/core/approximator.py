@@ -17,22 +17,20 @@ convergecast/downcast of Corollary 9.3.
 
 Both products are one gather / segmented-cumsum / scatter pass of the
 flat fused :class:`~repro.core.stacked.StackedTreeOperator` (see that
-module's docstring for the stacked-segment layout). Each
-:class:`TreeOperator` keeps a per-block ``apply`` / ``apply_transpose``
-as the readable reference the golden tests compare the flat pass
-against, bit for bit.
+module's docstring for the stacked-segment layout), built once from the
+trees when the approximator is constructed. The trees' ``capacity``
+arrays are the only copy of the cuts; the stacked operator holds the
+only copy of their inverses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
 from repro.errors import GraphError
 from repro.flow.mst import maximum_spanning_tree
-from repro.graphs.csr import WIDE_DTYPE
 from repro.graphs.graph import Graph
 from repro.graphs.trees import RootedTree, bfs_tree, induced_cut_capacities
 from repro.core.stacked import StackedTreeOperator
@@ -42,7 +40,6 @@ from repro.lsst.akpw import akpw_spanning_tree
 from repro.util.rng import as_generator
 
 __all__ = [
-    "TreeOperator",
     "StackedTreeOperator",
     "TreeCongestionApproximator",
     "build_congestion_approximator",
@@ -51,125 +48,50 @@ __all__ = [
 ]
 
 
-class TreeOperator:
-    """Euler-tour representation of one virtual tree's row block.
-
-    Consumes the Euler intervals the :class:`RootedTree` substrate
-    already caches (entry/exit indices over a DFS order) so that
-
-    * subtree sums (the R product) are two cumulative-sum lookups, and
-    * ancestor-path sums (the Rᵀ product) are one range-update pass,
-
-    both fully vectorized.
-    """
-
-    def __init__(self, tree: RootedTree) -> None:
-        self.tree = tree
-        self.order = tree.euler_order
-        self.tin = tree.euler_tin
-        self.tout = tree.euler_tout
-        # Row book-keeping: one row per non-root node.
-        self.row_nodes = np.flatnonzero(
-            np.asarray(tree.parent, dtype=WIDE_DTYPE) >= 0
-        )
-        caps = np.asarray(tree.capacity, dtype=float)[self.row_nodes]
-        if np.any(caps <= 0):
-            raise GraphError(
-                "virtual tree has a zero-capacity induced cut; input graph "
-                "must be connected"
-            )
-        self.row_capacity = caps
-        # Precomputed once so the per-tree reference and the flat
-        # stacked pass scale rows with the same multiply (bit-identical
-        # folds).
-        self.row_inv_capacity = 1.0 / caps
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.row_nodes)
-
-    def refresh_capacities(self, graph: Graph) -> None:
-        """Recompute this tree's induced-cut capacities in place after
-        a capacity-only delta (tree structure unchanged).
-
-        The refreshed rows are *exact* cut capacities of the mutated
-        graph — :func:`~repro.graphs.trees.induced_cut_capacities` is a
-        full recompute, not an increment — so the unconditional
-        soundness ``‖Rb‖∞ ≤ opt(b)`` holds at the new epoch exactly as
-        at construction. All arrays are updated through ``[:]`` so
-        aliases (the stacked operator's concatenated copy is patched
-        separately by the caller) never see half-updated state.
-        """
-        cut = induced_cut_capacities(graph, self.tree)
-        caps = cut[self.row_nodes]
-        if np.any(caps <= 0):
-            raise GraphError(
-                "capacity refresh produced a zero-capacity induced cut; "
-                "graph must stay connected with positive capacities"
-            )
-        self.tree.capacity[:] = cut
-        self.row_capacity[:] = caps
-        np.divide(1.0, caps, out=self.row_inv_capacity)
-
-    def subtree_sums(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized subtree sums for all row nodes."""
-        prefix = np.concatenate(([0.0], np.cumsum(values[self.order])))
-        return prefix[self.tout[self.row_nodes]] - prefix[self.tin[self.row_nodes]]
-
-    def apply(self, demand: np.ndarray) -> np.ndarray:
-        """One block of R·b: signed cut congestion per tree edge."""
-        return self.subtree_sums(demand) * self.row_inv_capacity
-
-    def apply_transpose(self, row_values: np.ndarray) -> np.ndarray:
-        """One block of Rᵀ·g: node potentials π.
-
-        ``π_v = Σ_{rows (T, w): v ∈ T_w} row_values_row / cap_row`` —
-        each row's weight is spread over its subtree with a range
-        update on the Euler array.
-        """
-        n = self.tree.num_nodes
-        diff = np.zeros(n + 1)
-        weights = row_values * self.row_inv_capacity
-        np.add.at(diff, self.tin[self.row_nodes], weights)
-        np.subtract.at(diff, self.tout[self.row_nodes], weights)
-        return np.cumsum(diff[:-1])[self.tin]
-
-
-@dataclass
 class TreeCongestionApproximator:
     """An α-congestion approximator made of virtual trees.
 
-    Attributes:
+    Args:
         graph: The graph the trees approximate.
-        operators: One :class:`TreeOperator` per sampled tree.
+        trees: The sampled trees (at least one), each over
+            ``graph``'s nodes, whose ``capacity[v]`` is the capacity
+            in ``graph`` of the cut its subtree at ``v`` induces.
         alpha: The α used by the gradient descent (an upper bound on the
             worst-case ratio opt(b) / ‖Rb‖_∞; estimated or supplied).
         method: Which construction produced the trees (diagnostics).
+
+    Raises:
+        GraphError: If ``trees`` is empty, a tree spans other nodes
+            than ``graph``, or a cut capacity is not positive.
     """
 
-    graph: Graph
-    operators: list[TreeOperator]
-    alpha: float
-    method: str = "hierarchy"
-    _stacked: StackedTreeOperator | None = field(
-        default=None, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        graph: Graph,
+        trees: Sequence[RootedTree],
+        alpha: float,
+        method: str = "hierarchy",
+    ) -> None:
+        self._trees = list(trees)
+        if not self._trees:
+            raise GraphError(
+                "a congestion approximator needs at least one tree"
+            )
+        self.graph = graph
+        self.alpha = alpha
+        self.method = method
+        self._stacked = StackedTreeOperator(self._trees, graph.num_nodes)
 
     @property
     def num_trees(self) -> int:
-        return len(self.operators)
+        return len(self._trees)
 
     @property
     def num_rows(self) -> int:
-        return sum(op.num_rows for op in self.operators)
+        return self._stacked.num_rows
 
     def stacked(self) -> StackedTreeOperator:
-        """The flat fused operator (built lazily, then cached; the
-        operator list must not be mutated afterwards)."""
-        if self._stacked is None:
-            self._stacked = StackedTreeOperator(
-                self.operators, self.graph.num_nodes
-            )
+        """The flat fused operator every product runs through."""
         return self._stacked
 
     def apply(
@@ -177,30 +99,30 @@ class TreeCongestionApproximator:
     ) -> np.ndarray:
         """Compute R·b (concatenated over trees); ``out=`` (shape
         ``(num_rows,)``) makes the call allocation free."""
-        return self.stacked().apply(np.asarray(demand, dtype=float), out=out)
+        return self._stacked.apply(np.asarray(demand, dtype=float), out=out)
 
     def apply_transpose(
         self, row_values: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Compute Rᵀ·g as node potentials."""
-        return self.stacked().apply_transpose(
+        return self._stacked.apply_transpose(
             np.asarray(row_values, dtype=float), out=out
         )
 
     def estimate(self, demand: np.ndarray) -> float:
         """‖Rb‖_∞ — the lower-bound congestion estimate for ``demand``."""
-        return self.stacked().estimate(np.asarray(demand, dtype=float))
+        return self._stacked.estimate(np.asarray(demand, dtype=float))
 
     def trees(self) -> list[RootedTree]:
-        return [op.tree for op in self.operators]
+        return list(self._trees)
 
     def refresh_capacities(self) -> int:
         """Exact cut refresh after a **capacity-only** graph delta;
         structural mutations must rebuild from scratch.
 
-        Every tree's rows are recomputed in place to the exact
-        induced-cut capacities of the current graph, and the cached
-        stacked operator's inverse-capacity rows are patched in place.
+        Every tree's ``capacity`` is rewritten in place to the exact
+        induced-cut capacities of the current graph, and the stacked
+        operator then recomputes its inverse-capacity rows from them.
         Each row is a genuine cut of G whatever tree it came from, so
         soundness ``‖Rb‖∞ ≤ opt(b)`` holds at the new epoch exactly as
         at construction. Row counts never change (every spanning tree
@@ -216,12 +138,9 @@ class TreeCongestionApproximator:
         Returns:
             The number of trees resampled, which is always 0.
         """
-        for op in self.operators:
-            op.refresh_capacities(self.graph)
-        if self._stacked is not None:
-            self._stacked.refresh_inv_capacity(
-                [op.row_inv_capacity for op in self.operators]
-            )
+        for tree in self._trees:
+            tree.capacity[:] = induced_cut_capacities(self.graph, tree)
+        self._stacked._load_capacities()
         return 0
 
 
@@ -309,8 +228,8 @@ def build_congestion_approximator(
 
     Args:
         graph: Connected capacitated graph.
-        num_trees: How many virtual trees to sample; defaults to the
-            O(log n) of Lemma 3.3.
+        num_trees: How many virtual trees to sample, at least 1;
+            defaults to the O(log n) of Lemma 3.3.
         rng: Randomness source.
         method: ``"hierarchy"`` — the paper's recursive j-tree
             construction; ``"mwu"`` — flat Räcke MWU over spanning
@@ -328,6 +247,8 @@ def build_congestion_approximator(
     n = graph.num_nodes
     if num_trees is None:
         num_trees = max(2, int(np.ceil(np.log2(max(n, 4)))))
+    if num_trees < 1:
+        raise GraphError(f"num_trees must be at least 1, got {num_trees}")
 
     trees: list[RootedTree] = []
     if method == "hierarchy":
@@ -348,10 +269,7 @@ def build_congestion_approximator(
         raise GraphError(f"unknown approximator method {method!r}")
 
     approximator = TreeCongestionApproximator(
-        graph=graph,
-        operators=[TreeOperator(t) for t in trees],
-        alpha=1.0,
-        method=method,
+        graph, trees, alpha=1.0, method=method
     )
     if alpha is None:
         approximator.alpha = estimate_alpha_st(graph, approximator, rng=rng)

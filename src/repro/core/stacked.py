@@ -1,22 +1,25 @@
 """Flat stacked congestion-approximator operator (one pass per product).
 
-The per-tree :class:`~repro.core.approximator.TreeOperator`s compute
-``R·b`` / ``Rᵀ·g`` one O(n) block at a time — a Python loop over the
-O(log n) virtual trees, a ``np.concatenate`` per ``apply``, per-call
-index slicing, and two ``ufunc.at`` scatters per ``apply_transpose``.
-Since every AlmostRoute gradient step performs both products, that
-per-tree dispatch overhead is the end-to-end hot path (measured: the
-fused pass below wins ~3×/~2× at n=256/1024 — see
+R has one row block per virtual tree: row (T, v) is
+``b(T_v) / cap(δ(T_v))`` for every non-root node v of tree T. Tree by
+tree, ``R·b`` is one convergecast
+(:meth:`~repro.graphs.trees.RootedTree.subtree_sums`) and ``Rᵀ·g`` one
+downcast (:meth:`~repro.graphs.trees.RootedTree.prefix_sums_from_root`)
+— a Python loop over the O(log n) trees, a ``np.concatenate`` per
+``apply``, per-call index slicing, and two ``ufunc.at`` scatters per
+``apply_transpose``. Since every AlmostRoute gradient step performs
+both products, that per-tree dispatch overhead is the end-to-end hot
+path (measured: the fused pass below wins ~3×/~2× at n=256/1024 — see
 ``BENCH_graphcore.json``; the residual floor is the sequential
-segmented cumsum plus the scatter, which both paths share). This module fuses the blocks into **one**
-stacked operator built once at approximator-construction time, the same
-"batch all per-round work into a single synchronous pass" discipline the
-hierarchy sampler adopted in PR 2.
+segmented cumsum plus the scatter, which both paths share). This module
+fuses the blocks into **one** stacked operator, built once when the
+approximator is constructed.
 
 Every product of
 :class:`~repro.core.approximator.TreeCongestionApproximator` runs
-through this operator; the per-tree blocks stay only as the readable
-reference the golden tests compare against.
+through this operator. The golden tests compare it, bit for bit,
+against a per-tree twin that calls those two ``RootedTree`` methods
+tree by tree (``tests/parallel_harness.py``).
 
 Stacked-segment layout
 ======================
@@ -43,9 +46,10 @@ per-tree array is a fixed-width segment and the stack is a dense plane:
   diff plane, materialized per call by **one**
   ``np.bincount`` over the signed weights (``+w`` then ``-w``).
   ``bincount`` accumulates strictly in input order — the same
-  sequential fold as the legacy ``np.add.at``/``np.subtract.at`` pair
-  (adds before subtracts, ascending row order within each), so results
-  are bit-identical without ``ufunc.at``'s per-element dispatch cost.
+  sequential fold as ``prefix_sums_from_root``'s ``np.add.at`` /
+  ``np.subtract.at`` pair (adds before subtracts, ascending row order
+  within each), so results are bit-identical without ``ufunc.at``'s
+  per-element dispatch cost.
   (``np.add.reduceat`` would be allocation free but sums segments
   pairwise, which breaks the bit-identity contract.)
 * ``_pot_rows`` — ``(T·n,)`` flattened indices ``t·n + tin`` (all
@@ -73,16 +77,13 @@ product and measured slower than this single pass on a 2-vCPU host.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graphs.csr import WIDE_DTYPE
+from repro.graphs.trees import RootedTree
 from repro.hotpath import hot_kernel
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.approximator import TreeOperator
 
 __all__ = ["StackedTreeOperator"]
 
@@ -90,41 +91,40 @@ __all__ = ["StackedTreeOperator"]
 class StackedTreeOperator:
     """All per-tree row blocks of R fused into one flat operator.
 
-    Built from the same :class:`TreeOperator` list the per-tree path
-    uses, and golden-tested bit-identical to it (``tests/
-    test_stacked_operator.py``): identical row order, identical
-    floating-point folds.
+    Rows run tree by tree, ascending non-root node within each tree,
+    and each tree's ``capacity`` array is the only copy of its cuts:
+    the operator holds their inverses and re-reads them when the
+    approximator rewrites the cuts in place (``_load_capacities``).
+    Golden-tested bit-identical to the per-tree twin
+    (``tests/test_stacked_operator.py``): identical row order,
+    identical floating-point folds.
     """
 
-    def __init__(
-        self, operators: Sequence["TreeOperator"], num_nodes: int
-    ) -> None:
+    def __init__(self, trees: Sequence[RootedTree], num_nodes: int) -> None:
         self.num_nodes = int(num_nodes)
-        self.num_trees = len(operators)
+        self.num_trees = len(trees)
         n = self.num_nodes
-        for op in operators:
-            if op.tree.num_nodes != n:
+        for tree in trees:
+            if tree.num_nodes != n:
                 raise GraphError(
                     "stacked operator requires trees over the same node "
-                    f"set; got {op.tree.num_nodes} != {n}"
+                    f"set; got {tree.num_nodes} != {n}"
                 )
         T = self.num_trees
-        if T == 0:
-            self._order = np.zeros(0, dtype=WIDE_DTYPE)
-        else:
-            self._order = np.concatenate([op.order for op in operators])
+        self._trees = tuple(trees)
+        self._order = np.concatenate([tree.euler_order for tree in trees])
 
-        # Row bookkeeping (concatenated in tree order, ascending row
-        # node within each tree — the per-tree block order).
+        # Row bookkeeping: the row nodes are every node but the root,
+        # ascending within each tree, concatenated in tree order (the
+        # per-tree block order).
         tin_rows: list[np.ndarray] = []
         tout_rows: list[np.ndarray] = []
         scatter_tin: list[np.ndarray] = []
         scatter_tout: list[np.ndarray] = []
         pot_rows: list[np.ndarray] = []
-        inv_caps: list[np.ndarray] = []
-        for t, op in enumerate(operators):
-            rows_tin = op.tin[op.row_nodes]
-            rows_tout = op.tout[op.row_nodes]
+        for t, tree in enumerate(trees):
+            rows_tin = np.delete(tree.euler_tin, tree.root)
+            rows_tout = np.delete(tree.euler_tout, tree.root)
             # Row nodes are non-root, so tin >= 1: the exclusive prefix
             # P[k] equals the inclusive prefix Q[k-1].
             tin_rows.append(t * n + rows_tin - 1)
@@ -132,20 +132,18 @@ class StackedTreeOperator:
             diff_base = t * (n + 1)
             scatter_tin.append(diff_base + rows_tin)
             scatter_tout.append(diff_base + rows_tout)
-            pot_rows.append(t * n + op.tin)
-            inv_caps.append(op.row_inv_capacity)
-        self._tin_rows = _concat_int(tin_rows)
-        self._tout_rows = _concat_int(tout_rows)
-        self._pot_rows = _concat_int(pot_rows)
-        self._row_inv_capacity = (
-            np.concatenate(inv_caps) if inv_caps else np.zeros(0)
-        )
+            pot_rows.append(t * n + tree.euler_tin)
+        self._tin_rows = np.concatenate(tin_rows)
+        self._tout_rows = np.concatenate(tout_rows)
+        self._pot_rows = np.concatenate(pot_rows)
         self.num_rows = len(self._tin_rows)
         R = self.num_rows
+        self._row_inv_capacity = np.empty(R)
+        self._load_capacities()
 
         # Transpose scatter targets: fixed per operator, one array
         # (tin adds before tout subtracts — the np.add.at fold order).
-        self._scatter_idx = _concat_int(scatter_tin + scatter_tout)
+        self._scatter_idx = np.concatenate(scatter_tin + scatter_tout)
         self._diff_size = T * (n + 1)
 
         # Preallocated scratch planes (reused across calls; every entry
@@ -160,22 +158,18 @@ class StackedTreeOperator:
         self._row_buf = np.empty(R)
         self._signed = np.empty(2 * R)
 
-    def refresh_inv_capacity(
-        self, inv_caps: Sequence[np.ndarray]
-    ) -> None:
-        """Patch the inverse-capacity row vector in place (capacity-only
-        delta; row layout unchanged)."""
-        flat = (
-            np.concatenate(list(inv_caps))
-            if len(inv_caps)
-            else np.zeros(0)
+    def _load_capacities(self) -> None:
+        """Recompute the inverse-capacity rows, in place, from the
+        trees' ``capacity`` arrays (row layout unchanged)."""
+        caps = np.concatenate(
+            [np.delete(tree.capacity, tree.root) for tree in self._trees]
         )
-        if flat.shape != self._row_inv_capacity.shape:
+        if np.any(caps <= 0):
             raise GraphError(
-                f"refresh_inv_capacity: got {flat.shape[0]} rows, "
-                f"operator has {self.num_rows}"
+                "virtual tree has a zero-capacity induced cut; the graph "
+                "must be connected with positive capacities"
             )
-        self._row_inv_capacity[:] = flat
+        np.divide(1.0, caps, out=self._row_inv_capacity)
 
     @hot_kernel
     def apply(
@@ -290,8 +284,3 @@ class StackedTreeOperator:
             self.apply_transpose(row_plane[q], out=out[q])
         return out
 
-
-def _concat_int(parts: list[np.ndarray]) -> np.ndarray:
-    if not parts:
-        return np.zeros(0, dtype=WIDE_DTYPE)
-    return np.concatenate([np.asarray(p, dtype=WIDE_DTYPE) for p in parts])

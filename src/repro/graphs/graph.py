@@ -432,14 +432,22 @@ class Graph:
             )
         return self._csr_cache
 
+    def _check_node(self, node: int) -> None:
+        """Raise :class:`GraphError` unless ``node`` is in ``0..n-1``
+        (a negative id would otherwise index from the end)."""
+        if not 0 <= node < self._n:
+            raise GraphError(f"node {node} out of range 0..{self._n - 1}")
+
     def neighbors(self, node: int) -> list[tuple[int, int]]:
         """Return the adjacency list of ``node`` as ``(neighbor, edge_id)``
         pairs, in edge-insertion order. Parallel edges appear once per
         edge."""
+        self._check_node(node)
         return self.adjacency_lists()[node]
 
     def degree(self, node: int) -> int:
         """Return the degree of ``node`` (parallel edges all counted)."""
+        self._check_node(node)
         csr = self.csr()
         return int(csr.indptr[node + 1] - csr.indptr[node])
 
@@ -606,6 +614,7 @@ class Graph:
 
     def bfs_distances(self, source: int) -> list[int]:
         """Return hop distances from ``source`` (-1 for unreachable)."""
+        self._check_node(source)
         if not self.is_small():
             return kernels.bfs_levels(self.csr(), source).tolist()
         dist = [-1] * self._n

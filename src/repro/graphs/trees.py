@@ -19,7 +19,7 @@ per tree:
 * a DFS **Euler tour** (``order`` / ``tin`` / ``tout``), making every
   subtree aggregation two cumulative-sum lookups and every
   root-to-path sum one range-update pass — the same index arithmetic
-  the congestion approximator's ``TreeOperator`` consumes directly;
+  the congestion approximator's stacked operator fuses across trees;
 * a lazily built **binary-lifting table**, making batched LCA (and so
   stretch and induced-cut computations over all graph edges at once)
   a vectorized O(log depth) scan instead of a per-edge Python walk.
@@ -206,10 +206,8 @@ class RootedTree:
 
     def topological_order(self) -> list[int]:
         """Nodes in root-first order (every prefix closed under taking
-        parents). Since this PR the concrete order is DFS preorder with
-        children visited ascending — the legacy implementation used BFS
-        order; all in-repo consumers only rely on the root-first
-        property."""
+        parents): DFS preorder with children visited ascending. Callers
+        should rely only on the root-first property."""
         return self._ensure_euler()[0].tolist()
 
     def depth(self, node: int) -> int:
@@ -378,6 +376,7 @@ def bfs_tree(graph: Graph, root: int = 0) -> RootedTree:
     ``root``. Each node hangs off the first reached neighbour in FIFO
     order; its ``parent_edge`` is the lowest-id edge joining the two,
     because adjacency rows are in edge-id order."""
+    graph._check_node(root)
     graph.require_connected()
     if not graph.is_small():
         _, parent, parent_edge = kernels.bfs_parents(graph.csr(), root)
@@ -397,8 +396,10 @@ def spanning_tree_from_edges(
     holds the given ids, so callers need not look them up again.
 
     Raises:
+        GraphError: If ``root`` is not a node of ``graph``.
         TreeError: If the edge set is not a spanning tree.
     """
+    graph._check_node(root)
     n = graph.num_nodes
     ids = np.asarray(
         edge_ids if isinstance(edge_ids, np.ndarray) else list(edge_ids),
@@ -440,6 +441,10 @@ def induced_cut_capacities(graph: Graph, tree: RootedTree) -> np.ndarray:
     the induced cut capacity. Computed with one batched-LCA pass plus
     one Euler subtree sum:
     cut(T_v) = Σ_{e incident to T_v} cap(e) − 2·Σ_{e inside T_v} cap(e).
+
+    That difference cancels when a cut is far smaller than the capacity
+    around it, so a row small enough to have lost its digits is summed
+    again directly over the edges crossing it.
     """
     n = graph.num_nodes
     if tree.num_nodes != n:
@@ -462,8 +467,24 @@ def induced_cut_capacities(graph: Graph, tree: RootedTree) -> np.ndarray:
             np.add.at(at_lca, tree.lca_batch(tails, heads), 2.0 * caps)
     cut = tree.subtree_sums(incident - at_lca)
     cut[tree.root] = 0.0
-    # Clamp tiny negatives from float accumulation.
-    cut[cut < 0] = 0.0
+    # Each row is a difference of partial sums up to 4·Σcap in size,
+    # accumulated over n + m terms, so its rounding error stays below
+    # about 8(n+m)·eps·Σcap. A row within 10⁶ of that bound may be off
+    # by more than 1e-6 of itself: recompute it as the capacity of the
+    # edges with exactly one endpoint in T_v, the nodes whose Euler
+    # position lies in [tin[v], tout[v]).
+    limit = 1e6 * 8 * (n + graph.num_edges) * np.finfo(float).eps * caps.sum()
+    suspect = cut <= limit
+    suspect[tree.root] = False
+    if np.any(suspect):
+        tin, tout = tree.euler_tin, tree.euler_tout
+        tail_at, head_at = tin[tails], tin[heads]
+        for v in np.flatnonzero(suspect).tolist():
+            lo, hi = tin[v], tout[v]
+            crossing = ((lo <= tail_at) & (tail_at < hi)) != (
+                (lo <= head_at) & (head_at < hi)
+            )
+            cut[v] = caps[crossing].sum()
     return cut
 
 

@@ -17,7 +17,7 @@ The invariants and why they hold:
 * **congestion soundness** — every row of R is a genuine cut of G, so
   ``‖Rb‖∞ ≤ opt(b) ≤ congestion`` unconditionally. A broken
   approximator that inflates its rows (the suite's mutation test
-  multiplies ``row_inv_capacity`` by 100) reports a lower bound above
+  divides every tree's cut capacities by 100) reports a lower bound above
   the achieved congestion and trips this deterministically.
 * **congestion guarantee** — the descent promises
   ``congestion ≤ (1+ε)·opt ≤ (1+ε)·α·‖Rb‖∞``; GUARANTEE_SLACK absorbs

@@ -91,14 +91,9 @@ class ResultCache:
         version is a no-op, which is the "invalidates exactly once"
         contract.
         """
-        if self._epoch == version:
-            return False
-        moved = self._epoch is not None
-        self._epoch = version
-        if moved:
-            self._entries.clear()
-            self.invalidations += 1
-        return moved
+        invalidations = self.invalidations
+        self.salvage_epoch(version)
+        return self.invalidations != invalidations
 
     def salvage_epoch(self, version: int) -> "OrderedDict[Hashable, Any]":
         """Like :meth:`sync_epoch`, but hand the dropped old-epoch

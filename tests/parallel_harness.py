@@ -40,15 +40,28 @@ GENERATORS = {
 
 
 class PerTreeApproximator(TreeCongestionApproximator):
-    """An approximator whose R / Rᵀ products run tree by tree through
-    each :class:`~repro.core.approximator.TreeOperator` block — the
-    readable reference the flat stacked operator must match bit for
-    bit (same row order, same accumulation folds)."""
+    """An approximator whose R / Rᵀ products run tree by tree: row
+    (T, v) is ``b(T_v) / cap(δ(T_v))`` for every non-root v, ascending,
+    so ``R·b`` is one :meth:`~repro.graphs.trees.RootedTree.subtree_sums`
+    per tree and ``Rᵀ·g`` one
+    :meth:`~repro.graphs.trees.RootedTree.prefix_sums_from_root` per
+    tree. The readable reference the flat stacked operator must match
+    bit for bit (same row order, same accumulation folds)."""
+
+    def _blocks(self):
+        """Each tree with its row nodes and their inverse cuts."""
+        for tree in self.trees():
+            rows = np.delete(np.arange(tree.num_nodes), tree.root)
+            yield tree, rows, 1.0 / tree.capacity[rows]
 
     def apply(self, demand, out=None):
         demand = np.asarray(demand, dtype=float)
-        blocks = [op.apply(demand) for op in self.operators]
-        result = np.concatenate(blocks) if blocks else np.zeros(0)
+        result = np.concatenate(
+            [
+                tree.subtree_sums(demand)[rows] * inverse
+                for tree, rows, inverse in self._blocks()
+            ]
+        )
         if out is None:
             return result
         out[:] = result
@@ -61,9 +74,11 @@ class PerTreeApproximator(TreeCongestionApproximator):
         else:
             out[:] = 0.0
         offset = 0
-        for op in self.operators:
-            out += op.apply_transpose(row_values[offset : offset + op.num_rows])
-            offset += op.num_rows
+        for tree, rows, inverse in self._blocks():
+            prices = np.zeros(tree.num_nodes)
+            prices[rows] = row_values[offset : offset + len(rows)] * inverse
+            out += tree.prefix_sums_from_root(prices)
+            offset += len(rows)
         return out
 
     def estimate(self, demand):
@@ -74,8 +89,8 @@ def per_tree_reference(approximator) -> PerTreeApproximator:
     """The per-tree reference twin of ``approximator`` (same trees, α
     and method)."""
     return PerTreeApproximator(
-        graph=approximator.graph,
-        operators=approximator.operators,
+        approximator.graph,
+        approximator.trees(),
         alpha=approximator.alpha,
         method=approximator.method,
     )

@@ -10,7 +10,6 @@ import pytest
 from parallel_harness import tree_multigraph
 from repro.core.approximator import (
     TreeCongestionApproximator,
-    TreeOperator,
     build_congestion_approximator,
     estimate_alpha_st,
     racke_sample_trees,
@@ -18,35 +17,49 @@ from repro.core.approximator import (
 from repro.errors import GraphError
 from repro.flow import dinic_max_flow
 from repro.graphs.cuts import sparsest_cut_brute_force
-from repro.graphs.generators import grid, random_connected
+from repro.graphs.generators import barbell, grid, random_connected
 from repro.graphs.graph import Graph
 from repro.graphs.trees import RootedTree, bfs_tree, induced_cut_capacities
 from repro.util.validation import st_demand
 
 
+def _one_tree(graph, tree) -> TreeCongestionApproximator:
+    """R restricted to one tree: its rows are that tree's cuts."""
+    cuts = induced_cut_capacities(graph, tree)
+    return TreeCongestionApproximator(
+        graph, [RootedTree(tree.parent, cuts)], alpha=1.0
+    )
+
+
 class TestTreeOperator:
-    def _operator(self, graph) -> TreeOperator:
-        t = bfs_tree(graph, root=0)
-        return TreeOperator(
-            RootedTree(t.parent, induced_cut_capacities(graph, t))
-        )
+    """The row block of one tree, as a one-tree approximator."""
+
+    def _operator(self, graph) -> TreeCongestionApproximator:
+        return _one_tree(graph, bfs_tree(graph, root=0))
 
     def test_row_count(self, small_graph):
         op = self._operator(small_graph)
         assert op.num_rows == small_graph.num_nodes - 1
 
     def test_subtree_sums_match_naive(self, small_graph):
+        """Row v times its cut is the sum over T_v, found here by
+        walking every node up to the root."""
         op = self._operator(small_graph)
+        (tree,) = op.trees()
         rng = np.random.default_rng(1)
         values = rng.normal(size=small_graph.num_nodes)
-        fast = op.subtree_sums(values)
-        slow_all = op.tree.subtree_sums(values)
-        np.testing.assert_allclose(fast, slow_all[op.row_nodes])
+        naive = np.zeros(small_graph.num_nodes)
+        for v in range(small_graph.num_nodes):
+            for ancestor in tree.path_to_root(v):
+                naive[ancestor] += values[v]
+        rows = np.flatnonzero(np.asarray(tree.parent) >= 0)
+        np.testing.assert_allclose(
+            op.apply(values) * tree.capacity[rows], naive[rows]
+        )
 
     def test_apply_is_signed_congestion(self):
         g = Graph(3, [(0, 1, 2.0), (1, 2, 4.0)])
-        t = RootedTree([-1, 0, 1], induced_cut_capacities(g, RootedTree([-1, 0, 1])))
-        op = TreeOperator(t)
+        op = _one_tree(g, RootedTree([-1, 0, 1]))
         y = op.apply(np.array([1.0, 0.0, -1.0]))
         # rows ordered by child node: node1 (subtree {1,2} sum -1, cut 2),
         # node2 (subtree {2} sum -1, cut 4).
@@ -65,7 +78,26 @@ class TestTreeOperator:
     def test_zero_capacity_cut_rejected(self):
         t = RootedTree([-1, 0], capacity=[0.0, 0.0])
         with pytest.raises(GraphError):
-            TreeOperator(t)
+            TreeCongestionApproximator(Graph(2, [(0, 1, 1.0)]), [t], alpha=1.0)
+
+
+class TestTinyCuts:
+    @pytest.mark.parametrize(
+        "clique, capacity, bridge",
+        [(20, 1e4, 1e-8), (12, 1e8, 1e-6)],
+        ids=["cliques1e4-bridge1e-8", "cliques1e8-bridge1e-6"],
+    )
+    def test_barbell_bridge_row_is_exact(self, clique, capacity, bridge):
+        """A bridge cut far below the capacity around it keeps its
+        digits: ‖Rb‖∞ equals opt for the unit demand across it."""
+        g = barbell(
+            clique, bridge_capacity=bridge, rng=1, max_capacity=capacity
+        )
+        approx = build_congestion_approximator(g, rng=1, alpha=1.0)
+        t = 2 * clique - 1
+        min_cut = dinic_max_flow(g, 0, t).value
+        ratio = approx.estimate(st_demand(g, 0, t)) * min_cut
+        assert ratio == pytest.approx(1.0, rel=1e-9)
 
 
 class TestApproximator:
@@ -120,6 +152,16 @@ class TestApproximator:
     def test_unknown_method_rejected(self, small_graph):
         with pytest.raises(GraphError):
             build_congestion_approximator(small_graph, method="magic")
+
+    @pytest.mark.parametrize("num_trees", [0, -1])
+    def test_no_trees_rejected(self, small_graph, num_trees):
+        """An R with no rows would report every demand as routed."""
+        with pytest.raises(GraphError):
+            build_congestion_approximator(
+                small_graph, num_trees=num_trees, rng=1, alpha=1.0
+            )
+        with pytest.raises(GraphError):
+            TreeCongestionApproximator(small_graph, [], alpha=1.0)
 
     def test_explicit_alpha_respected(self, small_graph):
         approx = build_congestion_approximator(

@@ -267,12 +267,10 @@ class TestExactCutRefresh:
         _degrade(graph, fraction=0.05, seed=718)
         assert approximator.refresh_capacities() == 0  # never resamples
         assert approximator.num_rows == rows_before
-        # Every operator's cuts equal an exact recomputation.
-        for op in approximator.operators:
-            fresh = induced_cut_capacities(graph, op.tree)[op.row_nodes]
-            assert_arrays_identical(
-                "row_inv_capacity", 1.0 / fresh, op.row_inv_capacity
-            )
+        # Every tree's cuts equal an exact recomputation.
+        for tree in approximator.trees():
+            fresh = induced_cut_capacities(graph, tree)
+            assert_arrays_identical("capacity", fresh, tree.capacity)
 
     def test_refresh_keeps_workspaces_valid(self, graph):
         approximator = build_congestion_approximator(graph, rng=719)
@@ -294,7 +292,7 @@ class TestExactCutRefresh:
         _degrade(graph, fraction=0.05, factor=3.0, seed=734)
         approximator.refresh_capacities()
         assert approximator.stacked() is stacked
-        fresh = StackedTreeOperator(approximator.operators, graph.num_nodes)
+        fresh = StackedTreeOperator(approximator.trees(), graph.num_nodes)
         rng = np.random.default_rng(735)
         demand = rng.normal(size=graph.num_nodes)
         demand -= demand.mean()
@@ -323,14 +321,13 @@ class TestExactCutRefresh:
         demand = st_demand(graph, 0, 40)
         server.route(demand)
         approximator = server.approximator
-        operators = list(approximator.operators)
+        trees = approximator.trees()
         stacked = approximator.stacked()
         _degrade(graph, fraction=0.02, seed=725)
         server.route(demand)
         assert server.approximator is approximator
         assert all(
-            now is before
-            for now, before in zip(approximator.operators, operators)
+            now is before for now, before in zip(approximator.trees(), trees)
         )
         assert approximator.stacked() is stacked
 
@@ -342,7 +339,7 @@ class TestExactCutRefresh:
         for demand in demands:
             server.route(demand)
         approximator = server.approximator
-        operators = list(approximator.operators)
+        trees = approximator.trees()
         rng = np.random.default_rng(738)
         count = max(1, int(graph.num_edges * 0.02))
         for _ in range(DRIFT_CYCLES):
@@ -365,8 +362,7 @@ class TestExactCutRefresh:
         assert stats.warm_starts == len(demands) * DRIFT_CYCLES
         assert server.approximator is approximator
         assert all(
-            now is before
-            for now, before in zip(approximator.operators, operators)
+            now is before for now, before in zip(approximator.trees(), trees)
         )
 
 

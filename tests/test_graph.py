@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import DisconnectedGraphError, GraphError
+from repro.graphs.generators import random_connected
 from repro.graphs.graph import Edge, Graph
+from repro.graphs.trees import bfs_tree, spanning_tree_from_edges
 
 
 def triangle() -> Graph:
@@ -115,6 +117,20 @@ class TestAccessors:
     def test_degree_counts_parallel_edges(self):
         g = Graph(2, [(0, 1, 1.0), (0, 1, 1.0)])
         assert g.degree(0) == 2
+
+    @pytest.mark.parametrize("node", [-1, 10])
+    def test_node_out_of_range_rejected(self, node):
+        """A negative id must not alias node n-1, nor a large one
+        surface as a bare IndexError."""
+        g = random_connected(10, 0.3, rng=1)
+        for query in (g.degree, g.neighbors, g.bfs_distances, g.eccentricity):
+            with pytest.raises(GraphError, match="out of range"):
+                query(node)
+        with pytest.raises(GraphError, match="out of range"):
+            bfs_tree(g, root=node)
+        edge_ids = bfs_tree(g).parent_edge
+        with pytest.raises(GraphError, match="out of range"):
+            spanning_tree_from_edges(g, edge_ids[edge_ids >= 0], root=node)
 
     def test_capacities_vector(self):
         caps = triangle().capacities()

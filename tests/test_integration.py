@@ -57,12 +57,11 @@ class TestHierarchyFeedsApproximatorFeedsDescent:
         ]
         from repro.core.approximator import (
             TreeCongestionApproximator,
-            TreeOperator,
             estimate_alpha_st,
         )
 
         approx = TreeCongestionApproximator(
-            g, [TreeOperator(s.tree) for s in samples], alpha=1.0
+            g, [s.tree for s in samples], alpha=1.0
         )
         approx.alpha = estimate_alpha_st(g, approx, rng=rng)
         result = max_flow(g, 0, 35, epsilon=0.4, approximator=approx)

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.approximator import TreeOperator
+from repro.core.approximator import TreeCongestionApproximator
 from repro.graphs.generators import random_connected
 from repro.graphs.trees import RootedTree, bfs_tree, induced_cut_capacities
 from repro.jtree.madry import madry_jtree_step, select_load_classes
@@ -124,8 +124,10 @@ def test_skeleton_components_have_single_portal(case):
 def test_tree_operator_adjoint_identity(case):
     graph, seed = case
     tree = bfs_tree(graph, root=0)
-    op = TreeOperator(
-        RootedTree(tree.parent, induced_cut_capacities(graph, tree))
+    op = TreeCongestionApproximator(
+        graph,
+        [RootedTree(tree.parent, induced_cut_capacities(graph, tree))],
+        alpha=1.0,
     )
     rng = np.random.default_rng(seed)
     b = rng.normal(size=graph.num_nodes)
@@ -142,7 +144,9 @@ def test_tree_operator_rows_are_scaled_subtree_indicators(case):
     graph, seed = case
     tree = bfs_tree(graph, root=0)
     cuts = induced_cut_capacities(graph, tree)
-    op = TreeOperator(RootedTree(tree.parent, cuts))
+    op = TreeCongestionApproximator(
+        graph, [RootedTree(tree.parent, cuts)], alpha=1.0
+    )
     # Apply to a point mass at a random node: the result picks out the
     # rows of all subtrees containing it.
     rng = np.random.default_rng(seed)
@@ -155,7 +159,8 @@ def test_tree_operator_rows_are_scaled_subtree_indicators(case):
     while walk >= 0:
         ancestors.add(walk)
         walk = tree.parent[walk]
-    for row_index, v in enumerate(op.row_nodes):
+    row_nodes = [v for v in range(graph.num_nodes) if tree.parent[v] >= 0]
+    for row_index, v in enumerate(row_nodes):
         expected = (1.0 / cuts[v]) if v in ancestors else 0.0
         assert abs(values[row_index] - expected) <= 1e-12
 

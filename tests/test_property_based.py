@@ -15,10 +15,12 @@ from repro.graphs.cuts import cut_capacity
 from repro.graphs.generators import random_connected
 from repro.graphs.graph import Graph
 from repro.graphs.trees import (
+    RootedTree,
     bfs_tree,
     induced_cut_capacities,
     tree_route_demand,
 )
+from repro.lsst.akpw import akpw_spanning_tree
 from repro.util.validation import check_feasible_flow, st_demand
 
 # ---------------------------------------------------------------------------
@@ -120,16 +122,15 @@ def test_exact_refresh_stays_sound_after_increases_and_decreases(graph, seed):
     """After capacities move both ways, ``refresh_capacities`` leaves
     every row an exact cut and ``‖Rb‖∞`` a lower bound on opt."""
     approximator = build_congestion_approximator(graph, rng=seed)
-    approximator.stacked()  # the refresh must patch a fused operator
     rng = np.random.default_rng(seed)
     size = int(rng.integers(1, graph.num_edges + 1))
     for eid in rng.choice(graph.num_edges, size=size, replace=False).tolist():
         factor = 4.0 ** float(rng.uniform(-1.0, 1.0))  # in [0.25, 4]
         graph.set_capacity(eid, graph.capacity(eid) * factor)
     approximator.refresh_capacities()
-    for op in approximator.operators:
-        exact = induced_cut_capacities(graph, op.tree)[op.row_nodes]
-        assert np.array_equal(op.row_capacity, exact)
+    for tree in approximator.trees():
+        exact = induced_cut_capacities(graph, tree)
+        assert np.array_equal(tree.capacity, exact)
     t = graph.num_nodes - 1
     opt = 1.0 / dinic_max_flow(graph, 0, t).value
     assert approximator.estimate(st_demand(graph, 0, t)) <= opt * (1 + 1e-9)
@@ -159,6 +160,40 @@ def test_induced_cut_capacities_positive_and_bounded(graph):
     for v in range(graph.num_nodes):
         if tree.parent[v] >= 0:
             assert 0 < cuts[v] <= total + 1e-9
+
+
+@given(
+    connected_graphs(max_nodes=24), st.integers(min_value=0, max_value=10_000)
+)
+@settings(**COMMON)
+def test_induced_cuts_exact_across_capacity_scales(graph, seed):
+    """With capacities spread over 1e-8..1e8, every row of a BFS tree,
+    an AKPW tree and a random tree (edges not in the graph) matches the
+    capacity of the edges crossing its subtree to relative 1e-6."""
+    rng = np.random.default_rng(seed)
+    n = graph.num_nodes
+    tails, heads = graph.edge_index_arrays()
+    caps = 10.0 ** rng.uniform(-8.0, 8.0, size=graph.num_edges)
+    spread = Graph.from_edge_arrays(n, tails, heads, caps)
+    order = rng.permutation(n)
+    parent = np.full(n, -1)
+    for k in range(1, n):
+        parent[order[k]] = order[rng.integers(0, k)]
+    trees = [
+        bfs_tree(spread, root=int(rng.integers(0, n))),
+        akpw_spanning_tree(spread, rng=seed).tree,
+        RootedTree(parent),
+    ]
+    for tree in trees:
+        cuts = induced_cut_capacities(spread, tree)
+        for v in range(n):
+            if tree.parent[v] < 0:
+                continue
+            inside = np.zeros(n, dtype=bool)
+            for u in range(n):
+                inside[u] = v in tree.path_to_root(u)
+            exact = math.fsum(caps[inside[tails] != inside[heads]])
+            assert abs(cuts[v] - exact) <= 1e-6 * exact
 
 
 @given(graph_with_demand())

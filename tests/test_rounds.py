@@ -10,7 +10,7 @@ from repro.core import (
     estimate_rounds,
     max_flow,
 )
-from repro.core.approximator import TreeCongestionApproximator, TreeOperator
+from repro.core.approximator import TreeCongestionApproximator
 from repro.graphs.generators import random_connected
 from repro.jtree import sample_virtual_tree
 from repro.util.rng import as_generator, spawn
@@ -22,7 +22,7 @@ def pipeline_run():
     rng = as_generator(122)
     samples = [sample_virtual_tree(g, rng=r) for r in spawn(rng, 3)]
     approx = TreeCongestionApproximator(
-        g, [TreeOperator(s.tree) for s in samples], alpha=2.5
+        g, [s.tree for s in samples], alpha=2.5
     )
     result = max_flow(g, 0, 35, epsilon=0.5, approximator=approx)
     return g, samples, result

@@ -16,6 +16,7 @@ from repro.errors import (
     ScenarioError,
 )
 from repro.graphs.csr import WIDE_DTYPE
+from repro.graphs.trees import RootedTree
 from repro.scenarios import (
     DEMANDS,
     FAILURES,
@@ -299,11 +300,13 @@ class TestRunner:
 def _sabotaged(scale: float):
     def factory(graph, seed) -> TreeCongestionApproximator:
         approx = build_congestion_approximator(graph, rng=seed)
-        for op in approx.operators:
-            op.row_inv_capacity = op.row_inv_capacity * scale
-        approx._stacked = None  # rebuild the fused operator from the
-        # sabotaged rows (alpha estimation caches it pre-sabotage)
-        return approx
+        # Row (T, v) reads b(T_v) / cap, so cuts divided by ``scale``
+        # scale every row by ``scale``; alpha stays the honest estimate.
+        trees = [
+            RootedTree(tree.parent, tree.capacity / scale)
+            for tree in approx.trees()
+        ]
+        return TreeCongestionApproximator(graph, trees, alpha=approx.alpha)
 
     return factory
 

@@ -3,8 +3,9 @@
 The contract is *exact* float equality on the shared evaluation
 order: the flat fused pass of :class:`StackedTreeOperator` — the only
 product path of the approximator — must reproduce the per-tree
-``TreeOperator`` reference loop bit for bit (same row order, same
-accumulation folds) for ``apply``, ``apply_transpose`` and
+reference loop (``RootedTree.subtree_sums`` /
+``prefix_sums_from_root``, tree by tree) bit for bit (same row order,
+same accumulation folds) for ``apply``, ``apply_transpose`` and
 ``estimate``, and hence AlmostRoute must return identical results on
 either.
 """
@@ -33,7 +34,6 @@ from repro.core import (
     min_congestion_flow,
     smax_and_gradient,
 )
-from repro.core.approximator import TreeOperator
 from repro.errors import GraphError
 from repro.graphs.generators import grid, random_connected
 from repro.graphs.graph import Graph
@@ -105,11 +105,7 @@ class TestGoldenEquivalence:
         """Trees with no rows at all: empty products, zero potentials."""
         g = Graph(1)
         trees = [RootedTree([-1], capacity=[0.0]) for _ in range(3)]
-        approx = TreeCongestionApproximator(
-            graph=g,
-            operators=[TreeOperator(t) for t in trees],
-            alpha=1.0,
-        )
+        approx = TreeCongestionApproximator(graph=g, trees=trees, alpha=1.0)
         assert approx.num_rows == 0
         for variant in (per_tree_reference(approx), approx):
             assert variant.apply(np.zeros(1)).shape == (0,)
@@ -121,15 +117,19 @@ class TestGoldenEquivalence:
         """The flat row order is the per-tree concatenation order."""
         g, approx = medium
         b = st_demand(g, 0, g.num_nodes - 1)
-        blocks = [op.apply(b) for op in approx.operators]
+        blocks = []
+        for tree in approx.trees():
+            rows = np.flatnonzero(np.asarray(tree.parent) >= 0)
+            cuts = tree.capacity[rows]
+            blocks.append(tree.subtree_sums(b)[rows] * (1.0 / cuts))
         flat = approx.stacked().apply(b)
         assert np.array_equal(np.concatenate(blocks), flat)
 
     def test_mismatched_tree_rejected(self, medium):
         g, approx = medium
-        alien = TreeOperator(RootedTree([-1, 0], capacity=[0.0, 1.0]))
+        alien = RootedTree([-1, 0], capacity=[0.0, 1.0])
         with pytest.raises(GraphError):
-            StackedTreeOperator(approx.operators + [alien], g.num_nodes)
+            StackedTreeOperator(approx.trees() + [alien], g.num_nodes)
 
     def test_tiny_graph_matches_per_tree_reference(self):
         """Tiny graphs run the flat pass too, bit-identical to the
