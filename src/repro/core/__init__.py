@@ -31,10 +31,6 @@ from repro.core.accelerated import (
     accelerated_almost_route,
     accelerated_almost_route_batch,
 )
-from repro.core.binary_search import (
-    BinarySearchMaxFlow,
-    max_flow_binary_search,
-)
 
 __all__ = [
     "smax",
@@ -59,6 +55,4 @@ __all__ = [
     "estimate_rounds",
     "accelerated_almost_route",
     "accelerated_almost_route_batch",
-    "BinarySearchMaxFlow",
-    "max_flow_binary_search",
 ]

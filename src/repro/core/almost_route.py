@@ -25,16 +25,17 @@ The inner loop is **allocation free**: every per-iteration vector
 (residual, y, gradients, sign-step) lives in a
 :class:`RouteWorkspace` that callers may reuse across AlmostRoute
 invocations (the residual rounds of ``min_congestion_flow``, the
-binary-search sweep of ``max_flow_binary_search``), and every NumPy
-step writes through ``out=``. The 17/16 re-scaling sub-loop exploits
+pooled workspaces of ``FlowServer``), and every NumPy step writes
+through ``out=``. The 17/16 re-scaling sub-loop exploits
 linearity — ``C⁻¹(sf)`` and ``R(b + Bf)`` both scale by ``s`` — so a
 scaling step re-evaluates only the two soft-maxes instead of paying a
 full residual + R product evaluation.
 
-This is the only routing loop. :func:`almost_route_batch` routes a
-``(Q, n)`` demand plane column by column through :func:`almost_route`
-(reusing one workspace), so each column is the one-shot result bit for
-bit.
+The accelerated loop (:mod:`repro.core.accelerated`) shares all of it
+but the iteration itself: :func:`_route` validates, scales (line 1) and
+unscales for both. :func:`almost_route_batch` routes a ``(Q, n)``
+demand plane column by column through :func:`almost_route` (reusing
+one workspace), so each column is the one-shot result bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from repro.core.approximator import TreeCongestionApproximator
 from repro.core.softmax import smax_and_gradient
-from repro.errors import ConvergenceError, GraphError
+from repro.errors import GraphError
 from repro.graphs.csr import WIDE_DTYPE
 from repro.graphs.graph import Graph
 from repro.hotpath import hot_kernel
@@ -75,8 +76,8 @@ class RouteWorkspace:
     One workspace is sized for one (graph, approximator) pair — m-, n-
     and num_rows-shaped vectors — and is reused across gradient steps
     and across AlmostRoute calls. Build it once per solve sweep
-    (``min_congestion_flow`` and ``max_flow_binary_search`` do this
-    automatically) and hand it to every call on the same pair.
+    (``min_congestion_flow`` does this automatically) and hand it to
+    every call on the same pair.
     """
 
     def __init__(
@@ -242,13 +243,82 @@ class AlmostRouteResult:
     converged: bool
 
 
+#: What a descent loop hands back to :func:`_route`: the scaled flow,
+#: the accumulated 17/16 factor kf, iterations, scalings, the final
+#: potential and δ, and whether δ < ε/4 was reached.
+_Descent = tuple[np.ndarray, float, int, int, float, float, bool]
+
+
+def _route(
+    graph: Graph,
+    approximator: TreeCongestionApproximator,
+    demand: np.ndarray,
+    epsilon: float,
+    workspace: RouteWorkspace | None,
+    initial_flow: np.ndarray | None,
+    descend: Callable[..., _Descent],
+) -> AlmostRouteResult:
+    """Run one AlmostRoute loop: all of it but its budget and iteration.
+
+    Validates, sets the sharpness target, returns early for a demand R
+    cannot see (‖Rb‖∞ = 0), scales the demand and the warm-start seed
+    into ``ws.flow`` (line 1), calls ``descend(ws, b, α, ε, ln n,
+    target)``, then unscales its flow and adds the residual.
+    """
+    demand = check_demand(graph, demand)
+    m = graph.num_edges
+    alpha = max(1.0, float(approximator.alpha))
+    eps = float(epsilon)
+    if not 0 < eps <= 1:
+        raise GraphError(f"epsilon must be in (0, 1], got {epsilon}")
+    ln_n = math.log(max(graph.num_nodes, 3))
+    target = TARGET_FACTOR * ln_n / eps
+
+    norm_rb = approximator.estimate(demand)
+    if norm_rb <= 0:
+        return AlmostRouteResult(
+            flow=np.zeros(m),
+            residual=demand.copy(),
+            iterations=0,
+            scalings=0,
+            potential=0.0,
+            delta=0.0,
+            converged=True,
+        )
+    ws = RouteWorkspace.ensure(workspace, graph, approximator)
+    # Line 1: scale so that 2α‖Rb‖∞ = target.
+    kb = 2.0 * alpha * norm_rb / target
+    b = demand / kb
+    if initial_flow is None:
+        ws.flow[:] = 0.0
+    else:
+        seed = np.asarray(initial_flow, dtype=float)
+        if seed.shape != (m,):
+            raise GraphError(
+                f"initial_flow has shape {seed.shape}, expected ({m},)"
+            )
+        np.divide(seed, kb, out=ws.flow)
+    f, kf, iterations, scalings, potential, delta, converged = descend(
+        ws, b, alpha, eps, ln_n, target
+    )
+    flow_out = f * (kb / kf)
+    return AlmostRouteResult(
+        flow=flow_out,
+        residual=demand + graph.excess(flow_out),
+        iterations=iterations,
+        scalings=scalings,
+        potential=potential,
+        delta=delta,
+        converged=converged,
+    )
+
+
 def almost_route(
     graph: Graph,
     approximator: TreeCongestionApproximator,
     demand: np.ndarray,
     epsilon: float,
     max_iterations: int | None = None,
-    raise_on_budget: bool = False,
     workspace: RouteWorkspace | None = None,
     initial_flow: np.ndarray | None = None,
 ) -> AlmostRouteResult:
@@ -260,10 +330,9 @@ def almost_route(
         demand: Demand vector b (must sum to zero).
         epsilon: Target accuracy ε of the potential minimization.
         max_iterations: Gradient-step budget; defaults to the theory's
-            O(α² ε⁻³ log n) shape with a pragmatic constant.
-        raise_on_budget: If True, raise :class:`ConvergenceError` when
-            the budget is exhausted; otherwise return the best iterate
-            with ``converged=False``.
+            O(α² ε⁻³ log n) shape with a pragmatic constant. An
+            exhausted budget returns the last iterate with
+            ``converged=False``.
         workspace: Optional preallocated :class:`RouteWorkspace` to
             reuse across calls on the same (graph, approximator) pair;
             built internally when omitted; a workspace sized for a
@@ -283,92 +352,56 @@ def almost_route(
         An :class:`AlmostRouteResult`. ``flow`` is *not* necessarily
         feasible (soft capacity constraint); Algorithm 1 rescales.
     """
-    demand = check_demand(graph, demand)
-    n = graph.num_nodes
-    m = graph.num_edges
-    alpha = max(1.0, float(approximator.alpha))
-    eps = float(epsilon)
-    if not 0 < eps <= 1:
-        raise GraphError(f"epsilon must be in (0, 1], got {epsilon}")
-    ln_n = math.log(max(n, 3))
-    target = TARGET_FACTOR * ln_n / eps
-    if max_iterations is None:
-        max_iterations = int(
-            min(300_000, 200 + 40 * alpha**2 * ln_n / eps**3)
-        )
 
-    caps = graph.capacities()
-    tails, heads = graph.edge_index_arrays()
+    def descend(
+        ws: RouteWorkspace,
+        b: np.ndarray,
+        alpha: float,
+        eps: float,
+        ln_n: float,
+        target: float,
+    ) -> _Descent:
+        budget = max_iterations
+        if budget is None:
+            budget = int(min(300_000, 200 + 40 * alpha**2 * ln_n / eps**3))
+        caps = graph.capacities()
+        tails, heads = graph.edge_index_arrays()
+        two_alpha = 2.0 * alpha
+        f = ws.flow
+        kf = 1.0
+        scalings = 0
+        iterations = 0
+        potential = 0.0
+        delta = float("inf")
+        converged = False
 
-    norm_rb = approximator.estimate(demand)
-    if norm_rb <= 0:
-        return AlmostRouteResult(
-            flow=np.zeros(m),
-            residual=demand.copy(),
-            iterations=0,
-            scalings=0,
-            potential=0.0,
-            delta=0.0,
-            converged=True,
-        )
-    ws = RouteWorkspace.ensure(workspace, graph, approximator)
-    two_alpha = 2.0 * alpha
-    # Line 1: scale so that 2α‖Rb‖∞ = target.
-    kb = two_alpha * norm_rb / target
-    b = demand / kb
-    f = ws.flow
-    if initial_flow is None:
-        f[:] = 0.0
-    else:
-        seed = np.asarray(initial_flow, dtype=float)
-        if seed.shape != (m,):
-            raise GraphError(
-                f"initial_flow has shape {seed.shape}, expected ({m},)"
+        while iterations < budget:
+            potential = _evaluate(
+                ws, graph, approximator, caps, two_alpha, b, f
             )
-        np.divide(seed, kb, out=f)
-    kf = 1.0
-    scalings = 0
-    iterations = 0
-    potential = 0.0
-    delta = float("inf")
-    converged = False
+            # Lines 4–5: keep the soft-max sharp (linearity: only the
+            # cached soft-max arguments are rescaled; _rescale_cached).
+            inner_guard = 0
+            while potential < target and inner_guard < MAX_SCALINGS_PER_STEP:
+                np.multiply(f, SCALE_STEP, out=f)
+                np.multiply(b, SCALE_STEP, out=b)
+                kf *= SCALE_STEP
+                scalings += 1
+                inner_guard += 1
+                potential = _rescale_cached(ws)
+            delta = _gradient_delta(
+                ws, approximator, caps, tails, heads, two_alpha
+            )
+            if delta < eps / 4.0:
+                converged = True
+                break
+            _sign_step(ws, caps, delta / (1.0 + 4.0 * alpha**2))
+            np.subtract(f, ws.step, out=f)
+            iterations += 1
+        return f, kf, iterations, scalings, potential, delta, converged
 
-    while iterations < max_iterations:
-        potential = _evaluate(ws, graph, approximator, caps, two_alpha, b, f)
-        # Lines 4–5: keep the soft-max sharp (linearity: only the
-        # cached soft-max arguments are rescaled; see _rescale_cached).
-        inner_guard = 0
-        while potential < target and inner_guard < MAX_SCALINGS_PER_STEP:
-            np.multiply(f, SCALE_STEP, out=f)
-            np.multiply(b, SCALE_STEP, out=b)
-            kf *= SCALE_STEP
-            scalings += 1
-            inner_guard += 1
-            potential = _rescale_cached(ws)
-        delta = _gradient_delta(ws, approximator, caps, tails, heads, two_alpha)
-        if delta < eps / 4.0:
-            converged = True
-            break
-        _sign_step(ws, caps, delta / (1.0 + 4.0 * alpha**2))
-        np.subtract(f, ws.step, out=f)
-        iterations += 1
-
-    if not converged and raise_on_budget:
-        raise ConvergenceError(
-            f"AlmostRoute did not converge in {max_iterations} iterations "
-            f"(delta={delta:.3g}, target {eps / 4:.3g})"
-        )
-    unscale = kb / kf
-    flow_out = f * unscale
-    residual_out = demand + graph.excess(flow_out)
-    return AlmostRouteResult(
-        flow=flow_out,
-        residual=residual_out,
-        iterations=iterations,
-        scalings=scalings,
-        potential=potential,
-        delta=delta,
-        converged=converged,
+    return _route(
+        graph, approximator, demand, epsilon, workspace, initial_flow, descend
     )
 
 
@@ -426,7 +459,6 @@ def _route_columns(
     demands: np.ndarray,
     epsilon: float,
     max_iterations: int | None,
-    raise_on_budget: bool,
     workspace: RouteWorkspace | None,
     initial_flows: np.ndarray | None,
 ) -> BatchAlmostRouteResult:
@@ -452,7 +484,6 @@ def _route_columns(
             demands[q],
             epsilon,
             max_iterations=max_iterations,
-            raise_on_budget=raise_on_budget,
             workspace=workspace,
             initial_flow=None if seeds is None else seeds[q],
         )
@@ -482,7 +513,6 @@ def almost_route_batch(
     demands: np.ndarray,
     epsilon: float,
     max_iterations: int | None = None,
-    raise_on_budget: bool = False,
     workspace: RouteWorkspace | None = None,
     initial_flows: np.ndarray | None = None,
 ) -> BatchAlmostRouteResult:
@@ -500,9 +530,8 @@ def almost_route_batch(
         demands: ``(Q, n)`` plane of demand vectors (each sums to zero;
             the first offending row is named).
         epsilon: Target accuracy ε (shared by the batch).
-        max_iterations: Per-query gradient-step budget (shared).
-        raise_on_budget: If True, raise :class:`ConvergenceError` at
-            the first query that exhausts the budget.
+        max_iterations: Per-query gradient-step budget (shared); a
+            column that exhausts it has ``converged[q] = False``.
         workspace: Optional :class:`RouteWorkspace` for the (graph,
             approximator) pair, reused for every column; mismatched
             shapes raise :class:`~repro.errors.GraphError`.
@@ -520,7 +549,6 @@ def almost_route_batch(
         demands,
         epsilon,
         max_iterations,
-        raise_on_budget,
         workspace,
         initial_flows,
     )

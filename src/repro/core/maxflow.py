@@ -141,8 +141,8 @@ def min_congestion_flow(
         max_iterations: Per-call gradient budget override.
         workspace: Optional preallocated AlmostRoute workspace; built
             once here and shared by every residual round (callers
-            sweeping many demands — e.g. the binary search — pass one
-            in to amortize it further).
+            routing many demands on one approximator pass one in to
+            amortize it further).
         initial_flow: Optional warm-start seed for the *first*
             AlmostRoute round (a previous epoch's flow for this demand,
             rescaled via :func:`repro.graphs.journal.rescale_flow`);

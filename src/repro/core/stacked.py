@@ -27,10 +27,11 @@ Stacked-segment layout
 All ``T`` virtual trees span the same ``n`` graph nodes, so every
 per-tree array is a fixed-width segment and the stack is a dense plane:
 
-* ``_order`` — ``(T·n,)`` concatenated DFS preorders; entries are node
-  ids (< n), i.e. gather indices into the demand vector.
-* prefix plane — the gathered demand reshaped ``(T, n)`` and turned
-  into inclusive prefix sums by one in-place ``np.cumsum(axis=1)``
+* ``_order`` — ``(T, n)`` plane of DFS preorders, one row per tree;
+  entries are node ids (< n), i.e. gather indices into the demand
+  vector.
+* prefix plane — the ``(T, n)`` gathered demand, turned into
+  inclusive prefix sums by one in-place ``np.cumsum(axis=1)``
   (row-wise cumsum is the *same* sequential left-fold as the per-tree
   1-D cumsum, which is what makes the paths bit-identical). Row nodes
   are never the root, so ``tin ≥ 1`` and the per-tree *exclusive*
@@ -52,14 +53,17 @@ per-tree array is a fixed-width segment and the stack is a dense plane:
   per-element dispatch cost.
   (``np.add.reduceat`` would be allocation free but sums segments
   pairwise, which breaks the bit-identity contract.)
-* ``_pot_rows`` — ``(T·n,)`` flattened indices ``t·n + tin`` (all
-  nodes) into the row-wise cumsum of the diff plane; the per-tree node
-  potentials are gathered in one take and accumulated tree by tree
-  (``0 + x == x`` exactly, so the accumulation matches the per-tree
-  ``out += block`` loop bit for bit).
+* ``_pot_rows`` — ``(T, n)`` plane of flattened indices ``t·n + tin``
+  (all nodes) into the row-wise cumsum of the diff plane; the per-tree
+  node potentials are gathered in one take and accumulated tree by
+  tree (``0 + x == x`` exactly, so the accumulation matches the
+  per-tree ``out += block`` loop bit for bit).
 
 Segments sharing one global cumsum would leak floating-point carry
 across tree boundaries; the ``(T, ·)`` plane resets every row for free.
+``np.take`` reads a C-contiguous plane as its flat view without
+copying, so the flattened indices need no flat alias of any plane, and
+a deep copy or pickle of the operator keeps the planes it indexes.
 
 All scratch planes are preallocated on the operator, and ``apply`` /
 ``apply_transpose`` accept ``out=`` — with a caller-provided output
@@ -112,7 +116,9 @@ class StackedTreeOperator:
                 )
         T = self.num_trees
         self._trees = tuple(trees)
-        self._order = np.concatenate([tree.euler_order for tree in trees])
+        self._order = np.concatenate(
+            [tree.euler_order for tree in trees]
+        ).reshape(T, n)
 
         # Row bookkeeping: the row nodes are every node but the root,
         # ascending within each tree, concatenated in tree order (the
@@ -135,7 +141,7 @@ class StackedTreeOperator:
             pot_rows.append(t * n + tree.euler_tin)
         self._tin_rows = np.concatenate(tin_rows)
         self._tout_rows = np.concatenate(tout_rows)
-        self._pot_rows = np.concatenate(pot_rows)
+        self._pot_rows = np.concatenate(pot_rows).reshape(T, n)
         self.num_rows = len(self._tin_rows)
         R = self.num_rows
         self._row_inv_capacity = np.empty(R)
@@ -149,11 +155,8 @@ class StackedTreeOperator:
         # Preallocated scratch planes (reused across calls; every entry
         # is fully overwritten before it is read).
         self._prefix = np.empty((T, n))
-        self._prefix_flat = self._prefix.reshape(-1)
         self._cum = np.empty((T, n))
-        self._cum_flat = self._cum.reshape(-1)
         self._pots = np.empty((T, n))
-        self._pots_flat = self._pots.reshape(-1)
         self._row_scratch = np.empty(R)
         self._row_buf = np.empty(R)
         self._signed = np.empty(2 * R)
@@ -195,14 +198,11 @@ class StackedTreeOperator:
         # mode="clip" skips take's per-element bounds check; every
         # index array here is precomputed in-bounds by construction
         # (and the demand length was validated above).
-        np.take(demand, self._order, out=self._prefix_flat, mode="clip")
+        np.take(demand, self._order, out=self._prefix, mode="clip")
         np.cumsum(self._prefix, axis=1, out=self._prefix)
-        np.take(self._prefix_flat, self._tout_rows, out=out, mode="clip")
+        np.take(self._prefix, self._tout_rows, out=out, mode="clip")
         np.take(
-            self._prefix_flat,
-            self._tin_rows,
-            out=self._row_scratch,
-            mode="clip",
+            self._prefix, self._tin_rows, out=self._row_scratch, mode="clip"
         )
         np.subtract(out, self._row_scratch, out=out)
         np.multiply(out, self._row_inv_capacity, out=out)
@@ -231,9 +231,7 @@ class StackedTreeOperator:
             self._scatter_idx, weights=self._signed, minlength=self._diff_size
         ).reshape(self.num_trees, self.num_nodes + 1)
         np.cumsum(diff[:, :-1], axis=1, out=self._cum)
-        np.take(
-            self._cum_flat, self._pot_rows, out=self._pots_flat, mode="clip"
-        )
+        np.take(self._cum, self._pot_rows, out=self._pots, mode="clip")
         out[:] = self._pots[0]
         for t in range(1, self.num_trees):
             np.add(out, self._pots[t], out=out)

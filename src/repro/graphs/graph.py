@@ -320,6 +320,15 @@ class Graph:
         twin._connected_cache = self._connected_cache
         return twin
 
+    def __getstate__(self) -> dict[str, object]:
+        """Pickle and deep-copy state without the cached views: a copied
+        view is a separate array that the copy's writes never reach, so
+        the copy rebuilds its views from its own buffers."""
+        state = self.__dict__.copy()
+        state["_cap_view"] = None
+        state["_uv_view"] = None
+        return state
+
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
@@ -339,8 +348,7 @@ class Graph:
 
     def edge(self, eid: int) -> Edge:
         """Return the :class:`Edge` with the given id."""
-        if not (0 <= eid < self._m):
-            raise GraphError(f"edge id {eid} out of range")
+        self._check_edge(eid)
         return Edge(
             eid, int(self._eu[eid]), int(self._ev[eid]), float(self._cap[eid])
         )
@@ -354,23 +362,15 @@ class Graph:
         for eid in range(m):
             yield Edge(eid, eu[eid], ev[eid], cap[eid])
 
-    def _edge_slot(self, eid: int) -> int:
-        """Normalize an edge id (negatives count from the end) to its
-        buffer slot — the buffers over-allocate, so Python-style
-        negative indexing must be resolved against m, not the buffer."""
-        slot = eid + self._m if eid < 0 else eid
-        if not 0 <= slot < self._m:
-            raise IndexError(f"edge id {eid} out of range")
-        return slot
-
     def endpoints(self, eid: int) -> tuple[int, int]:
         """Return ``(u, v)`` for edge ``eid`` under the fixed orientation."""
-        slot = self._edge_slot(eid)
-        return int(self._eu[slot]), int(self._ev[slot])
+        self._check_edge(eid)
+        return int(self._eu[eid]), int(self._ev[eid])
 
     def capacity(self, eid: int) -> float:
         """Return the capacity of edge ``eid``."""
-        return float(self._cap[self._edge_slot(eid)])
+        self._check_edge(eid)
+        return float(self._cap[eid])
 
     def set_capacity(self, eid: int, capacity: float) -> None:
         """Overwrite the capacity of edge ``eid`` (cached capacity views
@@ -382,13 +382,13 @@ class Graph:
         cap = float(capacity)
         if not cap > 0 or not np.isfinite(cap):
             raise GraphError(f"capacity must be positive, got {capacity}")
-        slot = self._edge_slot(eid)
-        old = float(self._cap[slot])
-        self._cap[slot] = cap
-        self._record_capacity_delta(slot, old, cap)
+        self._check_edge(eid)
+        old = float(self._cap[eid])
+        self._cap[eid] = cap
+        self._record_capacity_delta(eid, old, cap)
 
     def _record_capacity_delta(
-        self, slot: int, old: float, new: float
+        self, eid: int, old: float, new: float
     ) -> None:
         """Advance the epoch for one capacity write and journal it.
 
@@ -399,7 +399,7 @@ class Graph:
         writes to route through here or through ``_invalidate``).
         """
         self._version += 1
-        self._journal.record(self._version, slot, old, new)
+        self._journal.record(self._version, eid, old, new)
 
     def deltas_since(self, epoch: int) -> CapacityDelta | None:
         """The coalesced capacity-only delta from ``epoch`` to now.
@@ -437,6 +437,13 @@ class Graph:
         (a negative id would otherwise index from the end)."""
         if not 0 <= node < self._n:
             raise GraphError(f"node {node} out of range 0..{self._n - 1}")
+
+    def _check_edge(self, eid: int) -> None:
+        """Raise :class:`GraphError` unless ``eid`` is in ``0..m-1`` (the
+        buffers over-allocate, so neither a negative id nor one past m
+        may reach them)."""
+        if not 0 <= eid < self._m:
+            raise GraphError(f"edge id {eid} out of range 0..{self._m - 1}")
 
     def neighbors(self, node: int) -> list[tuple[int, int]]:
         """Return the adjacency list of ``node`` as ``(neighbor, edge_id)``

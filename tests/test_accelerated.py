@@ -1,22 +1,15 @@
-"""Tests for the accelerated AlmostRoute (paper footnote 3) and the
-binary-search max-flow formulation (§3)."""
+"""Tests for the accelerated AlmostRoute (paper footnote 3)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    accelerated_almost_route,
-    build_congestion_approximator,
-    max_flow,
-    max_flow_binary_search,
-)
+from repro.core import accelerated_almost_route, build_congestion_approximator
 from repro.core.almost_route import almost_route
-from repro.errors import GraphError, InvalidDemandError
-from repro.flow import dinic_max_flow
-from repro.graphs.generators import grid, random_connected
-from repro.util.validation import check_feasible_flow, st_demand
+from repro.errors import GraphError
+from repro.graphs.generators import random_connected
+from repro.util.validation import st_demand
 
 
 @pytest.fixture(scope="module")
@@ -70,52 +63,3 @@ class TestAccelerated:
             g, approx, st_demand(g, 0, 19), 0.2, max_iterations=2
         )
         assert not result.converged
-
-
-class TestBinarySearch:
-    def test_agrees_with_scaling_method(self, setup):
-        g, approx = setup
-        scaling = max_flow(g, 0, 19, epsilon=0.4, approximator=approx)
-        search = max_flow_binary_search(
-            g, 0, 19, epsilon=0.4, approximator=approx
-        )
-        assert search.value == pytest.approx(scaling.value, rel=0.15)
-
-    def test_flow_feasible(self, setup):
-        g, approx = setup
-        result = max_flow_binary_search(
-            g, 0, 19, epsilon=0.5, approximator=approx
-        )
-        check_feasible_flow(
-            g, result.flow, st_demand(g, 0, 19, result.value), tol=1e-6
-        )
-
-    def test_value_below_exact(self, setup):
-        g, approx = setup
-        result = max_flow_binary_search(
-            g, 0, 19, epsilon=0.4, approximator=approx
-        )
-        exact = dinic_max_flow(g, 0, 19).value
-        assert result.value <= exact * (1 + 1e-6)
-        assert result.value >= exact / 1.6
-
-    def test_bracket_contains_value(self, setup):
-        g, approx = setup
-        result = max_flow_binary_search(
-            g, 0, 19, epsilon=0.5, approximator=approx
-        )
-        low, high = result.bracket
-        assert low <= high
-        assert result.search_steps >= 1
-
-    def test_grid_instance(self):
-        g = grid(5, 5, rng=403)
-        approx = build_congestion_approximator(g, rng=404)
-        result = max_flow_binary_search(g, 0, 24, epsilon=0.5, approximator=approx)
-        exact = dinic_max_flow(g, 0, 24).value
-        assert result.value >= exact / 1.7
-
-    def test_same_terminals_rejected(self, setup):
-        g, approx = setup
-        with pytest.raises(InvalidDemandError):
-            max_flow_binary_search(g, 4, 4, approximator=approx)

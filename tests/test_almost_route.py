@@ -9,7 +9,7 @@ import pytest
 from repro.core.almost_route import almost_route
 from repro.core.approximator import build_congestion_approximator
 from repro.core.softmax import smax
-from repro.errors import ConvergenceError, GraphError
+from repro.errors import GraphError
 from repro.graphs.generators import random_connected
 from repro.util.validation import st_demand
 
@@ -116,14 +116,6 @@ class TestAlmostRoute:
         demand = st_demand(g, 0, 15, 1.0)
         result = almost_route(g, approx, demand, 0.2, max_iterations=3)
         assert not result.converged
-
-    def test_budget_exhaustion_raises_when_asked(self, setup):
-        g, approx = setup
-        demand = st_demand(g, 0, 15, 1.0)
-        with pytest.raises(ConvergenceError):
-            almost_route(
-                g, approx, demand, 0.2, max_iterations=3, raise_on_budget=True
-            )
 
     def test_iterations_increase_with_accuracy(self, setup):
         g, approx = setup

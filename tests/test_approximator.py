@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
 
 from parallel_harness import tree_multigraph
+from repro.core.almost_route import almost_route
 from repro.core.approximator import (
     TreeCongestionApproximator,
     build_congestion_approximator,
@@ -98,6 +101,37 @@ class TestTinyCuts:
         min_cut = dinic_max_flow(g, 0, t).value
         ratio = approx.estimate(st_demand(g, 0, t)) * min_cut
         assert ratio == pytest.approx(1.0, rel=1e-9)
+
+
+class TestCopies:
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copy_answers_bit_for_bit(self, clone):
+        """A deep-copied or pickled approximator keeps the planes its
+        products index, so every product and a solve match the
+        original, and a refresh of the copy leaves the original be."""
+        g = random_connected(40, 0.2, rng=3)
+        approx = build_congestion_approximator(g, rng=1)
+        twin = clone(approx)
+        rng = np.random.default_rng(4)
+        b = rng.normal(size=g.num_nodes)
+        b -= b.mean()
+        y = rng.normal(size=approx.num_rows)
+        rb = approx.apply(b)
+        assert np.array_equal(twin.apply(b), rb)
+        assert np.array_equal(
+            twin.apply_transpose(y), approx.apply_transpose(y)
+        )
+        assert twin.estimate(b) == approx.estimate(b)
+        ours = almost_route(g, approx, b, 0.5)
+        theirs = almost_route(twin.graph, twin, b, 0.5)
+        assert np.array_equal(theirs.flow, ours.flow)
+        twin.graph.set_capacity(0, 2 * g.capacity(0))
+        twin.refresh_capacities()
+        assert np.array_equal(approx.apply(b), rb)
 
 
 class TestApproximator:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,31 @@ class TestConstruction:
         assert g.capacity(0) == 1.0
 
 
+class TestCopies:
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copy_rebuilds_cached_views(self, clone):
+        """A copy of a graph whose views were cached answers like the
+        original, and a write to the copy reaches its own views only."""
+        g = random_connected(10, 0.3, rng=1)
+        g.capacities()
+        g.edge_index_arrays()
+        twin = clone(g)
+        flow = np.random.default_rng(2).normal(size=g.num_edges)
+        assert np.array_equal(twin.capacities(), g.capacities())
+        assert np.array_equal(twin.excess(flow), g.excess(flow))
+        for ours, theirs in zip(
+            twin.edge_index_arrays(), g.edge_index_arrays()
+        ):
+            assert np.array_equal(ours, theirs)
+        twin.set_capacity(0, 3 * g.capacity(0))
+        assert twin.capacities()[0] == twin.capacity(0) == 3 * g.capacity(0)
+        assert g.capacities()[0] == g.capacity(0)
+
+
 class TestAccessors:
     def test_edge_object_fields(self):
         g = triangle()
@@ -103,8 +131,21 @@ class TestAccessors:
             e.other(5)
 
     def test_edge_id_out_of_range(self):
-        with pytest.raises(GraphError):
-            triangle().edge(3)
+        """Every edge-id accessor rejects -1 and m with GraphError: a
+        negative id must not count from the end, nor m surface as a
+        bare IndexError."""
+        g = random_connected(10, 0.3, rng=1)
+        caps = g.capacities().copy()
+        for eid in (-1, g.num_edges):
+            for query in (
+                g.edge,
+                g.endpoints,
+                g.capacity,
+                lambda e: g.set_capacity(e, 1.0),
+            ):
+                with pytest.raises(GraphError, match="out of range"):
+                    query(eid)
+        assert np.array_equal(g.capacities(), caps)
 
     def test_edges_iterates_in_id_order(self):
         ids = [e.id for e in triangle().edges()]

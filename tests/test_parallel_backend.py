@@ -3,12 +3,12 @@
 Sweeps the harness's matrix (``tests/parallel_harness.py``) over every
 construction kernel — frontier BFS, CSR build, contraction, hop
 distances, MWU lengths — and over approximator construction and
-end-to-end ``max_flow`` / ``max_flow_binary_search`` /
-``min_congestion_flow``, asserting **bit identity** with a reference
-that shares none of the kernel's code: a pure-Python FIFO traversal,
-the loop-based tiny contraction path, or a rerun on a fresh graph (the
-MWU lengths meet their formula to within rounding). Also checks the
-graph's derived-cache state after each run.
+end-to-end ``max_flow`` / ``min_congestion_flow``, asserting **bit
+identity** with a reference that shares none of the kernel's code: a
+pure-Python FIFO traversal, the loop-based tiny contraction path, or a
+rerun on a fresh graph (the MWU lengths meet their formula to within
+rounding). Also checks the graph's derived-cache state after each
+run.
 
 The module name dates from when each kernel also had a sharded twin
 that this sweep held to the serial kernel; the twins are gone, and the
@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 import repro.graphs.graph as graph_mod
-from repro.core.binary_search import max_flow_binary_search
 from repro.core.maxflow import max_flow, min_congestion_flow
 from repro.graphs import kernels
 from repro.graphs.csr import INDEX_DTYPE, build_csr
@@ -335,26 +334,6 @@ class TestEndToEndParity:
             == baseline.congestion_result.lower_bound
         )
         assert_cache_invariants(graph)
-
-    def test_max_flow_binary_search_parity(self):
-        """The binary search builds its own approximator; a rerun on a
-        fresh graph and one on the warmed graph reproduce the sweep."""
-        seed = 303
-        graph = random_connected(40, 0.12, rng=seed)
-        baseline = max_flow_binary_search(graph, 0, 7, rng=seed, epsilon=0.5)
-        for label, rerun_graph in (
-            ("warm", graph),
-            ("fresh", random_connected(40, 0.12, rng=seed)),
-        ):
-            result = max_flow_binary_search(
-                rerun_graph, 0, 7, rng=seed, epsilon=0.5
-            )
-            assert result.value == baseline.value
-            assert result.search_steps == baseline.search_steps
-            assert result.bracket == baseline.bracket
-            assert_arrays_identical(
-                f"binary_search.flow[{label}]", baseline.flow, result.flow
-            )
 
     def test_min_congestion_flow_parity(self):
         """``min_congestion_flow`` with no approximator builds one; a

@@ -313,9 +313,11 @@ def test_error_discipline_flags_bare_valueerror_and_assert():
             assert x is not None
             if x < 0:
                 raise ValueError("negative")
+            if x > 9:
+                raise IndexError(f"id {x} out of range")
         """
     hits = [f for f in lint(src) if f.rule == "error-discipline"]
-    assert len(hits) == 2
+    assert len(hits) == 3
 
 
 def test_error_discipline_clean_on_repro_errors():

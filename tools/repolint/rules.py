@@ -620,7 +620,7 @@ class HotPathAlloc(Rule):
 @register
 class ErrorDiscipline(Rule):
     """Input validation raises the ReproError family, never bare
-    ValueError/TypeError/assert.
+    ValueError/TypeError/IndexError/KeyError/assert.
 
     The library's catchability contract (errors.py): callers catch
     ``ReproError`` subclasses without swallowing programming errors.
@@ -630,12 +630,12 @@ class ErrorDiscipline(Rule):
 
     name = "error-discipline"
     description = (
-        "bare raise ValueError/TypeError or assert under src/repro "
-        "(raise a ReproError subclass, e.g. GraphError)"
+        "bare raise ValueError/TypeError/IndexError/KeyError or assert "
+        "under src/repro (raise a ReproError subclass, e.g. GraphError)"
     )
     paths = (SRC,)
 
-    _BANNED = {"ValueError", "TypeError"}
+    _BANNED = {"ValueError", "TypeError", "IndexError", "KeyError"}
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
