@@ -45,7 +45,7 @@ __all__ = [
 DEFAULT_WORDS_PER_MESSAGE = 4
 
 
-def message_words(payload: Any) -> int:
+def message_words(payload: Any) -> int:  # repolint: disable=no-recursion -- depth is the nesting of a CONGEST message payload, not the size of the graph
     """Count the O(log n)-bit words a payload occupies.
 
     Ints, floats, bools, None and short strings count as one word each;

@@ -73,10 +73,6 @@ class TreeCongestionApproximator:
         method: str = "hierarchy",
     ) -> None:
         self._trees = list(trees)
-        if not self._trees:
-            raise GraphError(
-                "a congestion approximator needs at least one tree"
-            )
         self.graph = graph
         self.alpha = alpha
         self.method = method
@@ -174,7 +170,8 @@ def racke_sample_trees(
         potentials += 0.5 * rload / r_max * np.log(max(graph.num_edges, 2))
         iteration += 1
         if iteration % mwu_rounds_per_tree == 0 or len(out) == 0:
-            out.append(RootedTree(tree.parent, cut_caps))
+            tree.capacity[:] = cut_caps
+            out.append(tree)
     return out[:num_trees]
 
 
@@ -250,7 +247,7 @@ def build_congestion_approximator(
     if num_trees < 1:
         raise GraphError(f"num_trees must be at least 1, got {num_trees}")
 
-    trees: list[RootedTree] = []
+    trees: list[RootedTree]
     if method == "hierarchy":
         # O(log n) independent samples of the Theorem 8.10 recursion,
         # each on its own child generator spawned from ``rng``.
@@ -261,10 +258,9 @@ def build_congestion_approximator(
     elif method == "mwu":
         trees = racke_sample_trees(graph, num_trees, rng=rng)
     elif method == "bfs":
-        bfs = bfs_tree(graph, root=0)
-        trees.append(RootedTree(bfs.parent, induced_cut_capacities(graph, bfs)))
-        mst = maximum_spanning_tree(graph)
-        trees.append(RootedTree(mst.parent, induced_cut_capacities(graph, mst)))
+        trees = [bfs_tree(graph, root=0), maximum_spanning_tree(graph)]
+        for tree in trees:
+            tree.capacity[:] = induced_cut_capacities(graph, tree)
     else:
         raise GraphError(f"unknown approximator method {method!r}")
 

@@ -105,6 +105,10 @@ class StackedTreeOperator:
     """
 
     def __init__(self, trees: Sequence[RootedTree], num_nodes: int) -> None:
+        if not trees:
+            raise GraphError(
+                "a congestion approximator needs at least one tree"
+            )
         self.num_nodes = int(num_nodes)
         self.num_trees = len(trees)
         n = self.num_nodes

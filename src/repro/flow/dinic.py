@@ -5,6 +5,11 @@ Sherman pipeline produces is validated against the value Dinic
 computes. (The paper uses exact max flow only implicitly, via the
 max-flow min-cut theorem; for a reproduction we need the oracle to
 measure approximation ratios.)
+
+Each phase builds the level graph with the residual network's FIFO BFS
+and saturates it with a blocking flow found by an explicit-stack
+depth-first search over plain lists, so an augmenting path may be as
+long as the graph: a large-diameter network needs no recursion depth.
 """
 
 from __future__ import annotations
@@ -36,30 +41,18 @@ class MaxFlowResult:
     flow: np.ndarray
     min_cut_side: frozenset[int]
 
-
-def _dfs_blocking(
-    net: ResidualNetwork,
-    node: int,
-    sink: int,
-    pushed: float,
-    level: list[int],
-    arc_iter: list[int],
-) -> float:
-    if node == sink:
-        return pushed
-    adjacency = net.adjacency[node]
-    while arc_iter[node] < len(adjacency):
-        arc = adjacency[arc_iter[node]]
-        head = net.arc_head[arc]
-        if level[head] == level[node] + 1 and net.residual(arc) > 1e-12:
-            amount = _dfs_blocking(
-                net, head, sink, min(pushed, net.residual(arc)), level, arc_iter
-            )
-            if amount > 0:
-                net.push(arc, amount)
-                return amount
-        arc_iter[node] += 1
-    return 0.0
+    @classmethod
+    def from_residual(
+        cls, net: ResidualNetwork, source: int, value: float
+    ) -> "MaxFlowResult":
+        """Read the flow and the minimum cut (the nodes still reachable
+        from ``source``) off a final residual network."""
+        level = net.levels(source, threshold=1e-9)
+        return cls(
+            value=value,
+            flow=net.net_flow_vector(),
+            min_cut_side=frozenset(v for v, d in enumerate(level) if d >= 0),
+        )
 
 
 def dinic_max_flow(graph: Graph, source: int, sink: int) -> MaxFlowResult:
@@ -73,30 +66,63 @@ def dinic_max_flow(graph: Graph, source: int, sink: int) -> MaxFlowResult:
     Returns:
         A :class:`MaxFlowResult` with the optimal value, a feasible flow
         achieving it, and a certified minimum cut.
+
+    Raises:
+        GraphError: If a terminal is not a node of ``graph``, or the
+            terminals coincide.
     """
+    graph._check_node(source)
+    graph._check_node(sink)
     if source == sink:
         raise GraphError("source and sink must differ")
-    for node in (source, sink):
-        if not (0 <= node < graph.num_nodes):
-            raise GraphError(f"node {node} out of range")
     net = ResidualNetwork(graph)
+    adjacency, head, cap = net.adjacency, net.arc_head, net.arc_cap
     value = 0.0
     while True:
-        level = net.bfs_levels(source, sink)
-        if level is None:
+        level = net.levels(source)
+        top = level[sink]
+        if top < 0:
             break
+        # No node at the sink's depth or beyond leads to the sink, so
+        # the search below never needs to enter one.
+        level = [d if d < top else -1 for d in level]
+        level[sink] = top
+        # Blocking flow: advance along admissible arcs (one level
+        # deeper, residual above 1e-12), retreat from dead ends, and
+        # push each source-sink path as soon as it is found. arc_iter
+        # keeps every node's scan position for the whole phase.
         arc_iter = [0] * net.num_nodes
+        path: list[int] = []
+        node = source
         while True:
-            pushed = _dfs_blocking(
-                net, source, sink, float("inf"), level, arc_iter
-            )
-            if pushed <= 0:
-                break
-            value += pushed
-    # Min cut: nodes reachable in the final residual network.
-    reachable = np.flatnonzero(net.reachable_mask(source, threshold=1e-9))
-    return MaxFlowResult(
-        value=value,
-        flow=net.net_flow_vector(),
-        min_cut_side=frozenset(reachable.tolist()),
-    )
+            if node == sink:
+                amount = min(cap[arc] for arc in path)
+                for arc in path:
+                    cap[arc] -= amount
+                    cap[arc ^ 1] += amount
+                value += amount
+                # The arcs before the first one this push closed stay
+                # admissible: resume the search at that arc's tail.
+                closed = next(
+                    i for i, arc in enumerate(path) if cap[arc] <= 1e-12
+                )
+                node = head[path[closed] ^ 1]
+                del path[closed:]
+                continue
+            arcs = adjacency[node]
+            step = level[node] + 1
+            for i in range(arc_iter[node], len(arcs)):
+                arc = arcs[i]
+                if level[head[arc]] == step and cap[arc] > 1e-12:
+                    arc_iter[node] = i
+                    path.append(arc)
+                    node = head[arc]
+                    break
+            else:
+                arc_iter[node] = len(arcs)
+                if node == source:
+                    break
+                # Dead end: retreat and skip the arc that led here.
+                node = head[path.pop() ^ 1]
+                arc_iter[node] += 1
+    return MaxFlowResult.from_residual(net, source, value)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from repro.errors import GraphError
 from repro.flow.dinic import MaxFlowResult
 from repro.flow.residual import ResidualNetwork
@@ -22,6 +20,8 @@ __all__ = ["edmonds_karp_max_flow"]
 
 def edmonds_karp_max_flow(graph: Graph, source: int, sink: int) -> MaxFlowResult:
     """Exact max s-t flow via shortest augmenting paths (BFS)."""
+    graph._check_node(source)
+    graph._check_node(sink)
     if source == sink:
         raise GraphError("source and sink must differ")
     net = ResidualNetwork(graph)
@@ -57,9 +57,4 @@ def edmonds_karp_max_flow(graph: Graph, source: int, sink: int) -> MaxFlowResult
             net.push(arc, bottleneck)
             node = net.arc_head[arc ^ 1]
         value += bottleneck
-    reachable = np.flatnonzero(net.reachable_mask(source, threshold=1e-9))
-    return MaxFlowResult(
-        value=value,
-        flow=net.net_flow_vector(),
-        min_cut_side=frozenset(reachable.tolist()),
-    )
+    return MaxFlowResult.from_residual(net, source, value)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from repro.errors import GraphError
 from repro.flow.dinic import MaxFlowResult
 from repro.flow.residual import ResidualNetwork
@@ -23,6 +21,8 @@ __all__ = ["push_relabel_max_flow"]
 
 def push_relabel_max_flow(graph: Graph, source: int, sink: int) -> MaxFlowResult:
     """Exact max s-t flow via FIFO push-relabel."""
+    graph._check_node(source)
+    graph._check_node(sink)
     if source == sink:
         raise GraphError("source and sink must differ")
     net = ResidualNetwork(graph)
@@ -75,11 +75,4 @@ def push_relabel_max_flow(graph: Graph, source: int, sink: int) -> MaxFlowResult
             else:
                 arc_pointer[node] += 1
 
-    value = excess[sink]
-    # Min cut from residual reachability.
-    reachable = np.flatnonzero(net.reachable_mask(source, threshold=1e-9))
-    return MaxFlowResult(
-        value=float(value),
-        flow=net.net_flow_vector(),
-        min_cut_side=frozenset(reachable.tolist()),
-    )
+    return MaxFlowResult.from_residual(net, source, float(excess[sink]))

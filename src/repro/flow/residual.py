@@ -8,21 +8,17 @@ carry up to c in either direction), plus the usual reverse-arc
 bookkeeping. The final undirected flow on edge e is the net of the two
 directions, so |f_e| <= cap(e) automatically holds.
 
-The arc structure is derived directly from the graph's cached CSR
-adjacency — arc ids are a pure function of edge ids (arc ``2e`` is the
-forward direction of edge ``e``, arc ``2e + 1`` the reverse), so the
-per-node arc lists are the CSR rows with arc ids computed vectorized,
-and no per-edge Python construction happens at all. The same structure
-doubles as a :class:`~repro.graphs.csr.CSRAdjacency` over arcs, which
-the frontier BFS methods feed to the shared ragged-gather kernel.
+Arc ids are a pure function of edge ids (arc ``2e`` is the forward
+direction of edge ``e``, arc ``2e + 1`` the reverse), so the per-node
+arc lists are the graph's cached CSR rows with arc ids computed
+vectorized. The network is plain Python lists: the augmenting-path
+loops and the one FIFO BFS below walk them element by element.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs import kernels
-from repro.graphs.csr import CSRAdjacency
 from repro.graphs.graph import Graph
 
 __all__ = ["ResidualNetwork"]
@@ -38,59 +34,29 @@ class ResidualNetwork:
     encodes exactly the undirected capacity constraint |net flow| <= c.
 
     Attributes:
-        arc_indptr / arc_ids: CSR layout of outgoing arcs per node
-            (``arc_ids[arc_indptr[v]:arc_indptr[v+1]]``), in
-            edge-insertion order — consumed by the vectorized BFS.
-        adjacency: The same structure as Python lists (lazily built)
-            for the pointer-chasing augmenting-path loops.
+        arc_head: Head node of every arc.
+        arc_cap: Residual capacity of every arc.
+        adjacency: Per-node outgoing arc ids, in edge-insertion order.
     """
 
     def __init__(self, graph: Graph) -> None:
-        self.graph = graph
         n = graph.num_nodes
-        m = graph.num_edges
         self.num_nodes = n
         csr = graph.csr()
         tails, heads = graph.edge_index_arrays()
         # From node x, edge e offers the arc toward its other endpoint:
         # the forward arc 2e when x is the tail, else the reverse 2e+1.
-        self.arc_indptr = csr.indptr
-        self.arc_ids = 2 * csr.edge_id + (csr.neighbor == tails[csr.edge_id])
-        head_arr = np.empty(2 * m, dtype=np.int64)
-        caps = np.empty(2 * m, dtype=float)
-        head_arr[0::2] = heads
-        head_arr[1::2] = tails
-        caps[0::2] = graph.capacities()
-        caps[1::2] = caps[0::2]
-        self._head_arr = head_arr
-        # The arc structure is itself a CSR over arcs: the "neighbor"
-        # of an incidence is the arc's head, which is exactly the CSR
-        # neighbor; the "edge id" is the arc id.
-        self._arc_csr = CSRAdjacency(
-            indptr=csr.indptr, neighbor=csr.neighbor, edge_id=self.arc_ids
-        )
-        self.arc_head: list[int] = head_arr.tolist()
-        self.arc_cap: list[float] = caps.tolist()
-        self.arc_edge: list[int] = np.repeat(
-            np.arange(m, dtype=np.int64), 2
+        arc_ids = (
+            2 * csr.edge_id + (csr.neighbor == tails[csr.edge_id])
         ).tolist()
-        self._adjacency: list[list[int]] | None = None
-
-    @property
-    def adjacency(self) -> list[list[int]]:
-        """Per-node outgoing arc lists (edge-insertion order)."""
-        if self._adjacency is None:
-            ptr = self.arc_indptr.tolist()
-            ids = self.arc_ids.tolist()
-            self._adjacency = [
-                ids[ptr[v] : ptr[v + 1]] for v in range(self.num_nodes)
-            ]
-        return self._adjacency
-
-    @staticmethod
-    def reverse(arc: int) -> int:
-        """Return the index of the reverse arc."""
-        return arc ^ 1
+        ptr = csr.indptr.tolist()
+        self.adjacency: list[list[int]] = [
+            arc_ids[ptr[v] : ptr[v + 1]] for v in range(n)
+        ]
+        self.arc_head: list[int] = (
+            np.column_stack((heads, tails)).ravel().tolist()
+        )
+        self.arc_cap: list[float] = np.repeat(graph.capacities(), 2).tolist()
 
     def push(self, arc: int, amount: float) -> None:
         """Send ``amount`` along ``arc`` (decreasing its residual
@@ -102,51 +68,22 @@ class ResidualNetwork:
         """Remaining capacity of ``arc``."""
         return self.arc_cap[arc]
 
-    def residual_vector(self) -> np.ndarray:
-        """Snapshot of all arc residuals (for the vectorized BFS)."""
-        return np.asarray(self.arc_cap, dtype=float)
-
-    def _admissible_heads(
-        self, frontier: np.ndarray, residual: np.ndarray, threshold: float
-    ) -> np.ndarray:
-        """Heads of the frontier's arcs with residual above threshold."""
-        _, heads, arcs = kernels.ragged_rows(self._arc_csr, frontier)
-        return heads[residual[arcs] > threshold]
-
-    def reachable_mask(self, source: int, threshold: float = 1e-12) -> np.ndarray:
-        """Nodes reachable from ``source`` via arcs with residual above
-        ``threshold`` (frontier-at-a-time BFS over the arc CSR)."""
-        residual = self.residual_vector()
-        seen = np.zeros(self.num_nodes, dtype=bool)
-        seen[source] = True
-        frontier = np.array([source], dtype=np.int64)
-        while frontier.size:
-            nbrs = self._admissible_heads(frontier, residual, threshold)
-            frontier = np.unique(nbrs[~seen[nbrs]])
-            seen[frontier] = True
-        return seen
-
-    def bfs_levels(
-        self, source: int, sink: int, threshold: float = 1e-12
-    ) -> list[int] | None:
-        """Level graph for blocking-flow phases: hop distance from
-        ``source`` along arcs with residual above ``threshold``;
-        ``None`` when the sink is unreachable."""
-        residual = self.residual_vector()
-        level = np.full(self.num_nodes, -1, dtype=np.int64)
+    def levels(self, source: int, threshold: float = 1e-12) -> list[int]:
+        """Hop distance of every node from ``source`` along arcs with
+        residual above ``threshold`` (FIFO BFS), ``-1`` where
+        unreachable: Dinic's level graph, and at the final residual the
+        source side of a minimum cut."""
+        adjacency, head, cap = self.adjacency, self.arc_head, self.arc_cap
+        level = [-1] * self.num_nodes
         level[source] = 0
-        frontier = np.array([source], dtype=np.int64)
-        depth = 0
-        while frontier.size:
-            nbrs = self._admissible_heads(frontier, residual, threshold)
-            frontier = np.unique(nbrs[level[nbrs] < 0])
-            if frontier.size == 0:
-                break
-            depth += 1
-            level[frontier] = depth
-        if level[sink] < 0:
-            return None
-        return level.tolist()
+        order = [source]
+        for node in order:  # appending while iterating makes ``order`` the queue
+            step = level[node] + 1
+            for arc in adjacency[node]:
+                if cap[arc] > threshold and level[head[arc]] < 0:
+                    level[head[arc]] = step
+                    order.append(head[arc])
+        return level
 
     def net_flow_vector(self) -> np.ndarray:
         """Recover the undirected flow vector (indexed by graph edge id,
@@ -156,5 +93,5 @@ class ResidualNetwork:
         directions start at capacity c; pushing x along u->v leaves
         r_fwd = c - x, r_rev = c + x, so net = (r_rev - r_fwd) / 2 = x.
         """
-        caps = self.residual_vector()
+        caps = np.asarray(self.arc_cap, dtype=float)
         return (caps[1::2] - caps[0::2]) / 2.0

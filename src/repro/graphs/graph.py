@@ -65,11 +65,6 @@ _INITIAL_BUFFER = 16
 #: frontier-at-a-time kernels win. Both paths are output-identical.
 SMALL_GRAPH_LIMIT = 8192
 
-#: Below this many incidence entries even element-wise array work
-#: (contraction, batched LCA) loses to plain loops — the j-tree
-#: recursion spends most of its calls on such tiny quotient graphs.
-TINY_GRAPH_LIMIT = 512
-
 
 def fifo_bfs(
     adjacency: Sequence[Sequence[tuple[int, int]]],
@@ -564,12 +559,6 @@ class Graph:
         (part of the substrate contract: lsst/trees dispatch on this)."""
         return self._n + 2 * self._m < SMALL_GRAPH_LIMIT
 
-    def is_tiny(self) -> bool:
-        """Whether even element-wise array work should take Python paths
-        (part of the substrate contract: contraction and batched-LCA
-        call sites dispatch on this)."""
-        return self._n + 2 * self._m < TINY_GRAPH_LIMIT
-
     def adjacency_lists(self) -> list[list[tuple[int, int]]]:
         """All adjacency lists (``(neighbor, edge_id)`` pairs per node),
         materialized once from the CSR and cached until the next
@@ -685,17 +674,14 @@ class Graph:
             merged case, a representative original id).
 
         The quotient comes with its derived caches pre-seeded: the
-        scaled path emits the child CSR directly from the contraction
-        pass (:func:`~repro.graphs.csr.build_csr`), the tiny
-        path seeds the adjacency lists, and both inherit a known
-        ``True`` connectivity verdict (contracting a connected graph
-        cannot disconnect it). Every seeded cache is dropped by the
-        next structural mutation, exactly like a lazily built one.
+        contraction pass emits the child CSR directly
+        (:func:`~repro.graphs.csr.build_csr`), and the quotient inherits
+        a known ``True`` connectivity verdict (contracting a connected
+        graph cannot disconnect it). Every seeded cache is dropped by
+        the next structural mutation, exactly like a lazily built one.
         """
         if len(labels) != self._n:
             raise GraphError("labels must have one entry per node")
-        if self.is_tiny():
-            return self._contract_tiny(labels, keep_parallel)
         node_map, k = kernels.compact_labels(labels)
         new_u, new_v, new_cap, origin = kernels.contract_edges(
             node_map,
@@ -716,84 +702,6 @@ class Graph:
         can *connect* a disconnected graph by merging components)."""
         if self._connected_cache is True:
             quotient._connected_cache = True
-
-    def _contract_tiny(
-        self, labels: Sequence[int], keep_parallel: bool
-    ) -> tuple["Graph", list[int]]:
-        """Loop-based contraction (output-identical to the kernels)."""
-        node_map = self._compact_tiny(labels)
-        k = max(node_map) + 1
-        m = self._m
-        tails = self._eu[:m].tolist()
-        heads = self._ev[:m].tolist()
-        new_u: list[int] = []
-        new_v: list[int] = []
-        edge_origin: list[int] = []
-        push_u, push_v, push_e = new_u.append, new_v.append, edge_origin.append
-        if keep_parallel:
-            # Build the quotient's adjacency lists in the same pass —
-            # they match what its CSR would serve (edge-id order), so
-            # the quotient never pays a CSR build for its traversals.
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-            j = 0
-            for eid, (u, v) in enumerate(zip(tails, heads)):
-                cu = node_map[u]
-                cv = node_map[v]
-                if cu != cv:
-                    push_u(cu)
-                    push_v(cv)
-                    push_e(eid)
-                    adj[cu].append((cv, j))
-                    adj[cv].append((cu, j))
-                    j += 1
-            new_cap = self._cap[:m][np.asarray(edge_origin, dtype=WIDE_DTYPE)]
-            quotient = Graph._from_trusted_arrays(
-                k,
-                np.asarray(new_u, dtype=INDEX_DTYPE),
-                np.asarray(new_v, dtype=INDEX_DTYPE),
-                new_cap,
-            )
-            quotient._adj_cache = adj
-            self._seed_quotient_connectivity(quotient)
-            return quotient, edge_origin
-        else:
-            caps = self._cap[:m].tolist()
-            cap_list: list[float] = []
-            merged: dict[tuple[int, int], int] = {}
-            for eid, (u, v) in enumerate(zip(tails, heads)):
-                cu = node_map[u]
-                cv = node_map[v]
-                if cu == cv:
-                    continue
-                key = (cu, cv) if cu < cv else (cv, cu)
-                j = merged.get(key)
-                if j is None:
-                    merged[key] = len(cap_list)
-                    push_u(key[0])
-                    push_v(key[1])
-                    cap_list.append(caps[eid])
-                    push_e(eid)
-                else:
-                    cap_list[j] += caps[eid]
-            new_cap = np.asarray(cap_list, dtype=float)
-        quotient = Graph._from_trusted_arrays(
-            k,
-            np.asarray(new_u, dtype=INDEX_DTYPE),
-            np.asarray(new_v, dtype=INDEX_DTYPE),
-            new_cap,
-        )
-        self._seed_quotient_connectivity(quotient)
-        return quotient, edge_origin
-
-    def _compact_tiny(self, labels: Sequence[int]) -> list[int]:
-        compact: dict[int, int] = {}
-        node_map = []
-        for label in labels:
-            label = int(label)
-            if label not in compact:
-                compact[label] = len(compact)
-            node_map.append(compact[label])
-        return node_map
 
     # ------------------------------------------------------------------
     # Subgraphs

@@ -8,10 +8,9 @@ contraction, and first-edge-per-node-pair indexing (the CONGEST cluster
 simulation's lookup of cluster-tree edges).  Every kernel is
 NumPy-whole-array — no Python work proportional to ``m`` — and every
 kernel that has a pure-Python equivalent
-(:func:`~repro.graphs.graph.fifo_bfs` and the tiny-graph contraction)
-reproduces its output *exactly*, including tie-breaking and discovery
-order (the golden tests in ``tests/test_csr.py`` pin this equivalence on
-random multigraphs).
+(:func:`~repro.graphs.graph.fifo_bfs`) reproduces its output *exactly*,
+including tie-breaking and discovery order (the golden tests in
+``tests/test_csr.py`` pin this equivalence on random multigraphs).
 
 The determinism contract matters because several algorithms (SplitGraph
 ball growing, BFS tree construction, component-order-dependent

@@ -459,12 +459,7 @@ def induced_cut_capacities(graph: Graph, tree: RootedTree) -> np.ndarray:
     # (incident - 2*cap_at_lca).
     at_lca = np.zeros(n)
     if graph.num_edges:
-        if graph.is_tiny():
-            lca = tree.lca
-            for u, v, c in zip(tails.tolist(), heads.tolist(), caps.tolist()):
-                at_lca[lca(u, v)] += 2.0 * c
-        else:
-            np.add.at(at_lca, tree.lca_batch(tails, heads), 2.0 * caps)
+        np.add.at(at_lca, tree.lca_batch(tails, heads), 2.0 * caps)
     cut = tree.subtree_sums(incident - at_lca)
     cut[tree.root] = 0.0
     # Each row is a difference of partial sums up to 4·Σcap in size,

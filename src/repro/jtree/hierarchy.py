@@ -265,9 +265,9 @@ def sample_virtual_tree(
         phases += lsst_phases
         cluster_counts.append(1)
     tree = RootedTree(cg.parent)
-    capacities = induced_cut_capacities(graph, tree)
+    tree.capacity[:] = induced_cut_capacities(graph, tree)
     return VirtualTree(
-        tree=RootedTree(cg.parent, capacities),
+        tree=tree,
         levels=levels,
         cluster_counts=cluster_counts,
         phases=phases,

@@ -230,6 +230,15 @@ class TestApproximator:
         )
         assert alpha >= 2.0  # safety factor times >= 1
 
+    def test_long_cycle_builds(self):
+        """The α estimate's exact s-t solves follow augmenting paths
+        about n/2 arcs long on a cycle: a 2000-node one builds."""
+        n = 2000
+        g = Graph(n, [(i, (i + 1) % n, 1.0 + i % 5) for i in range(n)])
+        approx = build_congestion_approximator(g, rng=3)
+        assert approx.num_trees == 11
+        assert approx.alpha == pytest.approx(2.0)
+
     def test_grid_approximator_quality(self, grid_graph, grid_approximator):
         """On the grid, α should be modest (single-digit)."""
         assert grid_approximator.alpha < 20.0

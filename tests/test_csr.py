@@ -268,19 +268,6 @@ class TestAdaptivePathsAgree:
         large = split_graph(g2, 3, rng=np.random.default_rng(seed))
         assert small == large
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_contract_agrees_across_tiny_threshold(self, seed, monkeypatch):
-        g = random_multigraph(seed)
-        labels = [v % 3 for v in range(g.num_nodes)]
-        tiny_q, tiny_o = g.contract(labels, keep_parallel=False)
-        monkeypatch.setattr(graph_mod, "TINY_GRAPH_LIMIT", 0)
-        g2 = random_multigraph(seed)
-        np_q, np_o = g2.contract(labels, keep_parallel=False)
-        assert tiny_o == np_o
-        assert [
-            (e.u, e.v, pytest.approx(e.capacity)) for e in tiny_q.edges()
-        ] == [(e.u, e.v, pytest.approx(e.capacity)) for e in np_q.edges()]
-
 
 # ----------------------------------------------------------------------
 # Cache contract
@@ -361,24 +348,24 @@ def _assert_caches_match_fresh(quotient: Graph):
 
 
 class TestQuotientCacheSeeding:
-    """Regression: `contract` pre-seeds the quotient's CSR / adjacency /
+    """Regression: `contract` pre-seeds the quotient's CSR and
     connectivity caches; every seeded cache must be dropped by a
     post-contraction structural mutation and must never disagree with a
     freshly built graph."""
 
-    def _contract(self, seed, monkeypatch=None, tiny=False):
+    def _contract(self, seed, monkeypatch=None, tiny=True):
         g = random_multigraph(seed, max_nodes=30)
-        if monkeypatch is not None:
-            # Force the desired dispatch path regardless of size.
-            limit = 10**9 if tiny else 0
-            monkeypatch.setattr(graph_mod, "TINY_GRAPH_LIMIT", limit)
+        if monkeypatch is not None and not tiny:
+            # Send the quotient's traversals (connectivity, BFS) down the
+            # NumPy path instead of the small-graph Python loops.
+            monkeypatch.setattr(graph_mod, "SMALL_GRAPH_LIMIT", 0)
         labels = [v % 4 for v in range(g.num_nodes)]
         quotient, _ = g.contract(labels)
         return g, quotient
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_scaled_contract_seeds_csr(self, seed, monkeypatch):
-        _, quotient = self._contract(seed, monkeypatch, tiny=False)
+    def test_scaled_contract_seeds_csr(self, seed):
+        _, quotient = self._contract(seed)
         assert quotient._csr_cache is not None  # emitted by contraction
         for arr in (quotient.csr().neighbor, quotient.csr().edge_id):
             with pytest.raises(ValueError):

@@ -35,8 +35,6 @@ class TestResidualNetwork:
         net = ResidualNetwork(g)
         assert net.arc_head[0] == 1
         assert net.arc_head[1] == 0
-        assert ResidualNetwork.reverse(0) == 1
-        assert ResidualNetwork.reverse(1) == 0
 
     def test_push_updates_both_directions(self):
         g = Graph(2, [(0, 1, 3.0)])
@@ -86,6 +84,22 @@ class TestOracleBasics:
         g = Graph(2, [(0, 1, 1.0)])
         with pytest.raises(GraphError):
             solve(g, 0, 0)
+
+    @pytest.mark.parametrize("source, sink", [(-1, 3), (0, 10), (3, -1)])
+    def test_terminal_out_of_range(self, solve, source, sink):
+        """A negative id must not index from the end, nor an id past
+        n - 1 read as an unreachable sink."""
+        g = random_connected(10, 0.3, rng=1)
+        with pytest.raises(GraphError):
+            solve(g, source, sink)
+
+    def test_long_path(self, solve):
+        """An augmenting path of 1199 arcs needs no recursion depth."""
+        n = 1200
+        g = Graph(n, [(i, i + 1, 1.0 + i % 7) for i in range(n - 1)])
+        result = solve(g, 0, n - 1)
+        assert result.value == 1.0
+        assert result.min_cut_side == frozenset([0])
 
     def test_flow_is_feasible(self, solve):
         g = random_connected(20, 0.2, rng=3)

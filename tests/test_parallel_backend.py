@@ -1,14 +1,14 @@
 """Construction-kernel sweep over the standard seed × generator matrix.
 
 Sweeps the harness's matrix (``tests/parallel_harness.py``) over every
-construction kernel — frontier BFS, CSR build, contraction, hop
-distances, MWU lengths — and over approximator construction and
-end-to-end ``max_flow`` / ``min_congestion_flow``, asserting **bit
-identity** with a reference that shares none of the kernel's code: a
-pure-Python FIFO traversal, the loop-based tiny contraction path, or a
-rerun on a fresh graph (the MWU lengths meet their formula to within
-rounding). Also checks the graph's derived-cache state after each
-run.
+construction kernel — frontier BFS, CSR build, hop distances, MWU
+lengths — and over approximator construction and end-to-end
+``max_flow`` / ``min_congestion_flow``, asserting **bit identity** with
+a reference that shares none of the kernel's code: a pure-Python FIFO
+traversal or a rerun on a fresh graph (the MWU lengths meet their
+formula to within rounding). Contraction is held to its pure-Python
+reference in ``tests/test_csr.py``. Also checks the graph's
+derived-cache state after each run.
 
 The module name dates from when each kernel also had a sharded twin
 that this sweep held to the serial kernel; the twins are gone, and the
@@ -23,7 +23,6 @@ from collections import deque
 import numpy as np
 import pytest
 
-import repro.graphs.graph as graph_mod
 from repro.core.maxflow import max_flow, min_congestion_flow
 from repro.graphs import kernels
 from repro.graphs.csr import INDEX_DTYPE, build_csr
@@ -151,50 +150,6 @@ def assert_csr_build_matches_reference(graph: Graph) -> None:
             assert not arr.flags.writeable
 
 
-def assert_contract_paths_agree(name: str, seed: int, monkeypatch) -> None:
-    """The vectorized contraction (``compact_labels`` +
-    ``contract_edges`` + a seeded ``build_csr``) == the loop-based tiny
-    path, bit for bit, including the pre-seeded quotient CSR."""
-
-    def contract(tiny_limit: int, keep_parallel: bool):
-        with monkeypatch.context() as patch:
-            patch.setattr(graph_mod, "TINY_GRAPH_LIMIT", tiny_limit)
-            graph = make_graph(name, seed)
-            assert graph.is_tiny() == (tiny_limit > 0)
-            return graph.contract(labels, keep_parallel)
-
-    n = make_graph(name, seed).num_nodes
-    labels = [v % max(4, n // 6) for v in range(n)]
-    for keep_parallel in (True, False):
-        loop_q, loop_origin = contract(1 << 30, keep_parallel)
-        kernel_q, kernel_origin = contract(0, keep_parallel)
-        assert kernel_origin == loop_origin
-        assert kernel_q.num_nodes == loop_q.num_nodes
-        loop_tails, loop_heads = loop_q.edge_index_arrays()
-        kernel_tails, kernel_heads = kernel_q.edge_index_arrays()
-        for part, expected, actual in (
-            ("tails", loop_tails, kernel_tails),
-            ("heads", loop_heads, kernel_heads),
-            ("caps", loop_q.capacities(), kernel_q.capacities()),
-        ):
-            assert_arrays_identical(f"contract.{part}", expected, actual)
-        fresh = build_csr(kernel_q.num_nodes, *kernel_q.edge_index_arrays())
-        seeded = kernel_q.csr()
-        for part in ("indptr", "neighbor", "edge_id"):
-            assert_arrays_identical(
-                f"contract.csr.{part}",
-                getattr(fresh, part),
-                getattr(seeded, part),
-            )
-            assert_arrays_identical(
-                f"contract.loop_csr.{part}",
-                getattr(fresh, part),
-                getattr(loop_q.csr(), part),
-            )
-        assert_cache_invariants(kernel_q)
-        assert_cache_invariants(loop_q)
-
-
 def assert_hop_distances_match_bfs(graph: Graph) -> None:
     """Lockstep multi-source hop distances == one reference BFS per
     source, row for row; all sources at once == the same rows."""
@@ -259,9 +214,6 @@ class TestKernelEquivalence:
         graph = make_graph(name, seed)
         assert_bfs_matches_reference(graph)
         assert_csr_build_matches_reference(graph)
-
-    def test_contract_sweep(self, name, seed, monkeypatch):
-        assert_contract_paths_agree(name, seed, monkeypatch)
 
     def test_hop_distances_and_mwu_lengths_sweep(self, name, seed):
         graph = make_graph(name, seed)

@@ -49,6 +49,7 @@ def test_registry_contains_the_catalogue():
         "hot-path-alloc",
         "error-discipline",
         "except-discipline",
+        "no-recursion",
         "mutable-default",
         "shadowed-builtin",
     } <= names
@@ -395,6 +396,56 @@ def test_except_discipline_suppression_and_scope():
         """,
         rel_path="tools/somewhere/x.py",
     )
+
+
+# ----------------------------------------------------------------------
+# no-recursion
+# ----------------------------------------------------------------------
+def test_no_recursion_flags_self_calls_by_name_and_method():
+    src = """
+        def depth(tree, node):
+            return 1 + max((depth(tree, c) for c in tree[node]), default=0)
+
+        class Walker:
+            def visit(self, node):
+                for child in node.children:
+                    self.visit(child)
+
+            @classmethod
+            def build(cls, spec):
+                return cls.build(spec[1:]) if spec else None
+        """
+    hits = [f for f in lint(src) if f.rule == "no-recursion"]
+    assert [f.line for f in hits] == [2, 6, 11]
+    assert "explicit stack" in hits[0].message
+    # Only files under src/repro are checked.
+    assert "no-recursion" not in rules_hit(src, rel_path="tools/x.py")
+
+
+def test_no_recursion_clean_on_explicit_stack_namesakes_and_suppression():
+    (rule,) = [r for r in all_rules() if r.name == "no-recursion"]
+    src = """
+        def depth(tree, root):
+            best, stack = 0, [(root, 1)]
+            while stack:
+                node, d = stack.pop()
+                best = max(best, d)
+                stack.extend((c, d + 1) for c in tree[node])
+            return best
+
+        class Operator:
+            def apply(self, b):
+                return apply(self, b)  # the module function, not itself
+
+            def estimate(self, b):
+                return self.inner.estimate(b)
+
+        def words(payload):  # repolint: disable=no-recursion -- nesting depth
+            if isinstance(payload, list):
+                return sum(words(item) for item in payload)
+            return 1
+        """
+    assert check_source(textwrap.dedent(src), "src/repro/core/x.py", [rule]) == []
 
 
 # ----------------------------------------------------------------------

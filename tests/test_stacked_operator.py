@@ -131,12 +131,17 @@ class TestGoldenEquivalence:
         with pytest.raises(GraphError):
             StackedTreeOperator(approx.trees() + [alien], g.num_nodes)
 
+    def test_no_trees_rejected(self):
+        """The operator is exported on its own: an empty tree list is a
+        ``GraphError``, not NumPy's failure to concatenate nothing."""
+        with pytest.raises(GraphError):
+            StackedTreeOperator([], 5)
+
     def test_tiny_graph_matches_per_tree_reference(self):
         """Tiny graphs run the flat pass too, bit-identical to the
         per-tree reference end to end."""
         tiny = random_connected(8, 0.5, rng=309)
         approx = build_congestion_approximator(tiny, num_trees=2, rng=310)
-        assert tiny.is_tiny()
         demand = st_demand(tiny, 0, tiny.num_nodes - 1)
         per_tree, flat = _modes(
             approx, lambda a: almost_route(tiny, a, demand, 0.4)

@@ -661,6 +661,62 @@ class ErrorDiscipline(Rule):
 
 
 @register
+class NoRecursion(Rule):
+    """No function under src/repro calls itself.
+
+    The paper's round bound makes large-diameter networks first-class
+    inputs, and a recursion whose depth follows the graph (a DFS along
+    an augmenting path, a walk down a tree) stops at Python's ~1000
+    frames. The finding anchors at the ``def`` line, so a recursion
+    bounded by something other than the graph carries its suppression
+    there, naming the bound.
+    """
+
+    name = "no-recursion"
+    description = (
+        "function under src/repro calls itself, by name or through "
+        "self./cls. in a method (use an explicit stack)"
+    )
+    paths = (SRC,)
+
+    @staticmethod
+    def _calls_itself(target: ast.AST, name: str, is_method: bool) -> bool:
+        if is_method:
+            return (
+                isinstance(target, ast.Attribute)
+                and target.attr == name
+                and isinstance(target.value, ast.Name)
+                and target.value.id in ("self", "cls")
+            )
+        return isinstance(target, ast.Name) and target.id == name
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        methods = {
+            id(node)
+            for cls in ast.walk(ctx.tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for func in _functions(ctx.tree):
+            is_method = id(func) in methods
+            lines = [
+                node.lineno
+                for node in _walk_shallow(func)
+                if isinstance(node, ast.Call)
+                and self._calls_itself(node.func, func.name, is_method)
+            ]
+            if lines:
+                yield self.finding(
+                    ctx,
+                    func,
+                    f"'{func.name}' calls itself (line {min(lines)}): "
+                    "Python's ~1000-frame limit turns a deep graph into "
+                    "a RecursionError; use an explicit stack",
+                )
+
+
+@register
 class MutableDefault(Rule):
     """No mutable default arguments.
 
