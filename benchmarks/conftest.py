@@ -129,11 +129,10 @@ APPLY_BENCH_ROUTE_MAX_ITERATIONS = 200
 
 #: name -> (nodes, query count, reps) for the serving rows: Q
 #: sequential one-shot `almost_route` calls vs one `almost_route_batch`
-#: call (itself Q one-shot solves, one per column, on one reused
-#: workspace) on the same instance the apply rows use. These are live
-#: pairs — both columns measured in one session, plain solver, fixed
-#: iteration budget — so the ratio sits near 1 and the row tracks the
-#: per-column routing cost trend.
+#: call (itself Q one-shot solves, one per column) on the same instance
+#: the apply rows use. These are live pairs — both columns measured in
+#: one session, plain solver, fixed iteration budget — so the ratio sits
+#: near 1 and the row tracks the per-column routing cost trend.
 #: The headline serving speedup (accelerated solver, ≥3x at Q=64) lives
 #: in BENCH_serving.json instead, since it compares across solvers.
 SERVING_BENCH_CONFIG = {
@@ -256,7 +255,7 @@ def measure_serving_benchmarks() -> dict[str, dict[str, float]]:
     Returns ``name -> {"sequential_s": ..., "batched_s": ...}`` where
     sequential is Q one-shot ``almost_route`` calls and batched is one
     ``almost_route_batch`` call over the same ``(Q, n)`` demand plane —
-    Q one-shot solves sharing one workspace (also invoked by
+    Q one-shot solves, one per column (also invoked by
     tools/bench_regression.py for the CI gate). Both run the plain
     solver with a fixed iteration budget on the apply-bench instance.
     """
@@ -406,7 +405,7 @@ def pytest_sessionfinish(session, exitstatus):
         metrics[name] = {"after_s": measured}
     for name, pair in serving_rows.items():
         # before = Q sequential one-shot solves, after = one batch call
-        # (the same solves on one workspace), both from this session.
+        # (the same solves, one per column), both from this session.
         metrics[name] = {
             "before_s": pair["sequential_s"],
             "after_s": pair["batched_s"],
@@ -432,8 +431,8 @@ def pytest_sessionfinish(session, exitstatus):
             "route_batch_q{8,64}_n1024 rows: median-of-N, Q sequential "
             "one-shot plain almost_route solves vs one "
             "almost_route_batch call over the same (Q, n) plane (the "
-            "same Q one-shot solves, one per column, on one reused "
-            "workspace), fixed 60-iteration budget — "
+            "same Q one-shot solves, one per column), fixed "
+            "60-iteration budget — "
             "per-column bit-identical by contract, so the ratio sits "
             "near 1 and tracks the per-column routing cost (the gate "
             "tracks the batched column against itself; the "

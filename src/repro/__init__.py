@@ -26,9 +26,9 @@ Substrates (each independently usable)::
     from repro.jtree import sample_virtual_tree       # Theorem 8.10
     from repro.congest import CongestNetwork          # the model itself
 
-Serving (build the approximator once, route many demands — a warm
-workspace pool and a version-keyed result cache; every query and every
-batch column is the one-shot solve, bit for bit)::
+Serving (build the approximator once, route many demands through a
+version-keyed result cache; every query and every batch column is the
+one-shot solve, bit for bit)::
 
     from repro import FlowServer
     server = FlowServer(graph, epsilon=0.25)

@@ -66,12 +66,16 @@ def build_bfs_tree(
     """Build a BFS tree on the CONGEST simulator.
 
     Returns:
-        ``(tree, rounds)`` — the rooted tree and the number of
-        synchronous rounds the construction took (≤ ecc(root) + 2).
+        ``(tree, rounds)`` — the rooted tree, whose ``parent_edge``
+        holds the edge each node adopted its parent over, and the
+        number of synchronous rounds the construction took
+        (≤ ecc(root) + 2).
     """
     net = network or CongestNetwork(graph)
     result = net.run(lambda v: BFSNode(v, root))
     parent = [state.parent if state.parent is not None else -2
               for state in result.states]
-    tree = RootedTree(parent)
+    parent_edge = [-1 if state.parent_edge is None else state.parent_edge
+                   for state in result.states]
+    tree = RootedTree(parent, parent_edge=parent_edge)
     return tree, result.rounds

@@ -7,15 +7,19 @@ product in Section 9. All three run for real on the CONGEST simulator
 so their round counts can be measured and compared with the stated
 bounds.
 
-All primitives take a precomputed rooted tree (parent pointers are
-local knowledge, exactly as the paper assumes after BFS construction).
+All primitives take a precomputed rooted tree that records each
+node's parent edge, as :func:`~repro.congest.bfs.build_bfs_tree`
+returns it, and raise :class:`~repro.errors.TreeError` for one that
+does not. Node ``v``'s program gets ``edge_map`` (``edge_map[u]`` is
+the graph edge from ``u`` to its parent) and its own child list:
+local knowledge, exactly as the paper assumes after BFS construction.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from repro.errors import CongestModelError
+from repro.errors import CongestModelError, TreeError
 from repro.congest.model import CongestNetwork, Message, NodeContext
 from repro.graphs.graph import Graph
 from repro.graphs.trees import RootedTree
@@ -30,18 +34,12 @@ __all__ = [
 ]
 
 
-def _tree_edge_map(graph: Graph, tree: RootedTree) -> dict[int, int]:
-    """Map child node -> graph edge id to its parent."""
-    edge_of_pair: dict[tuple[int, int], int] = {}
-    for e in graph.edges():
-        key = (min(e.u, e.v), max(e.u, e.v))
-        edge_of_pair.setdefault(key, e.id)
-    out: dict[int, int] = {}
-    for v in range(tree.num_nodes):
-        p = tree.parent[v]
-        if p >= 0:
-            out[v] = edge_of_pair[(min(v, p), max(v, p))]
-    return out
+def _tree_links(tree: RootedTree) -> tuple[list[int], list[list[int]]]:
+    """The tree's parent edge per node (``-1`` at the root) and its
+    child lists, read once per run."""
+    if tree.parent_edge is None:
+        raise TreeError("tree records no graph edges to send messages on")
+    return tree.parent_edge.tolist(), tree.children()
 
 
 class BroadcastNode:
@@ -49,27 +47,23 @@ class BroadcastNode:
     the value is known and forwarded; total rounds = tree height + O(1)."""
 
     def __init__(
-        self, node: int, tree: RootedTree, edge_map: dict[int, int],
-        value: Any = None,
+        self, node: int, tree: RootedTree, edge_map: list[int],
+        children: list[int], value: Any = None,
     ) -> None:
         self.node = node
         self.tree = tree
         self.edge_map = edge_map
         self.value = value if node == tree.root else None
         self._forwarded = False
-        self._child_edges: list[int] = []
+        self._child_edges = [edge_map[child] for child in children]
 
     def init(self, ctx: NodeContext) -> None:
-        self._child_edges = [
-            self.edge_map[child]
-            for child in range(self.tree.num_nodes)
-            if self.tree.parent[child] == self.node
-        ]
+        pass
 
     def on_round(self, ctx: NodeContext, inbox: Sequence[Message]) -> bool:
         if self.value is None:
             for msg in inbox:
-                if msg.edge == self.edge_map.get(self.node):
+                if msg.edge == self.edge_map[self.node]:
                     self.value = msg.payload
         if self.value is not None and not self._forwarded:
             for eid in self._child_edges:
@@ -85,22 +79,19 @@ class ConvergecastSumNode:
     with the global sum; rounds = tree height + O(1)."""
 
     def __init__(
-        self, node: int, tree: RootedTree, edge_map: dict[int, int], value: float
+        self, node: int, tree: RootedTree, edge_map: list[int],
+        children: list[int], value: float,
     ) -> None:
         self.node = node
         self.tree = tree
         self.edge_map = edge_map
         self.value = float(value)
         self.result: float | None = None
-        self._pending_children: set[int] = set()
+        self._pending_children = set(children)
         self._sent = False
 
     def init(self, ctx: NodeContext) -> None:
-        self._pending_children = {
-            child
-            for child in range(self.tree.num_nodes)
-            if self.tree.parent[child] == self.node
-        }
+        pass
 
     def on_round(self, ctx: NodeContext, inbox: Sequence[Message]) -> bool:
         for msg in inbox:
@@ -132,7 +123,8 @@ class PipelinedAggregationNode:
         self,
         node: int,
         tree: RootedTree,
-        edge_map: dict[int, int],
+        edge_map: list[int],
+        children: list[int],
         values: Sequence[float],
     ) -> None:
         self.node = node
@@ -141,17 +133,12 @@ class PipelinedAggregationNode:
         self.values = [float(x) for x in values]
         self.k = len(self.values)
         self.result: list[float] | None = None
-        self._received: list[int] = []
+        self._received = [0] * self.k
         self._next_to_send = 0
-        self._num_children = 0
+        self._num_children = len(children)
 
     def init(self, ctx: NodeContext) -> None:
-        self._num_children = sum(
-            1
-            for child in range(self.tree.num_nodes)
-            if self.tree.parent[child] == self.node
-        )
-        self._received = [0] * self.k
+        pass
 
     def on_round(self, ctx: NodeContext, inbox: Sequence[Message]) -> bool:
         for msg in inbox:
@@ -181,9 +168,11 @@ def broadcast(
 ) -> tuple[list[Any], int]:
     """Broadcast ``value`` from the tree root; returns (per-node values,
     rounds)."""
+    edge_map, children = _tree_links(tree)
     net = network or CongestNetwork(graph)
-    edge_map = _tree_edge_map(graph, tree)
-    result = net.run(lambda v: BroadcastNode(v, tree, edge_map, value))
+    result = net.run(
+        lambda v: BroadcastNode(v, tree, edge_map, children[v], value)
+    )
     return [state.value for state in result.states], result.rounds
 
 
@@ -194,10 +183,12 @@ def convergecast_sum(
     network: CongestNetwork | None = None,
 ) -> tuple[float, int]:
     """Sum per-node values at the root; returns (sum, rounds)."""
+    edge_map, children = _tree_links(tree)
     net = network or CongestNetwork(graph)
-    edge_map = _tree_edge_map(graph, tree)
     result = net.run(
-        lambda v: ConvergecastSumNode(v, tree, edge_map, values[v])
+        lambda v: ConvergecastSumNode(
+            v, tree, edge_map, children[v], values[v]
+        )
     )
     root_state = result.states[tree.root]
     if root_state.result is None:
@@ -215,10 +206,12 @@ def pipelined_aggregate(
 ) -> tuple[list[float], int]:
     """Compute k independent sums (values[v] is node v's k-vector) with
     pipelining; returns (k sums at the root, rounds ≈ height + k)."""
+    edge_map, children = _tree_links(tree)
     net = network or CongestNetwork(graph)
-    edge_map = _tree_edge_map(graph, tree)
     result = net.run(
-        lambda v: PipelinedAggregationNode(v, tree, edge_map, values[v])
+        lambda v: PipelinedAggregationNode(
+            v, tree, edge_map, children[v], values[v]
+        )
     )
     root_state = result.states[tree.root]
     if root_state.result is None:

@@ -29,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.congest.broadcast import _tree_links
 from repro.congest.model import CongestNetwork, Message, NodeContext
-from repro.errors import TreeError
 from repro.graphs.graph import Graph
 from repro.graphs.trees import RootedTree
 
@@ -65,6 +65,7 @@ class _TreeFlowNode:
         node: int,
         tree: RootedTree,
         edge_map: list[int],
+        children: list[int],
         window: int,
     ) -> None:
         self.node = node
@@ -72,7 +73,7 @@ class _TreeFlowNode:
         self.edge_map = edge_map  # child -> graph edge to parent
         self.window = window
         self.ancestors: list[int] = []  # nearest first
-        self._children: list[int] = []
+        self._children = children
         self._child_edges: dict[int, int] = {}
         self._round = 0
         # Per incident graph edge: the other endpoint's ancestor set.
@@ -90,10 +91,8 @@ class _TreeFlowNode:
         parent = self.tree.parent[self.node]
         if parent >= 0:
             self.ancestors = [parent]
-        for child in range(self.tree.num_nodes):
-            if self.tree.parent[child] == self.node:
-                self._children.append(child)
-                self._child_edges[child] = self.edge_map[child]
+        for child in self._children:
+            self._child_edges[child] = self.edge_map[child]
         for nbr, eid, cap in ctx.incident:
             self._neighbor_ancestors[eid] = {nbr}
             self._neighbor_caps[eid] = cap
@@ -213,13 +212,11 @@ def distributed_tree_flow(
     Raises:
         TreeError: If the tree records no graph edges.
     """
-    if tree.parent_edge is None:
-        raise TreeError("tree records no graph edges to send messages on")
-    edge_map = tree.parent_edge.tolist()
+    edge_map, children = _tree_links(tree)
     window = tree.height() + 1
     net = network or CongestNetwork(graph)
     result = net.run(
-        lambda v: _TreeFlowNode(v, tree, edge_map, window),
+        lambda v: _TreeFlowNode(v, tree, edge_map, children[v], window),
         max_rounds=max_rounds,
     )
     cuts = np.zeros(graph.num_nodes)

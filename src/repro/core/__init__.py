@@ -16,7 +16,6 @@ from repro.core.approximator import (
 from repro.core.almost_route import (
     AlmostRouteResult,
     BatchAlmostRouteResult,
-    RouteWorkspace,
     almost_route,
     almost_route_batch,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "racke_sample_trees",
     "AlmostRouteResult",
     "BatchAlmostRouteResult",
-    "RouteWorkspace",
     "almost_route",
     "almost_route_batch",
     "ApproxFlow",

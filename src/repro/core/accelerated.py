@@ -21,7 +21,7 @@ iteration below are this loop's own. Benchmarks compare the two
 head-to-head
 (``benchmarks/test_bench_ablations.py::test_ablation_accelerated_descent``).
 Like the plain variant, the inner loop is allocation free: all
-per-iteration vectors live in a reusable
+per-iteration vectors live in the call's own
 :class:`~repro.core.almost_route.RouteWorkspace` (plus the f/f_prev/z
 triple, which rotates by buffer swap), products run through the flat
 stacked operator with ``out=``, and re-scaling steps rescale the
@@ -59,7 +59,6 @@ def accelerated_almost_route(
     demand: np.ndarray,
     epsilon: float,
     max_iterations: int | None = None,
-    workspace: RouteWorkspace | None = None,
     initial_flow: np.ndarray | None = None,
 ) -> AlmostRouteResult:
     """Momentum-accelerated Algorithm 2.
@@ -139,9 +138,7 @@ def accelerated_almost_route(
             iterations += 1
         return f, kf, iterations, scalings, potential, delta, converged
 
-    return _route(
-        graph, approximator, demand, epsilon, workspace, initial_flow, descend
-    )
+    return _route(graph, approximator, demand, epsilon, initial_flow, descend)
 
 
 def accelerated_almost_route_batch(
@@ -150,16 +147,14 @@ def accelerated_almost_route_batch(
     demands: np.ndarray,
     epsilon: float,
     max_iterations: int | None = None,
-    workspace: RouteWorkspace | None = None,
     initial_flows: np.ndarray | None = None,
 ) -> BatchAlmostRouteResult:
     """Momentum-accelerated Algorithm 2 on ``Q`` stacked demands.
 
     Same contract as
     :func:`repro.core.almost_route.almost_route_batch`: each column is
-    its own :func:`accelerated_almost_route` call (one workspace reused
-    for every column), so every column matches the one-shot result bit
-    for bit.
+    its own :func:`accelerated_almost_route` call, so every column
+    matches the one-shot result bit for bit.
     """
     return _route_columns(
         accelerated_almost_route,
@@ -168,6 +163,5 @@ def accelerated_almost_route_batch(
         demands,
         epsilon,
         max_iterations,
-        workspace,
         initial_flows,
     )

@@ -22,11 +22,10 @@ pass over all virtual trees
 (:class:`~repro.core.stacked.StackedTreeOperator`).
 
 The inner loop is **allocation free**: every per-iteration vector
-(residual, y, gradients, sign-step) lives in a
-:class:`RouteWorkspace` that callers may reuse across AlmostRoute
-invocations (the residual rounds of ``min_congestion_flow``, the
-pooled workspaces of ``FlowServer``), and every NumPy step writes
-through ``out=``. The 17/16 re-scaling sub-loop exploits
+(residual, y, gradients, sign-step) lives in the call's own
+:class:`RouteWorkspace`, built once per AlmostRoute call and never
+shared with another call, and every NumPy step writes through
+``out=``. The 17/16 re-scaling sub-loop exploits
 linearity — ``C⁻¹(sf)`` and ``R(b + Bf)`` both scale by ``s`` — so a
 scaling step re-evaluates only the two soft-maxes instead of paying a
 full residual + R product evaluation.
@@ -34,8 +33,8 @@ full residual + R product evaluation.
 The accelerated loop (:mod:`repro.core.accelerated`) shares all of it
 but the iteration itself: :func:`_route` validates, scales (line 1) and
 unscales for both. :func:`almost_route_batch` routes a ``(Q, n)``
-demand plane column by column through :func:`almost_route` (reusing
-one workspace), so each column is the one-shot result bit for bit.
+demand plane column by column through :func:`almost_route`, so each
+column is the one-shot result bit for bit.
 """
 
 from __future__ import annotations
@@ -73,11 +72,10 @@ MAX_SCALINGS_PER_STEP = 4096
 class RouteWorkspace:
     """Preallocated buffers for the AlmostRoute inner loop.
 
-    One workspace is sized for one (graph, approximator) pair — m-, n-
-    and num_rows-shaped vectors — and is reused across gradient steps
-    and across AlmostRoute calls. Build it once per solve sweep
-    (``min_congestion_flow`` does this automatically) and hand it to
-    every call on the same pair.
+    One workspace holds the m-, n- and num_rows-shaped vectors of one
+    AlmostRoute call on one (graph, approximator) pair. The call builds
+    it and reuses it across its own gradient steps; no other call sees
+    it, so two calls can never share per-solve state.
     """
 
     def __init__(
@@ -86,11 +84,6 @@ class RouteWorkspace:
         m = graph.num_edges
         n = graph.num_nodes
         rows = approximator.num_rows
-        # Shape-derived only — deliberately epoch-independent. A
-        # capacity-only mutation (set_capacity) changes no buffer shape,
-        # so pooled workspaces must survive it; the incremental serving
-        # policy relies on exactly that.
-        self.shape_key = (m, n, rows)
         # m-shaped
         self.flow = np.empty(m)
         self.flow_prev = np.empty(m)
@@ -111,36 +104,6 @@ class RouteWorkspace:
         # single np.exp evaluates them (see repro.core.softmax).
         self.m_scratch = np.empty(2 * m)
         self.r_scratch = np.empty(2 * rows)
-
-    @classmethod
-    def ensure(
-        cls,
-        workspace: "RouteWorkspace | None",
-        graph: Graph,
-        approximator: TreeCongestionApproximator,
-    ) -> "RouteWorkspace":
-        """Return ``workspace`` if it fits the pair, build one if None.
-
-        A workspace sized for a *different* (graph, approximator) pair
-        is an error, not a silent rebuild: the caller handed over
-        buffers it expects to keep reusing, and quietly replacing them
-        hides the mismatch (e.g. a workspace kept across an
-        ``add_edge`` that changed the edge count).
-
-        Raises:
-            GraphError: If ``workspace.shape_key`` does not match the
-                pair, naming the expected and actual sizes.
-        """
-        key = (graph.num_edges, graph.num_nodes, approximator.num_rows)
-        if workspace is None:
-            return cls(graph, approximator)
-        if workspace.shape_key != key:
-            raise GraphError(
-                "workspace shape mismatch: built for (num_edges, "
-                f"num_nodes, num_rows)={workspace.shape_key}, but this "
-                f"(graph, approximator) pair needs {key}"
-            )
-        return workspace
 
 
 @hot_kernel
@@ -254,16 +217,16 @@ def _route(
     approximator: TreeCongestionApproximator,
     demand: np.ndarray,
     epsilon: float,
-    workspace: RouteWorkspace | None,
     initial_flow: np.ndarray | None,
     descend: Callable[..., _Descent],
 ) -> AlmostRouteResult:
     """Run one AlmostRoute loop: all of it but its budget and iteration.
 
     Validates, sets the sharpness target, returns early for a demand R
-    cannot see (‖Rb‖∞ = 0), scales the demand and the warm-start seed
-    into ``ws.flow`` (line 1), calls ``descend(ws, b, α, ε, ln n,
-    target)``, then unscales its flow and adds the residual.
+    cannot see (‖Rb‖∞ = 0), builds the call's :class:`RouteWorkspace`,
+    scales the demand and the warm-start seed into ``ws.flow`` (line
+    1), calls ``descend(ws, b, α, ε, ln n, target)``, then unscales its
+    flow and adds the residual.
     """
     demand = check_demand(graph, demand)
     m = graph.num_edges
@@ -285,7 +248,7 @@ def _route(
             delta=0.0,
             converged=True,
         )
-    ws = RouteWorkspace.ensure(workspace, graph, approximator)
+    ws = RouteWorkspace(graph, approximator)
     # Line 1: scale so that 2α‖Rb‖∞ = target.
     kb = 2.0 * alpha * norm_rb / target
     b = demand / kb
@@ -319,7 +282,6 @@ def almost_route(
     demand: np.ndarray,
     epsilon: float,
     max_iterations: int | None = None,
-    workspace: RouteWorkspace | None = None,
     initial_flow: np.ndarray | None = None,
 ) -> AlmostRouteResult:
     """Run Algorithm 2.
@@ -333,11 +295,6 @@ def almost_route(
             O(α² ε⁻³ log n) shape with a pragmatic constant. An
             exhausted budget returns the last iterate with
             ``converged=False``.
-        workspace: Optional preallocated :class:`RouteWorkspace` to
-            reuse across calls on the same (graph, approximator) pair;
-            built internally when omitted; a workspace sized for a
-            different (graph, approximator) pair raises
-            :class:`~repro.errors.GraphError`.
         initial_flow: Optional warm-start seed in *original* (unscaled)
             units — typically a previous epoch's flow for the same
             demand, rescaled to the current capacities via
@@ -400,9 +357,7 @@ def almost_route(
             iterations += 1
         return f, kf, iterations, scalings, potential, delta, converged
 
-    return _route(
-        graph, approximator, demand, epsilon, workspace, initial_flow, descend
-    )
+    return _route(graph, approximator, demand, epsilon, initial_flow, descend)
 
 
 @dataclass
@@ -459,7 +414,6 @@ def _route_columns(
     demands: np.ndarray,
     epsilon: float,
     max_iterations: int | None,
-    workspace: RouteWorkspace | None,
     initial_flows: np.ndarray | None,
 ) -> BatchAlmostRouteResult:
     """Route each row of ``demands`` with the one-shot ``solver`` and
@@ -476,7 +430,6 @@ def _route_columns(
                 f"initial_flows has shape {seeds.shape}, expected "
                 f"({num_queries}, {m})"
             )
-    workspace = RouteWorkspace.ensure(workspace, graph, approximator)
     results = [
         solver(
             graph,
@@ -484,7 +437,6 @@ def _route_columns(
             demands[q],
             epsilon,
             max_iterations=max_iterations,
-            workspace=workspace,
             initial_flow=None if seeds is None else seeds[q],
         )
         for q in range(num_queries)
@@ -513,7 +465,6 @@ def almost_route_batch(
     demands: np.ndarray,
     epsilon: float,
     max_iterations: int | None = None,
-    workspace: RouteWorkspace | None = None,
     initial_flows: np.ndarray | None = None,
 ) -> BatchAlmostRouteResult:
     """Run Algorithm 2 on ``Q`` stacked demands, one column at a time.
@@ -532,9 +483,6 @@ def almost_route_batch(
         epsilon: Target accuracy ε (shared by the batch).
         max_iterations: Per-query gradient-step budget (shared); a
             column that exhausts it has ``converged[q] = False``.
-        workspace: Optional :class:`RouteWorkspace` for the (graph,
-            approximator) pair, reused for every column; mismatched
-            shapes raise :class:`~repro.errors.GraphError`.
         initial_flows: Optional ``(Q, m)`` plane of warm-start seeds in
             original units; row ``q`` is column ``q``'s
             ``initial_flow`` (see :func:`almost_route`).
@@ -549,6 +497,5 @@ def almost_route_batch(
         demands,
         epsilon,
         max_iterations,
-        workspace,
         initial_flows,
     )

@@ -122,8 +122,8 @@ class TreeCongestionApproximator:
         Each row is a genuine cut of G whatever tree it came from, so
         soundness ``‖Rb‖∞ ≤ opt(b)`` holds at the new epoch exactly as
         at construction. Row counts never change (every spanning tree
-        has n-1 rows), so the stacked operator and existing
-        ``RouteWorkspace`` objects stay valid.
+        has n-1 rows), so the stacked operator keeps its planes and
+        only its inverse-capacity rows are rewritten.
 
         The trees and ``alpha`` are kept, and α is not re-estimated.
         Only α depends on how the trees were sampled, and large

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.accelerated import accelerated_almost_route
-from repro.core.almost_route import RouteWorkspace
 from repro.core.approximator import (
     TreeCongestionApproximator,
     build_congestion_approximator,
@@ -118,7 +117,6 @@ def min_congestion_flow(
     approximator: TreeCongestionApproximator | None = None,
     rng: np.random.Generator | int | None = None,
     max_iterations: int | None = None,
-    workspace: RouteWorkspace | None = None,
     initial_flow: np.ndarray | None = None,
 ) -> ApproxFlow:
     """Route ``demand`` with approximately minimal congestion.
@@ -139,10 +137,6 @@ def min_congestion_flow(
             demands on one graph); built fresh otherwise.
         rng: Randomness for approximator construction.
         max_iterations: Per-call gradient budget override.
-        workspace: Optional preallocated AlmostRoute workspace; built
-            once here and shared by every residual round (callers
-            routing many demands on one approximator pass one in to
-            amortize it further).
         initial_flow: Optional warm-start seed for the *first*
             AlmostRoute round (a previous epoch's flow for this demand,
             rescaled via :func:`repro.graphs.journal.rescale_flow`);
@@ -156,7 +150,6 @@ def min_congestion_flow(
     rng = as_generator(rng)
     if approximator is None:
         approximator = build_congestion_approximator(graph, rng=rng)
-    workspace = RouteWorkspace.ensure(workspace, graph, approximator)
     m = graph.num_edges
     residual_rounds = int(math.ceil(math.log2(max(m, 2)))) + 1
 
@@ -176,7 +169,6 @@ def min_congestion_flow(
             residual,
             epsilon if round_index == 0 else 0.5,
             max_iterations=max_iterations,
-            workspace=workspace,
             initial_flow=initial_flow if round_index == 0 else None,
         )
         total_flow += result.flow
@@ -212,7 +204,6 @@ def max_flow(
     approximator: TreeCongestionApproximator | None = None,
     rng: np.random.Generator | int | None = None,
     max_iterations: int | None = None,
-    workspace: RouteWorkspace | None = None,
 ) -> ApproxMaxFlow:
     """Compute a (1 + ε′)-approximate maximum s-t flow (Theorem 1.1).
 
@@ -224,8 +215,6 @@ def max_flow(
         approximator: Optional prebuilt congestion approximator.
         rng: Randomness for approximator construction.
         max_iterations: Per-AlmostRoute gradient budget override.
-        workspace: Optional preallocated AlmostRoute workspace, reused
-            across the residual rounds (and by repeat callers).
 
     Returns:
         An :class:`ApproxMaxFlow` whose ``flow`` is exactly feasible and
@@ -248,7 +237,6 @@ def max_flow(
         approximator=approximator,
         rng=rng,
         max_iterations=max_iterations,
-        workspace=workspace,
     )
     congestion = routed.congestion
     if congestion <= 0:

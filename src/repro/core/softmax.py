@@ -11,8 +11,9 @@ Everything is computed in log-space with max-subtraction so the
 (deliberately large, Θ(ε⁻¹ log n)) arguments never overflow.
 
 :func:`smax_and_gradient` is the per-iteration form: with ``out=`` and
-``scratch=`` buffers it performs no allocation, which the AlmostRoute
-workspace relies on. The scratch is one **contiguous pair buffer** of
+``scratch=`` buffers (the AlmostRoute call's own
+:class:`~repro.core.almost_route.RouteWorkspace`) it performs no
+allocation. The scratch is one **contiguous pair buffer** of
 shape ``(2k,)``: both exponential families ``e^{y−m}`` and ``e^{−y−m}``
 are then evaluated by a *single* ``np.exp`` ufunc call over the stacked
 buffer (a two-call form paid a second dispatch + loop startup for the

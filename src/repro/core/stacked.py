@@ -69,9 +69,11 @@ All scratch planes are preallocated on the operator, and ``apply`` /
 ``apply_transpose`` accept ``out=`` — with a caller-provided output
 ``apply`` allocates nothing and ``apply_transpose``'s only per-call
 allocation is ``bincount``'s diff-plane output (the price of the exact
-fold), which is what the AlmostRoute workspace
-(:class:`~repro.core.almost_route.RouteWorkspace`) relies on. The
-``(Q, ·)`` forms ``apply_batch`` / ``apply_transpose_batch`` run the
+fold), which is what the allocation-free AlmostRoute loop relies on.
+Unlike that loop's per-call
+:class:`~repro.core.almost_route.RouteWorkspace`, the scratch planes
+belong to the operator, so every call on one approximator shares them.
+The ``(Q, ·)`` forms ``apply_batch`` / ``apply_transpose_batch`` run the
 1-D product once per row; no library code calls them.
 
 Every product runs on the calling thread. Splitting the ``(T, ·)``

@@ -66,6 +66,26 @@ _INITIAL_BUFFER = 16
 SMALL_GRAPH_LIMIT = 8192
 
 
+def _endpoint(node: int) -> int:
+    """``node`` as an int; :class:`GraphError` unless its value is an
+    integer (``int()`` alone truncates 0.9 to node 0)."""
+    if not float(node).is_integer():
+        raise GraphError(f"edge endpoint {node!r} is not an integer")
+    return int(node)
+
+
+def _endpoints(ends: np.ndarray) -> np.ndarray:
+    """:func:`_endpoint` for an array, before its cast to int; integer
+    arrays pass as they are."""
+    if ends.dtype.kind not in "biu":
+        ends = ends.astype(float)
+        whole = np.floor(ends) == ends
+        if not whole.all():
+            bad = ends[int(np.argmin(whole))]
+            raise GraphError(f"edge endpoint {bad} is not an integer")
+    return ends
+
+
 def fifo_bfs(
     adjacency: Sequence[Sequence[tuple[int, int]]],
     source: int,
@@ -136,8 +156,8 @@ class Graph:
             rejected; parallel edges are kept as distinct edges.
 
     Raises:
-        GraphError: On out-of-range endpoints, self-loops, or
-            non-positive capacities.
+        GraphError: On non-integer or out-of-range endpoints,
+            self-loops, or non-positive capacities.
     """
 
     def __init__(
@@ -161,11 +181,7 @@ class Graph:
         triples = list(edges)
         if triples:
             arr = np.asarray(triples, dtype=float)
-            self._append_bulk(
-                arr[:, 0].astype(WIDE_DTYPE),
-                arr[:, 1].astype(WIDE_DTYPE),
-                arr[:, 2],
-            )
+            self._append_bulk(arr[:, 0], arr[:, 1], arr[:, 2])
 
     # ------------------------------------------------------------------
     # Cache management
@@ -209,8 +225,8 @@ class Graph:
     # ------------------------------------------------------------------
     def add_edge(self, u: int, v: int, capacity: float) -> int:
         """Add an edge ``u -> v`` and return its edge id."""
-        u = int(u)
-        v = int(v)
+        u = _endpoint(u)
+        v = _endpoint(v)
         if not (0 <= u < self._n and 0 <= v < self._n):
             raise GraphError(
                 f"edge ({u}, {v}) has an endpoint outside 0..{self._n - 1}"
@@ -232,7 +248,10 @@ class Graph:
     def _append_bulk(
         self, u: np.ndarray, v: np.ndarray, cap: np.ndarray
     ) -> None:
-        """Append validated edge arrays in one shot (vectorized checks)."""
+        """Validate edge arrays in one shot (vectorized checks), cast the
+        endpoints to ints and append them."""
+        u = _endpoints(u)
+        v = _endpoints(v)
         cap = np.asarray(cap, dtype=float)
         bad = (u < 0) | (u >= self._n) | (v < 0) | (v >= self._n)
         if np.any(bad):
@@ -240,6 +259,8 @@ class Graph:
             raise GraphError(
                 f"edge ({u[i]}, {v[i]}) has an endpoint outside 0..{self._n - 1}"
             )
+        u = u.astype(WIDE_DTYPE, copy=False)
+        v = v.astype(WIDE_DTYPE, copy=False)
         loops = u == v
         if np.any(loops):
             raise GraphError(
@@ -280,8 +301,8 @@ class Graph:
         graph = cls(num_nodes)
         if len(edge_u):
             graph._append_bulk(
-                np.asarray(edge_u, dtype=WIDE_DTYPE),
-                np.asarray(edge_v, dtype=WIDE_DTYPE),
+                np.asarray(edge_u),
+                np.asarray(edge_v),
                 np.asarray(capacity, dtype=float),
             )
         return graph
@@ -547,8 +568,13 @@ class Graph:
         return out
 
     def congestion(self, flow: np.ndarray) -> np.ndarray:
-        """Return per-edge congestion ``|C^{-1} f| = |f_e| / cap(e)``."""
+        """Return per-edge congestion ``|C^{-1} f| = |f_e| / cap(e)``;
+        :class:`GraphError` unless ``flow`` has shape ``(m,)``."""
         flow = np.asarray(flow, dtype=float)
+        if flow.shape != (self._m,):
+            raise GraphError(
+                f"flow vector has shape {flow.shape}, expected ({self._m},)"
+            )
         return np.abs(flow) / self.capacities()
 
     # ------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """The hot-kernel registry: ``@hot_kernel`` marks allocation-free code.
 
-PR 3 made AlmostRoute's inner loop allocation-free on a reusable
-:class:`~repro.core.almost_route.RouteWorkspace`. The contract is easy
-to erode:
-one innocuous ``np.zeros`` inside a gradient step reintroduces a
+AlmostRoute's inner loop is allocation-free: each call allocates one
+:class:`~repro.core.almost_route.RouteWorkspace` up front and every
+gradient step writes into it. The contract is easy to erode: one
+innocuous ``np.zeros`` inside a gradient step reintroduces a
 per-iteration allocation (and first-touch page faulting) that the
-workspace design exists to avoid, and nothing crashes — the solve is
-just slower, forever.
+workspace exists to avoid, and nothing crashes — the solve is just
+slower, forever.
 
 ``@hot_kernel`` is a zero-overhead marker: it returns the function
 unchanged (same object — monkeypatching sees no wrapper) and only

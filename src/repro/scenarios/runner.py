@@ -20,7 +20,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.core.almost_route import RouteWorkspace
 from repro.core.approximator import (
     TreeCongestionApproximator,
     build_congestion_approximator,
@@ -112,7 +111,6 @@ def _route_plane(
     plane: np.ndarray,
     epsilon: float,
     approximator: TreeCongestionApproximator,
-    workspace: RouteWorkspace,
 ) -> tuple[list[ApproxFlow], float]:
     """Route every demand of the plane; returns the per-query results
     and the wall time of the sweep."""
@@ -125,7 +123,6 @@ def _route_plane(
                 row,
                 epsilon=epsilon,
                 approximator=approximator,
-                workspace=workspace,
             )
         )
     return results, time.perf_counter() - start
@@ -136,7 +133,6 @@ def _warm_reroute_stage(
     graph: Graph,
     demand: np.ndarray,
     approximator: TreeCongestionApproximator,
-    workspace: RouteWorkspace,
     previous: ApproxFlow,
 ) -> int:
     """Route → degrade → re-route warm (the dynamic-graph stage).
@@ -184,7 +180,6 @@ def _warm_reroute_stage(
         demand,
         epsilon=scenario.epsilon,
         approximator=approximator,
-        workspace=workspace,
         initial_flow=rescale_flow(previous.flow, delta),
     )
     cold = min_congestion_flow(
@@ -192,7 +187,6 @@ def _warm_reroute_stage(
         demand,
         epsilon=scenario.epsilon,
         approximator=approximator,
-        workspace=workspace,
     )
     label = f"{scenario.name}#warm"
     invariants.check_conservation(label, graph, warm)
@@ -227,14 +221,12 @@ def _run_scenario(
     approximator = build_approximator(
         graph, scenario_seed(scenario.seed, "approximator", scenario.topology)
     )
-    workspace = RouteWorkspace(graph, approximator)
     approx_result = max_flow(
         graph,
         source,
         sink,
         epsilon=scenario.epsilon,
         approximator=approximator,
-        workspace=workspace,
     )
     invariants.check_maxflow_vs_exact(
         scenario.name, approx_result, exact.value
@@ -245,7 +237,7 @@ def _run_scenario(
     )
     plane = check_demand_batch(graph, plane)
     results, seconds = _route_plane(
-        graph, plane, scenario.epsilon, approximator, workspace
+        graph, plane, scenario.epsilon, approximator
     )
     checked = 2  # epoch accounting + max-flow vs exact
     for query, result in enumerate(results):
@@ -265,7 +257,7 @@ def _run_scenario(
     # The warm re-route stage mutates the graph, so it runs strictly
     # after the plane has been routed.
     checked += _warm_reroute_stage(
-        scenario, graph, plane[0], approximator, workspace, results[0]
+        scenario, graph, plane[0], approximator, results[0]
     )
     return ScenarioRecord(
         scenario=scenario,

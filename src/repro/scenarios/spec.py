@@ -204,6 +204,8 @@ def register_failure(spec: FailureSpec) -> FailureSpec:
 
 
 def resolve_topology(name: str) -> TopologySpec:
+    """The registered topology ``name``; :class:`ScenarioError` lists
+    the registered names for an unknown one."""
     try:
         return TOPOLOGIES[name]
     except KeyError:
@@ -214,6 +216,8 @@ def resolve_topology(name: str) -> TopologySpec:
 
 
 def resolve_demand(name: str) -> DemandSpec:
+    """The registered demand model ``name``; :class:`ScenarioError` lists
+    the registered names for an unknown one."""
     try:
         return DEMANDS[name]
     except KeyError:
@@ -224,6 +228,8 @@ def resolve_demand(name: str) -> DemandSpec:
 
 
 def resolve_failure(name: str) -> FailureSpec:
+    """The registered failure model ``name``; :class:`ScenarioError` lists
+    the registered names for an unknown one."""
     try:
         return FAILURES[name]
     except KeyError:

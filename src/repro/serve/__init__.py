@@ -1,14 +1,12 @@
 """Serving layer: build-once / serve-many routing (see ROADMAP).
 
-:class:`FlowServer` owns a built congestion approximator, a warm
-workspace pool, and a version-keyed result cache, and serves single and
-batched multi-demand routing queries whose results are bit-identical to
-the corresponding one-shot :func:`~repro.core.almost_route.almost_route`
-calls.
+:class:`FlowServer` owns a built congestion approximator and a
+version-keyed result cache, and serves single and batched multi-demand
+routing queries whose results are bit-identical to the corresponding
+one-shot :func:`~repro.core.almost_route.almost_route` calls.
 """
 
 from repro.serve.cache import CacheStats, ResultCache, demand_digest
-from repro.serve.pool import WorkspacePool
 from repro.serve.server import FlowServer, ServerHealth, ServerStats
 
 __all__ = [
@@ -17,6 +15,5 @@ __all__ = [
     "ResultCache",
     "ServerHealth",
     "ServerStats",
-    "WorkspacePool",
     "demand_digest",
 ]

@@ -4,39 +4,36 @@ The paper's target workload (and the ROADMAP north star) is one graph
 serving many demand queries: the congestion approximator costs ~n·log n
 tree samples to build but answers any demand, so amortizing one build
 over a query stream changes the economics completely. The server owns
-
-* a built :class:`~repro.core.approximator.TreeCongestionApproximator`,
-* a warm :class:`~repro.serve.pool.WorkspacePool` of routing
-  workspaces, and
-* a version-keyed :class:`~repro.serve.cache.ResultCache`,
-
-and serves single demands (:meth:`FlowServer.route`,
+a built :class:`~repro.core.approximator.TreeCongestionApproximator`
+and a version-keyed :class:`~repro.serve.cache.ResultCache`, and
+serves single demands (:meth:`FlowServer.route`,
 :meth:`FlowServer.route_st`) and stacked multi-demand batches
 (:meth:`FlowServer.route_batch`).
 
 There is one miss path. A single query and every column of a batch
-take the same steps: cache lookup, salvaged warm seed, workspace
-checkout, one-shot solve, one retry of an unexpected failure, cache
-put. A batch column is therefore the one-shot answer bit for bit,
-singles and batch columns share one cache namespace (a demand routed
-inside a batch hits later as a single query and vice versa), and a
-demand repeated within one batch is solved once. Solves, builds and
-rebuilds all run on the calling thread.
+take the same steps: cache lookup, salvaged warm seed, one-shot solve,
+one retry of an unexpected failure, cache put. Every solve attempt,
+the retry included, is a one-shot solver call that builds its own
+workspace, so no attempt can see another's buffers. A batch column is
+therefore the one-shot answer bit for bit, singles and batch columns
+share one cache namespace (a demand routed inside a batch hits later
+as a single query and vice versa), and a demand repeated within one
+batch is solved once. Solves, builds and rebuilds all run on the
+calling thread.
 
 Recovery is invisible in results and counted in
-:meth:`FlowServer.health`: a failed workspace checkout falls back to a
-per-call workspace, and a solve failure that is not a
-:class:`~repro.errors.ReproError` is retried once on a fresh one. What
-is not recovered surfaces typed: a failure that survives its retry, a
-missed deadline, a poisoned batch column (isolated to its slot).
+:meth:`FlowServer.health`: a solve failure that is not a
+:class:`~repro.errors.ReproError` is retried once. What is not
+recovered surfaces typed: a failure that survives its retry, a missed
+deadline, a poisoned batch column (isolated to its slot).
 
 Mutation safety: every entry point first compares the graph's
 cache-invalidation counter (``Graph._version``) against the epoch the
 cache and approximator were built in. Under the default
 ``refresh="rebuild"`` policy a moved version drops the cached results
-exactly once, rebuilds the approximator from the stored seed and
-rebinds the workspace pool. Under ``refresh="incremental"`` a
-capacity-only move recomputes every tree's cut capacities exactly
+exactly once and rebuilds the approximator from the stored seed.
+Under ``refresh="incremental"`` a capacity-only move recomputes every
+tree's cut capacities exactly
 (:meth:`~repro.core.approximator.TreeCongestionApproximator.refresh_capacities`:
 same trees, same α, nothing resampled) and turns the old epoch's cached
 flows into warm-start seeds; a structural mutation or a journal
@@ -53,11 +50,7 @@ from typing import Callable, Iterable, Literal, Sequence
 import numpy as np
 
 from repro.core.accelerated import accelerated_almost_route
-from repro.core.almost_route import (
-    AlmostRouteResult,
-    RouteWorkspace,
-    almost_route,
-)
+from repro.core.almost_route import AlmostRouteResult, almost_route
 from repro.core.approximator import (
     TreeCongestionApproximator,
     build_congestion_approximator,
@@ -71,7 +64,6 @@ from repro.errors import (
 from repro.graphs.graph import Graph
 from repro.graphs.journal import rescale_flow
 from repro.serve.cache import CacheStats, ResultCache, demand_digest
-from repro.serve.pool import WorkspacePool
 from repro.util.validation import st_demand
 
 __all__ = ["FlowServer", "ServerHealth", "ServerStats"]
@@ -112,14 +104,15 @@ class ServerHealth:
     how operators see that the server has been absorbing failures.
 
     Attributes:
-        workspace_fallbacks: Solves that ran on a per-call workspace
-            because the warm-pool checkout failed.
+        workspace_fallbacks: Always 0. Every solve builds its own
+            workspace, so there is no checkout left to fail. The field
+            stays only because perfbench's report still reads it
+            (ROADMAP direction 5 lists it for removal).
         column_failures: Demand columns that ended as a
             :class:`~repro.errors.ServingError` (the error-isolation
             contract: one poisoned column never fails its batch).
-        miss_retries: Solves retried once on a fresh workspace after
-            raising something other than a
-            :class:`~repro.errors.ReproError`.
+        miss_retries: Solves retried once after raising something
+            other than a :class:`~repro.errors.ReproError`.
         deadline_hits: Requests that exceeded their deadline.
         last_error: ``repr``-style description of the most recent
             absorbed failure (``None`` when the server never failed).
@@ -134,6 +127,12 @@ class ServerHealth:
 
 class FlowServer:
     """Serve routing queries against one graph, building R once.
+
+    Drive one server from one thread. It holds no lock, and every solve
+    writes scratch buffers that outlive it (the stacked operator's
+    planes and ``Graph.excess``'s signed buffer), so two concurrent
+    solves would corrupt each other; ROADMAP direction 1 moves those
+    buffers into the per-call workspace.
 
     Args:
         graph: The capacitated graph to serve.
@@ -210,7 +209,6 @@ class FlowServer:
         self.approximator = approximator
         self._cache = ResultCache(cache_capacity)
         self._cache.sync_epoch(graph._version)
-        self._pool = WorkspacePool(graph, approximator)
         self._epoch = graph._version
         self._edge_count = graph.num_edges
         self._single_queries = 0
@@ -226,7 +224,6 @@ class FlowServer:
         # and consumed on use.
         self._warm_seeds: dict[tuple, np.ndarray] = {}
         # Health / degradation state (see ServerHealth).
-        self._workspace_fallbacks = 0
         self._column_failures = 0
         self._miss_retries = 0
         self._deadline_hits = 0
@@ -240,8 +237,7 @@ class FlowServer:
 
         Drops (or, under ``refresh="incremental"``, salvages) old-epoch
         cached results exactly once, then either refreshes the
-        approximator's cuts from the journal or rebuilds it and rebinds
-        the workspace pool.
+        approximator's cuts from the journal or rebuilds it.
         """
         version = self.graph._version
         if version == self._epoch:
@@ -255,9 +251,8 @@ class FlowServer:
             delta = self.graph.deltas_since(self._epoch)
         if delta is not None:
             # Capacity-only delta with a sound journal: recompute the
-            # cuts in place, keep the pooled workspaces (their shape
-            # key is epoch-independent), and convert old-epoch cache
-            # entries into warm-start seeds instead of waste.
+            # cuts in place and convert old-epoch cache entries into
+            # warm-start seeds instead of waste.
             salvaged = self._cache.salvage_epoch(version)
             self.approximator.refresh_capacities()
             self._incremental_refreshes += 1
@@ -273,7 +268,6 @@ class FlowServer:
                 self.graph, rng=self._rng
             )
             self._rebuilds += 1
-            self._pool.rebind(self.graph, self.approximator)
         self._epoch = version
         self._edge_count = self.graph.num_edges
 
@@ -289,7 +283,7 @@ class FlowServer:
         )
 
     # ------------------------------------------------------------------
-    # Supervision (deadline, workspace fallback)
+    # Supervision (deadline)
     # ------------------------------------------------------------------
     def _deadline_at(self) -> float | None:
         return (
@@ -304,22 +298,8 @@ class FlowServer:
                 f"request exceeded its {self.deadline}s deadline"
             )
 
-    def _acquire(self) -> RouteWorkspace | None:
-        """Warm-pool checkout with fallback: a failed checkout means
-        the solver allocates a per-call workspace (slower, identical
-        results) — a counted degradation, never a failed request."""
-        try:
-            return self._pool.acquire()
-        except Exception as exc:
-            self._workspace_fallbacks += 1
-            self._last_error = f"{type(exc).__name__}: {exc}"
-            return None
-
     def _solve(
-        self,
-        demand: np.ndarray,
-        workspace: RouteWorkspace | None,
-        seed: np.ndarray | None,
+        self, demand: np.ndarray, seed: np.ndarray | None
     ) -> AlmostRouteResult:
         """Solve one missed demand: the one call every miss makes, from
         :meth:`route` or from a :meth:`route_batch` column."""
@@ -330,7 +310,6 @@ class FlowServer:
             demand,
             self.epsilon,
             max_iterations=self.max_iterations,
-            workspace=workspace,
             initial_flow=seed,
         )
 
@@ -343,11 +322,10 @@ class FlowServer:
         A cache hit returns the stored result. A miss solves with the
         salvaged warm seed for this demand, if any (gated on
         ``use_cache`` because the seed is cache-derived state, and
-        consumed only by a successful solve), on a pooled workspace.
-        A failure that is not a :class:`~repro.errors.ReproError` is
-        retried once on a fresh workspace. A workspace whose solve
-        failed is dropped, never re-pooled: the failed solve may have
-        left it half written.
+        consumed only by a successful solve). A failure that is not a
+        :class:`~repro.errors.ReproError` is retried once. Each attempt
+        is a fresh one-shot solver call with its own workspace, so a
+        failed attempt leaves nothing half written for the retry.
 
         Raises:
             DeadlineExceededError: The request ran out of time.
@@ -363,9 +341,8 @@ class FlowServer:
         retried = False
         while True:
             self._check_deadline(deadline_at)
-            workspace = self._acquire()
             try:
-                result = self._solve(demand, workspace, seed)
+                result = self._solve(demand, seed)
             except Exception as exc:
                 if isinstance(exc, ReproError) or retried:
                     raise
@@ -373,8 +350,6 @@ class FlowServer:
                 self._miss_retries += 1
                 self._last_error = f"{type(exc).__name__}: {exc}"
                 continue
-            if workspace is not None:
-                self._pool.release(workspace)
             if seed is not None:
                 self._warm_seeds.pop(key, None)
                 self._warm_starts += 1
@@ -493,7 +468,7 @@ class FlowServer:
         """Degradation snapshot (see :class:`ServerHealth`): what the
         server has absorbed and what it surfaced."""
         return ServerHealth(
-            workspace_fallbacks=self._workspace_fallbacks,
+            workspace_fallbacks=0,
             column_failures=self._column_failures,
             miss_retries=self._miss_retries,
             deadline_hits=self._deadline_hits,
@@ -506,7 +481,3 @@ class FlowServer:
     @property
     def cache(self) -> ResultCache:
         return self._cache
-
-    @property
-    def pool(self) -> WorkspacePool:
-        return self._pool

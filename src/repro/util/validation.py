@@ -122,8 +122,13 @@ def check_flow_conservation(
 def check_flow_capacity(
     graph: Graph, flow: Sequence[float], tol: float = 1e-6
 ) -> None:
-    """Check |f_e| <= cap(e) (1 + tol) for every edge."""
+    """Check |f_e| <= cap(e) (1 + tol) for every edge of a shape-(m,)
+    flow; any other shape is an :class:`InvalidFlowError` too."""
     flow = np.asarray(flow, dtype=float)
+    if flow.shape != (graph.num_edges,):
+        raise InvalidFlowError(
+            f"flow has shape {flow.shape}, expected ({graph.num_edges},)"
+        )
     caps = graph.capacities()
     violation = np.abs(flow) - caps * (1.0 + tol)
     worst = float(violation.max(initial=0.0))

@@ -5,8 +5,7 @@ The contract is *bit-identity per column*: for any demand plane,
 in column q, exactly the flow/residual/counters the one-shot call on
 demand q returns. These tests pin that contract for both solvers, plus
 the batched kernel substrate
-(``Graph.excess_batch``, ``check_demand_batch``) and the workspace
-``ensure`` raise contract.
+(``Graph.excess_batch``, ``check_demand_batch``).
 """
 
 from __future__ import annotations
@@ -20,14 +19,12 @@ from parallel_harness import (
     make_graph,
 )
 from repro.core import (
-    RouteWorkspace,
     accelerated_almost_route,
     accelerated_almost_route_batch,
     almost_route,
     almost_route_batch,
 )
 from repro.errors import GraphError, InvalidDemandError
-from repro.graphs.generators import random_connected
 from repro.util.validation import check_demand_batch, st_demand
 
 
@@ -172,39 +169,6 @@ class TestAcceleratedBatchGolden:
         batch = accelerated_almost_route_batch(g, approx, plane, eps)
         assert len(set(int(i) for i in batch.iterations)) > 1
         _assert_columns_identical(g, approx, plane, eps, batch, singles)
-
-
-# ----------------------------------------------------------------------
-# Batch workspace: one RouteWorkspace reused for every column
-# ----------------------------------------------------------------------
-class TestBatchWorkspace:
-    def test_workspace_reuse_is_pure(self, medium):
-        """One workspace across columns and calls, of any batch size,
-        == fresh workspaces."""
-        g, approx = medium
-        ws = RouteWorkspace(g, approx)
-        p1 = _demand_plane(g, 31, 3)
-        p2 = _demand_plane(g, 37, 2, zero_row=1)
-        for solver in (almost_route_batch, accelerated_almost_route_batch):
-            for plane in (p1, p2):
-                reused = solver(g, approx, plane, 0.4, workspace=ws)
-                fresh = solver(g, approx, plane, 0.4)
-                assert_arrays_identical("flows", fresh.flows, reused.flows)
-                assert_arrays_identical(
-                    "iterations", fresh.iterations, reused.iterations
-                )
-
-    def test_ensure_mismatch_raises(self, medium):
-        """A workspace sized for another (graph, approximator) pair is
-        rejected by both batch solvers, not silently rebuilt."""
-        g, approx = medium
-        other = random_connected(12, 0.4, rng=315)
-        other_approx = build_test_approximator(other, 316)
-        stale = RouteWorkspace(other, other_approx)
-        plane = _demand_plane(g, 39, 2)
-        for solver in (almost_route_batch, accelerated_almost_route_batch):
-            with pytest.raises(GraphError, match="shape mismatch"):
-                solver(g, approx, plane, 0.4, workspace=stale)
 
 
 # ----------------------------------------------------------------------

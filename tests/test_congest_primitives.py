@@ -18,6 +18,7 @@ from repro.congest import (
     elect_leader,
     pipelined_aggregate,
 )
+from repro.errors import TreeError
 from repro.graphs.generators import (
     cycle,
     grid,
@@ -25,6 +26,7 @@ from repro.graphs.generators import (
     random_connected,
     star,
 )
+from repro.graphs.trees import RootedTree
 
 
 class TestBFS:
@@ -133,3 +135,34 @@ class TestLeaderElection:
         leader, rounds = elect_leader(g, diameter_bound=2)
         assert leader == 8
         assert rounds <= 4
+
+
+class TestTreeEdges:
+    def test_bfs_parent_edge_joins_each_node_to_its_parent(self):
+        """The BFS tree keeps the edge each node adopted its parent
+        over, parallel edges included."""
+        g = random_connected(20, 0.2, rng=5)
+        for e in list(g.edges())[:6]:
+            g.add_edge(e.v, e.u, 1.0)
+        tree, _ = build_bfs_tree(g, root=0)
+        assert tree.parent_edge is not None
+        assert tree.parent_edge[tree.root] == -1
+        for v in g.nodes():
+            p = tree.parent[v]
+            if p >= 0:
+                assert set(g.endpoints(int(tree.parent_edge[v]))) == {v, p}
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda g, t: broadcast(g, t, 1),
+            lambda g, t: convergecast_sum(g, t, [1.0] * g.num_nodes),
+            lambda g, t: pipelined_aggregate(g, t, [[1.0]] * g.num_nodes),
+        ],
+        ids=["broadcast", "convergecast_sum", "pipelined_aggregate"],
+    )
+    def test_primitives_reject_tree_without_edges(self, run):
+        g = path(6, rng=1)
+        tree, _ = build_bfs_tree(g, root=0)
+        with pytest.raises(TreeError):
+            run(g, RootedTree(tree.parent))

@@ -9,18 +9,13 @@ The contracts under test:
   out-of-range epoch) returns ``None`` and forces full invalidation.
 * **warm-start validity** — seeding AlmostRoute with the previous
   epoch's flow (rescaled via the journal) converges in no more
-  iterations than a cold start on small capacity-only deltas, is
-  bit-identical under every process default (the approximator built on
-  the pool, the solve on the calling thread), and a zero seed
-  reproduces the cold run bit for bit.
+  iterations than a cold start on small capacity-only deltas, and a
+  zero seed reproduces the cold run bit for bit.
 * **exact cut refresh** — ``TreeCongestionApproximator.refresh_capacities``
   recomputes every tree's cut capacities in place, patches the stacked
   operator to match a fresh fuse bit for bit, and keeps every tree and
-  the row counts, so workspaces keep fitting; its answers stay within
-  the guarantee through a long chain of cumulative deltas.
-* **workspace epoch-independence** — the pool shape key contains no
-  epoch, and a workspace surviving ``set_capacity`` is reused, not
-  rebuilt.
+  the row counts; its answers stay within the guarantee through a long
+  chain of cumulative deltas.
 * **incremental serving** — ``refresh="incremental"`` consumes the
   journal, counts refreshes and warm starts, and falls back to a full
   rebuild on structural mutation or journal overflow.
@@ -37,7 +32,7 @@ from repro.core import (
     almost_route,
     build_congestion_approximator,
 )
-from repro.core.almost_route import RouteWorkspace, almost_route_batch
+from repro.core.almost_route import almost_route_batch
 from repro.core.stacked import StackedTreeOperator
 from repro.errors import GraphError
 from repro.flow.mst import maximum_spanning_tree
@@ -272,20 +267,6 @@ class TestExactCutRefresh:
             fresh = induced_cut_capacities(graph, tree)
             assert_arrays_identical("capacity", fresh, tree.capacity)
 
-    def test_refresh_keeps_workspaces_valid(self, graph):
-        approximator = build_congestion_approximator(graph, rng=719)
-        workspace = RouteWorkspace(graph, approximator)
-        demand = st_demand(graph, 0, 47)
-        almost_route(graph, approximator, demand, EPS, workspace=workspace)
-        _degrade(graph, fraction=0.02, seed=720)
-        approximator.refresh_capacities()
-        # Row counts never change, so the same workspace routes the new
-        # epoch.
-        result = almost_route(
-            graph, approximator, demand, EPS, workspace=workspace
-        )
-        assert result.converged
-
     def test_patched_stacked_operator_matches_fresh_fuse(self, graph):
         approximator = build_congestion_approximator(graph, rng=733)
         stacked = approximator.stacked()
@@ -364,40 +345,6 @@ class TestExactCutRefresh:
         assert all(
             now is before for now, before in zip(approximator.trees(), trees)
         )
-
-
-# ----------------------------------------------------------------------
-# Workspace epoch-independence (pool reuse across set_capacity)
-# ----------------------------------------------------------------------
-class TestWorkspaceEpochIndependence:
-    def test_shape_key_contains_no_epoch(self, graph):
-        approximator = build_congestion_approximator(graph, rng=722)
-        before = graph._version
-        workspace = RouteWorkspace(graph, approximator)
-        graph.set_capacity(0, graph.capacity(0) * 0.5)
-        assert graph._version == before + 1
-        assert workspace.shape_key == (
-            graph.num_edges,
-            graph.num_nodes,
-            approximator.num_rows,
-        )
-        # ensure() accepts the pre-mutation workspace unchanged.
-        assert (
-            RouteWorkspace.ensure(workspace, graph, approximator)
-            is workspace
-        )
-
-    def test_pool_reuses_workspace_across_set_capacity(self, graph):
-        server = FlowServer(
-            graph, epsilon=EPS, rng=723, refresh="incremental"
-        )
-        demand = st_demand(graph, 0, 40)
-        server.route(demand)
-        assert server.pool.created_singles == 1
-        graph.set_capacity(0, graph.capacity(0) * 0.5)
-        server.route(demand)
-        # Reused, not rebuilt: no second workspace was created.
-        assert server.pool.created_singles == 1
 
 
 # ----------------------------------------------------------------------

@@ -1,19 +1,18 @@
-"""Serving recovery: failures injected at the server's two seams.
+"""Serving recovery: failures injected at the server's one seam.
 
 A *seam* is a method the server calls through that a test can replace
-with ``monkeypatch``:
+with ``monkeypatch``. The server has one: ``server._solve``, the
+one-demand miss solve behind ``route``, ``route_st`` and every
+``route_batch`` column. Each solve builds its own workspace, so there
+is no workspace checkout left to fail.
 
-* ``server.pool.acquire``, the workspace checkout;
-* ``server._solve``, the one-demand miss solve behind ``route``,
-  ``route_st`` and every ``route_batch`` column.
-
-:func:`inject` wraps one of them so that chosen calls stall or raise
+:func:`inject` wraps it so that chosen calls stall or raise
 :class:`Crash` before calling through. The recovery contract, pinned
 here at every serving entry point:
 
-* a recoverable failure (a failed checkout, one crashed solve, a
-  stalled solve) ends in an answer **bit-identical** to a fault-free
-  twin server's, and is visible only in ``health()``;
+* a recoverable failure (one crashed solve, a stalled solve) ends in
+  an answer **bit-identical** to a fault-free twin server's, and is
+  visible only in ``health()``;
 * a failure that is not recovered surfaces **typed**: a crash that
   survives its retry, a missed deadline, a poisoned batch column —
   never raw, never a hang, never a silent wrong answer.
@@ -53,7 +52,7 @@ class Crash(RuntimeError):
 
 
 def inject(monkeypatch, server, seam, *, crash=(), hang=()):
-    """Wrap one of ``server``'s seams, ``"pool.acquire"`` or ``"_solve"``.
+    """Wrap the seam ``seam`` of ``server`` (``"_solve"``).
 
     On the 1-based call numbers in ``hang`` the wrapper sleeps
     :data:`HANG_SECONDS`, on those in ``crash`` it raises
@@ -99,7 +98,6 @@ def _plane(graph, seed, num_queries):
 #: injection, the health() counter that absorbs it). A stall is
 #: absorbed by waiting and moves no counter.
 FAILURES = {
-    "checkout_raise": ("pool.acquire", {"crash": {1}}, "workspace_fallbacks"),
     "miss_raise": ("_solve", {"crash": {1}}, "miss_retries"),
     "miss_hang": ("_solve", {"hang": {1}}, None),
 }
@@ -129,11 +127,9 @@ def _assert_recovered(server, failure, calls, expected, served):
     health = server.health()
     assert len(calls) == len(served) + health.miss_retries
     assert {
-        "workspace_fallbacks": health.workspace_fallbacks,
         "miss_retries": health.miss_retries,
         "column_failures": health.column_failures,
     } == {
-        "workspace_fallbacks": int(counter == "workspace_fallbacks"),
         "miss_retries": int(counter == "miss_retries"),
         "column_failures": 0,
     }
@@ -175,31 +171,12 @@ class TestServeRecovery:
         assert stats.incremental_refreshes == 1
         assert stats.warm_starts == 1
 
-    def test_checkout_failure_falls_back_to_fresh_workspace(
-        self, graph, server, monkeypatch
-    ):
-        """A checkout that fails on every call still serves: each solve
-        falls back to a per-call workspace, and none is pooled."""
-        demand = st_demand(graph, 0, graph.num_nodes - 1)
-        baseline = server.route(demand, use_cache=False)
-        pooled = server.pool.pooled_counts()
-        calls = inject(monkeypatch, server, "pool.acquire", crash={1, 2, 3})
-        for _ in range(3):
-            served = server.route(demand, use_cache=False)
-            assert_arrays_identical("flow", baseline.flow, served.flow)
-            assert served.iterations == baseline.iterations
-        assert len(calls) == 3
-        assert server.health().workspace_fallbacks == 3
-        assert server.pool.pooled_counts() == pooled
-
     def test_miss_failure_on_route_is_retried(
         self, graph, server, monkeypatch
     ):
-        """A crash on a pooled workspace is retried on a fresh one,
-        invisibly; the crashed workspace is dropped, never re-pooled."""
+        """A crashed solve is retried once, invisibly."""
         demand = st_demand(graph, 0, graph.num_nodes - 1)
         baseline = server.route(demand, use_cache=False)
-        assert server.pool.created_singles == 1
         calls = inject(monkeypatch, server, "_solve", crash={1})
         served = server.route(demand, use_cache=False)
         assert_arrays_identical("flow", baseline.flow, served.flow)
@@ -207,9 +184,6 @@ class TestServeRecovery:
         assert served.iterations == baseline.iterations
         assert len(calls) == 2
         assert server.health().miss_retries == 1
-        # The retry built a second workspace; only it went back.
-        assert server.pool.created_singles == 2
-        assert server.pool.pooled_counts() == 1
 
     def test_persistent_miss_failure_on_route_is_typed(
         self, graph, server, monkeypatch

@@ -82,6 +82,24 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph.from_edge_arrays(3, [0, 1], [1], [4.0, 5.0])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Graph.from_edge_arrays(
+                3, [0.5, 1.2], [1.7, 2.9], [1.0, 2.0]
+            ),
+            lambda: Graph(3, [(0.5, 1.7, 1.0)]),
+            lambda: Graph(3).add_edge(0.9, 2.2, 1.0),
+        ],
+        ids=["from_edge_arrays", "triples", "add_edge"],
+    )
+    def test_non_integer_endpoint_rejected(self, build):
+        """A fractional endpoint raises instead of being truncated to a
+        node id; integral floats still name their node."""
+        with pytest.raises(GraphError, match="not an integer"):
+            build()
+        assert Graph(3, [(0.0, 2.0, 1.0)]).endpoints(0) == (0, 2)
+
     def test_copy_is_independent(self):
         g = triangle()
         h = g.copy()
@@ -215,6 +233,12 @@ class TestFlowOperators:
         g = triangle()
         cong = g.congestion(np.array([1.0, -1.0, 1.5]))
         np.testing.assert_allclose(cong, [1.0, 0.5, 0.5])
+
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_congestion_wrong_shape_rejected(self, length):
+        """A flow of any length but m raises, not broadcasts."""
+        with pytest.raises(GraphError, match="shape"):
+            triangle().congestion(np.ones(length))
 
 
 class TestConnectivity:

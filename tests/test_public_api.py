@@ -23,6 +23,8 @@ PUBLIC_MODULES = [
     "repro.jtree",
     "repro.core",
     "repro.util",
+    "repro.serve",
+    "repro.scenarios",
 ]
 
 

@@ -1,4 +1,4 @@
-"""FlowServer: result cache, workspace pool, and mutation safety.
+"""FlowServer: result cache and mutation safety.
 
 The serving layer's contracts under test:
 
@@ -8,8 +8,6 @@ The serving layer's contracts under test:
 * a graph mutation (``set_capacity`` or ``add_edge``) after a cached
   query makes the next lookup miss, the cache invalidates **exactly
   once** per mutation, and an old-epoch result is never served;
-* the warm workspace pool actually reuses workspaces and drops
-  stale-shaped ones on rebind;
 * no refresh policy keeps stale cut rows: ``refresh="reuse"`` is
   rejected, and an incremental server's ``‖Rb‖∞`` stays a lower bound
   on opt after a capacity increase.
@@ -25,7 +23,7 @@ from repro.core import almost_route
 from repro.errors import GraphError
 from repro.flow import dinic_max_flow
 from repro.graphs.generators import random_connected
-from repro.serve import FlowServer, ResultCache, WorkspacePool, demand_digest
+from repro.serve import FlowServer, ResultCache, demand_digest
 from repro.util.validation import st_demand
 
 EPS = 0.4
@@ -294,54 +292,6 @@ class TestInvalidation:
         assert server.stats().rebuilds == 0
         opt = 1.0 / dinic_max_flow(graph, 0, 47).value
         assert server.approximator.estimate(demand) <= opt * (1 + 1e-9)
-
-
-# ----------------------------------------------------------------------
-# Workspace pool
-# ----------------------------------------------------------------------
-class TestWorkspacePool:
-    def test_single_workspace_reused(self, graph, server):
-        plane = _plane(graph, 611, 3)
-        for q in range(3):
-            server.route(plane[q], use_cache=False)
-        pool = server.pool
-        assert pool.created_singles == 1
-        assert pool.pooled_counts() == 1
-
-    def test_batch_workspace_reused_per_size(self, graph, server):
-        """Batches of every size route their columns on the one pooled
-        workspace that singles use too."""
-        server.route(st_demand(graph, 0, 7), use_cache=False)
-        for seed in (612, 613):
-            server.route_batch(_plane(graph, seed, 3), use_cache=False)
-        server.route_batch(_plane(graph, 614, 2), use_cache=False)
-        pool = server.pool
-        assert pool.created_singles == 1
-        assert pool.pooled_counts() == 1
-
-    def test_rebind_drops_stale_shapes(self, graph, server):
-        server.route(st_demand(graph, 0, 7), use_cache=False)
-        assert server.pool.pooled_counts() == 1
-        graph.add_edge(0, graph.num_nodes - 1, 1.0)
-        server.route(st_demand(graph, 0, 7), use_cache=False)
-        # The old m-shaped workspace was dropped; a new one was built
-        # for the grown edge count and pooled.
-        assert server.pool.created_singles == 2
-        assert server.pool.pooled_counts() == 1
-
-    def test_release_rejects_stale_workspace(self, graph):
-        server = FlowServer(graph, epsilon=EPS, rng=602)
-        ws = server.pool.acquire()
-        graph.add_edge(0, graph.num_nodes - 1, 1.0)
-        server.route(st_demand(graph, 0, 5))  # triggers rebind
-        server.pool.release(ws)  # stale shape: silently dropped
-        pooled_singles = server.pool.pooled_counts()
-        assert all(
-            pooled.shape_key
-            == (graph.num_edges, graph.num_nodes, server.approximator.num_rows)
-            for pooled in server.pool._singles
-        )
-        assert pooled_singles == len(server.pool._singles)
 
 
 # ----------------------------------------------------------------------

@@ -24,14 +24,12 @@ from parallel_harness import (
     per_tree_reference,
 )
 from repro.core import (
-    RouteWorkspace,
     StackedTreeOperator,
     TreeCongestionApproximator,
     accelerated_almost_route,
     almost_route,
     build_congestion_approximator,
     estimate_alpha_st,
-    min_congestion_flow,
     smax_and_gradient,
 )
 from repro.errors import GraphError
@@ -272,55 +270,6 @@ class TestEndToEndIdentity:
         )
         assert per_tree.iterations == flat.iterations
         assert np.array_equal(per_tree.flow, flat.flow)
-
-    def test_workspace_reuse_is_pure(self, medium):
-        """One workspace across calls == fresh workspaces per call."""
-        g, approx = medium
-        ws = RouteWorkspace(g, approx)
-        d1 = st_demand(g, 0, 9)
-        d2 = st_demand(g, 3, 40)
-        shared = [
-            almost_route(g, approx, d, 0.4, workspace=ws) for d in (d1, d2)
-        ]
-        fresh = [almost_route(g, approx, d, 0.4) for d in (d1, d2)]
-        for a, b in zip(shared, fresh):
-            assert np.array_equal(a.flow, b.flow)
-            assert a.iterations == b.iterations
-
-    def test_workspace_mismatch_raises(self, medium):
-        """A workspace sized for a different (graph, approximator) pair
-        is an error, not a silent rebuild: the caller handed over
-        buffers it expects to keep reusing (regression for the old
-        silent-replace behaviour)."""
-        g, approx = medium
-        other = random_connected(12, 0.4, rng=315)
-        other_approx = build_congestion_approximator(
-            other, num_trees=2, rng=316
-        )
-        stale = RouteWorkspace(other, other_approx)
-        with pytest.raises(GraphError, match="shape mismatch") as exc:
-            RouteWorkspace.ensure(stale, g, approx)
-        # The message names both the expected and the actual sizes.
-        assert str(stale.shape_key) in str(exc.value)
-        key = (g.num_edges, g.num_nodes, approx.num_rows)
-        assert str(key) in str(exc.value)
-        with pytest.raises(GraphError):
-            almost_route(g, approx, st_demand(g, 0, 5), 0.4, workspace=stale)
-        built = RouteWorkspace.ensure(None, g, approx)
-        assert built.shape_key == key
-        assert RouteWorkspace.ensure(built, g, approx) is built
-
-    def test_min_congestion_flow_workspace_param(self, medium):
-        g, approx = medium
-        demand = st_demand(g, 0, 7)
-        ws = RouteWorkspace(g, approx)
-        with_ws = min_congestion_flow(
-            g, demand, epsilon=0.4, approximator=approx, workspace=ws
-        )
-        without = min_congestion_flow(
-            g, demand, epsilon=0.4, approximator=approx
-        )
-        assert np.array_equal(with_ws.flow, without.flow)
 
 
 class TestAlphaEstimateGuard:

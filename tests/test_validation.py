@@ -73,6 +73,12 @@ class TestFlowChecks:
         with pytest.raises(InvalidFlowError):
             check_flow_capacity(path3, [-2.5, 0.0])
 
+    @pytest.mark.parametrize("flow", [[0.0], [0.0, 0.0, 0.0]])
+    def test_capacity_wrong_length_rejected(self, path3, flow):
+        """A flow of the wrong length is invalid, however small."""
+        with pytest.raises(InvalidFlowError, match="shape"):
+            check_flow_capacity(path3, flow)
+
     def test_feasible_combined(self, path3):
         check_feasible_flow(path3, [1.0, 1.0], [1.0, 0.0, -1.0])
 

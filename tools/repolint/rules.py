@@ -236,8 +236,9 @@ class PoolBypass(Rule):
     was deleted. A stray Executor, Thread or Process would reintroduce
     a schedule the bit-identity goldens never exercise. Every import
     of ``threading``, ``multiprocessing`` or ``concurrent`` under
-    ``src/repro`` therefore needs a justified per-line suppression
-    (today there is one: the ``Lock`` of the serving workspace pool).
+    ``src/repro`` therefore needs a justified per-line suppression;
+    today none is left, since every AlmostRoute call builds its own
+    workspace and nothing needs a lock.
     """
 
     name = "pool-bypass"
@@ -353,12 +354,14 @@ class _LockWalker:
 class LockDiscipline(Rule):
     """Writes to ``_GUARDED_BY`` attributes need ``with self._lock``.
 
-    Classes sharing state across threads (the serving workspace pool,
-    PR 6) declare their lock-protected
+    A class sharing state across threads declares its lock-protected
     fields in a ``_GUARDED_BY`` class attribute; any lexical write to
     one of them outside a ``with self._lock`` block is a data race
     waiting for a free-threaded build. ``__init__`` is exempt
-    (construction happens-before publication).
+    (construction happens-before publication). No class under
+    ``src/repro`` declares one today: the library runs on the calling
+    thread, and per-solve state lives in each call's own workspace. The
+    rule stays for the first class that must share state again.
     """
 
     name = "lock-discipline"
