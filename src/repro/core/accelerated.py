@@ -112,7 +112,9 @@ def accelerated_almost_route(
                 kf *= SCALE_STEP
                 scalings += 1
                 inner_guard += 1
-                potential = _rescale_cached(ws)
+                potential = _rescale_cached(
+                    ws, target, last=inner_guard == MAX_SCALINGS_PER_STEP
+                )
             # Momentum restart when the potential went up.
             if potential > last_potential:
                 momentum_age = 0

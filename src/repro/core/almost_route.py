@@ -28,7 +28,17 @@ shared with another call, and every NumPy step writes through
 ``out=``. The 17/16 re-scaling sub-loop exploits
 linearity — ``C⁻¹(sf)`` and ``R(b + Bf)`` both scale by ``s`` — so a
 scaling step re-evaluates only the two soft-maxes instead of paying a
-full residual + R product evaluation.
+full residual + R product evaluation. Most steps skip even those. Each
+exponential a soft-max computes is at most 1, so
+``smax(x) ≤ max|x| + ln(2·len(x))``, and the potential is at most
+``max|c1| + max|y| + ln(2m) + ln(2·rows)``. While that bound plus 1
+(for rounding) is below the target, the step cannot reach it, so the
+loop would take the next step whatever the exact potential is; the
+step returns the bound and skips both soft-maxes. The step that reaches
+the target, and the last step ``MAX_SCALINGS_PER_STEP`` allows, are
+always evaluated in full, so every potential, gradient, iteration and
+scaling count that leaves the loop is the one a full evaluation of
+every step gives, bit for bit.
 
 The accelerated loop (:mod:`repro.core.accelerated`) shares all of it
 but the iteration itself: :func:`_route` validates, scales (line 1) and
@@ -67,6 +77,17 @@ SCALE_STEP = 17.0 / 16.0
 TARGET_FACTOR = 16.0
 #: Hard cap on consecutive 17/16 re-scalings per outer iteration.
 MAX_SCALINGS_PER_STEP = 4096
+#: A 17/16 step skips its soft-maxes only while its potential bound is
+#: below this too: there the bound's +1 slack outweighs every rounding
+#: error of the bound and of both soft-maxes (see _rescale_cached).
+_SKIP_LIMIT = 2.0**50
+
+
+def _smax_slack(m: int, rows: int) -> float:
+    """``ln(2m) + ln(2·rows) + 1``: the most the two soft-maxes of the
+    potential can exceed ``max|c1| + max|y|`` (an empty half counts
+    as ``ln 1``)."""
+    return math.log(max(2 * m, 1)) + math.log(max(2 * rows, 1)) + 1.0
 
 
 class RouteWorkspace:
@@ -104,6 +125,8 @@ class RouteWorkspace:
         # single np.exp evaluates them (see repro.core.softmax).
         self.m_scratch = np.empty(2 * m)
         self.r_scratch = np.empty(2 * rows)
+        # The log terms of _rescale_cached's potential bound.
+        self.smax_slack = _smax_slack(m, rows)
 
 
 @hot_kernel
@@ -133,16 +156,34 @@ def _evaluate(
 
 
 @hot_kernel
-def _rescale_cached(ws: RouteWorkspace) -> float:
+def _rescale_cached(ws: RouteWorkspace, target: float, last: bool) -> float:
     """One 17/16 sharpening step on the cached soft-max arguments.
 
     Both potential halves are linear in (f, b) — ``C⁻¹(sf)`` and
     ``R(s·(b + Bf))`` scale by s — so a scaling step only rescales the
     cached arguments and re-runs the two soft-maxes: no residual
     recomputation, no R product. Returns the new potential.
+
+    Unless this is the ``last`` step the loop allows, the soft-maxes
+    are skipped when ``max|c1| + max|y| + ln(2m) + ln(2·rows) + 1``
+    is below ``target`` (and below ``_SKIP_LIMIT``), and that bound is
+    returned instead. Every exponential ``smax_and_gradient`` computes
+    is at most 1, so each soft-max is at most its ``max|·|`` plus
+    ln(2·length), and the +1 covers rounding: the exact potential is
+    below ``target`` too, and the loop would have taken the next step
+    anyway. So the loop only ever stops on a fully evaluated step,
+    with the same potential, gradients and counts as without the skip.
     """
     np.multiply(ws.c1, SCALE_STEP, out=ws.c1)
     np.multiply(ws.y, SCALE_STEP, out=ws.y)
+    if not last:
+        bound = (
+            max(ws.c1.max(initial=0.0), -ws.c1.min(initial=0.0))
+            + max(ws.y.max(initial=0.0), -ws.y.min(initial=0.0))
+            + ws.smax_slack
+        )
+        if bound < target and bound < _SKIP_LIMIT:
+            return float(bound)
     phi1, _ = smax_and_gradient(ws.c1, out=ws.g1, scratch=ws.m_scratch)
     phi2, _ = smax_and_gradient(ws.y, out=ws.g2, scratch=ws.r_scratch)
     return phi1 + phi2
@@ -345,7 +386,9 @@ def almost_route(
                 kf *= SCALE_STEP
                 scalings += 1
                 inner_guard += 1
-                potential = _rescale_cached(ws)
+                potential = _rescale_cached(
+                    ws, target, last=inner_guard == MAX_SCALINGS_PER_STEP
+                )
             delta = _gradient_delta(
                 ws, approximator, caps, tails, heads, two_alpha
             )

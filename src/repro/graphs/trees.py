@@ -445,23 +445,33 @@ def induced_cut_capacities(graph: Graph, tree: RootedTree) -> np.ndarray:
     That difference cancels when a cut is far smaller than the capacity
     around it, so a row small enough to have lost its digits is summed
     again directly over the edges crossing it.
+
+    The LCA pass is most of the cost and depends only on the tree and
+    the edge endpoints, not on the capacities; a caller that recomputes
+    the cuts of one tree over many capacity epochs
+    (``TreeCongestionApproximator.refresh_capacities``) keeps the edge
+    LCAs and runs only :func:`_cuts_from_edge_lcas`, the folds below.
     """
-    n = graph.num_nodes
-    if tree.num_nodes != n:
+    if tree.num_nodes != graph.num_nodes:
         raise TreeError("tree and graph node counts differ")
+    tails, heads = graph.edge_index_arrays()
+    return _cuts_from_edge_lcas(graph, [tree], [tree.lca_batch(tails, heads)])[0]
+
+
+def _cuts_from_edge_lcas(
+    graph: Graph, trees: Sequence[RootedTree], edge_lcas: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """:func:`induced_cut_capacities` of each tree in ``trees`` given
+    ``edge_lcas[i][e]``, the LCA in ``trees[i]`` of edge e's endpoints:
+    the same folds, bit for bit, with the tree-independent incident
+    capacities scattered once for all trees."""
+    n = graph.num_nodes
     tails, heads = graph.edge_index_arrays()
     caps = graph.capacities()
     incident = np.zeros(n)
     np.add.at(incident, tails, caps)
     np.add.at(incident, heads, caps)
-    # An edge {u, v} lies inside T_w iff w is an ancestor of lca(u, v).
-    # Accumulate 2*cap at the LCA, then take subtree sums of
-    # (incident - 2*cap_at_lca).
-    at_lca = np.zeros(n)
-    if graph.num_edges:
-        np.add.at(at_lca, tree.lca_batch(tails, heads), 2.0 * caps)
-    cut = tree.subtree_sums(incident - at_lca)
-    cut[tree.root] = 0.0
+    twice = 2.0 * caps
     # Each row is a difference of partial sums up to 4·Σcap in size,
     # accumulated over n + m terms, so its rounding error stays below
     # about 8(n+m)·eps·Σcap. A row within 10⁶ of that bound may be off
@@ -469,18 +479,28 @@ def induced_cut_capacities(graph: Graph, tree: RootedTree) -> np.ndarray:
     # edges with exactly one endpoint in T_v, the nodes whose Euler
     # position lies in [tin[v], tout[v]).
     limit = 1e6 * 8 * (n + graph.num_edges) * np.finfo(float).eps * caps.sum()
-    suspect = cut <= limit
-    suspect[tree.root] = False
-    if np.any(suspect):
-        tin, tout = tree.euler_tin, tree.euler_tout
-        tail_at, head_at = tin[tails], tin[heads]
-        for v in np.flatnonzero(suspect).tolist():
-            lo, hi = tin[v], tout[v]
-            crossing = ((lo <= tail_at) & (tail_at < hi)) != (
-                (lo <= head_at) & (head_at < hi)
-            )
-            cut[v] = caps[crossing].sum()
-    return cut
+    cuts = []
+    for tree, lcas in zip(trees, edge_lcas):
+        # An edge {u, v} lies inside T_w iff w is an ancestor of
+        # lca(u, v). Accumulate 2*cap at the LCA, then take subtree
+        # sums of (incident - 2*cap_at_lca).
+        at_lca = np.zeros(n)
+        np.add.at(at_lca, lcas, twice)
+        cut = tree.subtree_sums(incident - at_lca)
+        cut[tree.root] = 0.0
+        suspect = cut <= limit
+        suspect[tree.root] = False
+        if np.any(suspect):
+            tin, tout = tree.euler_tin, tree.euler_tout
+            tail_at, head_at = tin[tails], tin[heads]
+            for v in np.flatnonzero(suspect).tolist():
+                lo, hi = tin[v], tout[v]
+                crossing = ((lo <= tail_at) & (tail_at < hi)) != (
+                    (lo <= head_at) & (head_at < hi)
+                )
+                cut[v] = caps[crossing].sum()
+        cuts.append(cut)
+    return cuts
 
 
 def tree_route_demand(

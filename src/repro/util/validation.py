@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import InvalidDemandError, InvalidFlowError
+from repro.errors import InvalidDemandError, InvalidFlowError, ReproError
 from repro.graphs.graph import Graph
 
 __all__ = [
@@ -28,16 +28,24 @@ __all__ = [
 ]
 
 
+def _as_vector(
+    values: Sequence[float], length: int, error: type[ReproError], name: str
+) -> np.ndarray:
+    """``values`` as a float array, or ``error`` unless it has shape
+    ``(length,)``: a wrong length would broadcast or index out of range
+    further on."""
+    array = np.asarray(values, dtype=float)
+    if array.shape != (length,):
+        raise error(f"{name} has shape {array.shape}, expected ({length},)")
+    return array
+
+
 def check_demand(graph: Graph, demand: Sequence[float], tol: float = 1e-9) -> np.ndarray:
     """Validate a demand vector b: right length, finite, Σb = 0.
 
     Returns the demand as a float array.
     """
-    demand = np.asarray(demand, dtype=float)
-    if demand.shape != (graph.num_nodes,):
-        raise InvalidDemandError(
-            f"demand has shape {demand.shape}, expected ({graph.num_nodes},)"
-        )
+    demand = _as_vector(demand, graph.num_nodes, InvalidDemandError, "demand")
     if not np.all(np.isfinite(demand)):
         raise InvalidDemandError("demand contains non-finite entries")
     scale = max(1.0, float(np.abs(demand).max()))
@@ -106,9 +114,14 @@ def check_flow_conservation(
     demand ``b`` iff the net flow *out of* every node v equals b_v.
     Since ``graph.excess(f)[v]`` is the net flow *into* v, the check is
     ``b + B f = 0``. A source has positive demand, a sink negative.
+
+    Raises:
+        InvalidFlowError: If ``flow`` is not shape ``(m,)`` or does not
+            conserve.
+        InvalidDemandError: If ``demand`` is not shape ``(n,)``.
     """
-    flow = np.asarray(flow, dtype=float)
-    demand = np.asarray(demand, dtype=float)
+    flow = _as_vector(flow, graph.num_edges, InvalidFlowError, "flow")
+    demand = _as_vector(demand, graph.num_nodes, InvalidDemandError, "demand")
     residual = demand + graph.excess(flow)
     # residual_v = b_v - net_outflow_v; must vanish for a routed demand.
     scale = max(1.0, float(np.abs(demand).max()), float(np.abs(flow).max()))
@@ -124,11 +137,7 @@ def check_flow_capacity(
 ) -> None:
     """Check |f_e| <= cap(e) (1 + tol) for every edge of a shape-(m,)
     flow; any other shape is an :class:`InvalidFlowError` too."""
-    flow = np.asarray(flow, dtype=float)
-    if flow.shape != (graph.num_edges,):
-        raise InvalidFlowError(
-            f"flow has shape {flow.shape}, expected ({graph.num_edges},)"
-        )
+    flow = _as_vector(flow, graph.num_edges, InvalidFlowError, "flow")
     caps = graph.capacities()
     violation = np.abs(flow) - caps * (1.0 + tol)
     worst = float(violation.max(initial=0.0))
@@ -155,8 +164,15 @@ def flow_value(
     graph: Graph, flow: Sequence[float], source: int, sink: int
 ) -> float:
     """Net flow leaving ``source`` (should equal net flow entering
-    ``sink`` for a conserved s-t flow)."""
-    flow = np.asarray(flow, dtype=float)
+    ``sink`` for a conserved s-t flow).
+
+    Raises:
+        GraphError: If ``source`` or ``sink`` is not a node id.
+        InvalidFlowError: If ``flow`` is not shape ``(m,)``.
+    """
+    graph._check_node(source)
+    graph._check_node(sink)
+    flow = _as_vector(flow, graph.num_edges, InvalidFlowError, "flow")
     return float(-graph.excess(flow)[source])
 
 

@@ -3,10 +3,22 @@ verification of the potential gradient (paper Eqs. (3)–(4))."""
 
 from __future__ import annotations
 
+import importlib
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.almost_route import almost_route
+from repro.core.accelerated import accelerated_almost_route
+from repro.core.almost_route import (
+    TARGET_FACTOR,
+    _rescale_cached,
+    _smax_slack,
+    almost_route,
+)
 from repro.core.approximator import build_congestion_approximator
 from repro.core.softmax import smax
 from repro.errors import GraphError
@@ -130,3 +142,103 @@ class TestAlmostRoute:
         result = almost_route(g, approx, demand, 0.5)
         assert result.scalings >= 0
         assert result.potential > 0
+
+
+# ----------------------------------------------------------------------
+# 17/16 steps that skip their soft-maxes
+# ----------------------------------------------------------------------
+def _rescale_state(c1, y):
+    """A workspace holding only what ``_rescale_cached`` reads and
+    writes."""
+    return SimpleNamespace(
+        c1=c1.copy(),
+        y=y.copy(),
+        g1=np.empty_like(c1),
+        g2=np.empty_like(y),
+        m_scratch=np.empty(2 * c1.size),
+        r_scratch=np.empty(2 * y.size),
+        smax_slack=_smax_slack(c1.size, y.size),
+    )
+
+
+@st.composite
+def soft_max_arguments(draw):
+    """A c1- or y-like vector: length 0 to 24, entries up to ±60 times a
+    scale of 0 (all zero), 1, 1e12 or 1e300 (large magnitude)."""
+    size = draw(st.integers(0, 24))
+    scale = draw(st.sampled_from([0.0, 1.0, 1e12, 1e300]))
+    base = draw(
+        st.lists(st.floats(-60.0, 60.0), min_size=size, max_size=size)
+    )
+    return np.array(base, dtype=float) * scale
+
+
+class TestRescaleSkip:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        c1=soft_max_arguments(),
+        y=soft_max_arguments(),
+        target=st.one_of(st.floats(1.0, 1e4), st.floats(1e4, 1e300)),
+    )
+    @example(c1=np.zeros(5), y=np.zeros(7), target=100.0)
+    @example(c1=np.zeros(0), y=np.full(3, 2.0), target=100.0)
+    @example(c1=np.full(4, 1e300), y=np.full(2, -1e300), target=1e300)
+    def test_skipped_step_bounds_the_potential(self, c1, y, target):
+        """A step either returns the soft-maxes' potential exactly, or
+        a value below target that is at least that potential, so the
+        loop takes the next step whichever one it sees."""
+        skipping = _rescale_state(c1, y)
+        full = _rescale_state(c1, y)
+        got = _rescale_cached(skipping, target, last=False)
+        exact = _rescale_cached(full, target, last=True)
+        assert np.array_equal(skipping.c1, full.c1)
+        assert np.array_equal(skipping.y, full.y)
+        assert got == exact or exact <= got < target
+
+    @pytest.mark.parametrize(
+        "solver", [almost_route, accelerated_almost_route]
+    )
+    def test_last_allowed_step_is_evaluated_in_full(
+        self, setup, monkeypatch, solver
+    ):
+        """With 3 steps allowed, a warm start whose bound stays below
+        target leaves the sub-loop on the guard. Its first two steps
+        skip their soft-maxes and the third is evaluated in full, so
+        the potential and the step taken from its gradients match a
+        run that skips nothing, bit for bit."""
+        g, approx = setup
+        eps = 0.3
+        demand = st_demand(g, 0, 15, 1.0)
+        seed = solver(g, approx, demand, eps).flow
+        modules = [
+            importlib.import_module("repro.core.almost_route"),
+            importlib.import_module("repro.core.accelerated"),
+        ]
+        for module in modules:
+            monkeypatch.setattr(module, "MAX_SCALINGS_PER_STEP", 3)
+        calls = []
+        smax_and_gradient = modules[0].smax_and_gradient
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return smax_and_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(modules[0], "smax_and_gradient", counted)
+
+        def run():
+            del calls[:]
+            result = solver(
+                g, approx, demand, eps, max_iterations=1, initial_flow=seed
+            )
+            return result, len(calls)
+
+        skipping, skipping_calls = run()
+        monkeypatch.setattr(modules[0], "_SKIP_LIMIT", -math.inf)
+        full, full_calls = run()
+        target = TARGET_FACTOR * math.log(g.num_nodes) / eps
+        assert full.scalings == skipping.scalings == 3
+        assert full.potential < target
+        assert skipping_calls == full_calls - 4
+        assert skipping.potential == full.potential
+        assert skipping.delta == full.delta
+        assert np.array_equal(skipping.flow, full.flow)

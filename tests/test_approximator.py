@@ -103,18 +103,20 @@ class TestTinyCuts:
         assert ratio == pytest.approx(1.0, rel=1e-9)
 
 
+CLONES = pytest.mark.parametrize(
+    "clone",
+    [copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))],
+    ids=["deepcopy", "pickle"],
+)
+
+
 class TestCopies:
-    @pytest.mark.parametrize(
-        "clone",
-        [copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))],
-        ids=["deepcopy", "pickle"],
-    )
-    def test_copy_answers_bit_for_bit(self, clone):
-        """A deep-copied or pickled approximator keeps the planes its
-        products index, so every product and a solve match the
-        original, and a refresh of the copy leaves the original be."""
+    @staticmethod
+    def _check_copy(clone, refreshed):
         g = random_connected(40, 0.2, rng=3)
         approx = build_congestion_approximator(g, rng=1)
+        if refreshed:
+            approx.refresh_capacities()
         twin = clone(approx)
         rng = np.random.default_rng(4)
         b = rng.normal(size=g.num_nodes)
@@ -132,6 +134,25 @@ class TestCopies:
         twin.graph.set_capacity(0, 2 * g.capacity(0))
         twin.refresh_capacities()
         assert np.array_equal(approx.apply(b), rb)
+        for tree in twin.trees():
+            fresh = induced_cut_capacities(twin.graph, tree)
+            assert np.array_equal(tree.capacity, fresh)
+        for tree in approx.trees():
+            assert np.array_equal(tree.capacity, induced_cut_capacities(g, tree))
+
+    @CLONES
+    def test_copy_answers_bit_for_bit(self, clone):
+        """A deep-copied or pickled approximator keeps the planes its
+        products index, so every product and a solve match the
+        original, and a refresh of the copy leaves the original be."""
+        self._check_copy(clone, refreshed=False)
+
+    @CLONES
+    def test_copy_with_edge_lcas_answers_bit_for_bit(self, clone):
+        """Cloned after a refresh has cached its edge LCAs, the copy
+        carries its own cache: it answers bit for bit, its next
+        refresh is exact, and that refresh leaves the original be."""
+        self._check_copy(clone, refreshed=True)
 
 
 class TestApproximator:

@@ -43,7 +43,11 @@ from repro.graphs.journal import (
     DeltaJournal,
     rescale_flow,
 )
-from repro.graphs.trees import induced_cut_capacities, tree_route_demand
+from repro.graphs.trees import (
+    RootedTree,
+    induced_cut_capacities,
+    tree_route_demand,
+)
 from repro.scenarios.invariants import GUARANTEE_SLACK
 from repro.serve import FlowServer
 from repro.util.validation import st_demand
@@ -266,6 +270,46 @@ class TestExactCutRefresh:
         for tree in approximator.trees():
             fresh = induced_cut_capacities(graph, tree)
             assert_arrays_identical("capacity", fresh, tree.capacity)
+
+    def test_refresh_computes_edge_lcas_once(self, graph, monkeypatch):
+        """The edge LCAs depend only on the trees and the edge
+        endpoints, so three capacity refreshes run one LCA pass per
+        tree, not one per tree per refresh."""
+        approximator = build_congestion_approximator(graph, rng=739)
+        calls = []
+        lca_batch = RootedTree.lca_batch
+
+        def counted(tree, us, vs):
+            calls.append(tree)
+            return lca_batch(tree, us, vs)
+
+        monkeypatch.setattr(RootedTree, "lca_batch", counted)
+        for seed in (740, 741, 742):
+            _degrade(graph, fraction=0.05, seed=seed)
+            approximator.refresh_capacities()
+        assert len(calls) == approximator.num_trees
+        monkeypatch.undo()
+        for tree in approximator.trees():
+            fresh = induced_cut_capacities(graph, tree)
+            assert_arrays_identical("capacity", fresh, tree.capacity)
+
+    def test_refresh_after_add_edge_matches_fresh_cuts(self, graph):
+        """A structural mutation changes the edge count, so the next
+        refresh rebuilds the edge LCAs and counts the new edge."""
+        approximator = build_congestion_approximator(graph, rng=743)
+        _degrade(graph, fraction=0.05, seed=744)
+        approximator.refresh_capacities()
+        graph.add_edge(0, 47, 3.0)
+        _degrade(graph, fraction=0.05, seed=745)
+        approximator.refresh_capacities()
+        for tree in approximator.trees():
+            fresh = induced_cut_capacities(graph, tree)
+            assert_arrays_identical("capacity", fresh, tree.capacity)
+        fresh_fuse = StackedTreeOperator(approximator.trees(), graph.num_nodes)
+        demand = st_demand(graph, 0, 47)
+        assert_arrays_identical(
+            "apply", fresh_fuse.apply(demand), approximator.apply(demand)
+        )
 
     def test_patched_stacked_operator_matches_fresh_fuse(self, graph):
         approximator = build_congestion_approximator(graph, rng=733)

@@ -9,6 +9,7 @@ Fixtures go through :func:`tools.repolint.engine.check_source` with a
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -303,6 +304,44 @@ def test_hot_path_alloc_honors_alloc_ok_and_undecorated():
             return np.zeros(n)
         """
     assert "hot-path-alloc" not in rules_hit(undecorated)
+
+
+#: The per-iteration kernels of the routing loop, as ROADMAP's "Static
+#: contracts" section lists them.
+DOCUMENTED_HOT_KERNELS = {
+    "repro.core.almost_route._evaluate",
+    "repro.core.almost_route._rescale_cached",
+    "repro.core.almost_route._gradient_delta",
+    "repro.core.almost_route._sign_step",
+    "repro.core.softmax.smax_and_gradient",
+    "repro.core.stacked.StackedTreeOperator.apply",
+    "repro.core.stacked.StackedTreeOperator.apply_transpose",
+    "repro.core.stacked.StackedTreeOperator.estimate",
+    "repro.graphs.graph.Graph.excess",
+}
+
+
+def test_hot_kernel_registry_is_the_documented_list():
+    """After ``import repro`` the registry holds exactly the documented
+    kernels, once each: a kernel that loses its ``@hot_kernel`` (and
+    with it hot-path-alloc's check), or a new one left off the list,
+    fails here. A fresh interpreter keeps other tests' imports out."""
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import repro, repro.hotpath; "
+            "print(chr(10).join(repro.hotpath.HOT_KERNELS))",
+        ],
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    registered = result.stdout.split()
+    assert len(registered) == len(set(registered))
+    assert set(registered) == DOCUMENTED_HOT_KERNELS
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import InvalidDemandError, InvalidFlowError
+from repro.errors import GraphError, InvalidDemandError, InvalidFlowError
+from repro.graphs.generators import random_connected
 from repro.graphs.graph import Graph
 from repro.util.validation import (
     check_demand,
@@ -79,11 +80,35 @@ class TestFlowChecks:
         with pytest.raises(InvalidFlowError, match="shape"):
             check_flow_capacity(path3, flow)
 
+    def test_conservation_wrong_demand_length_rejected(self):
+        """A length-1 demand must not broadcast over every node."""
+        g = random_connected(10, 0.3, rng=1)
+        with pytest.raises(InvalidDemandError, match="shape"):
+            check_flow_conservation(g, np.zeros(g.num_edges), [0.0])
+
+    def test_conservation_wrong_flow_length_rejected(self):
+        g = random_connected(10, 0.3, rng=1)
+        with pytest.raises(InvalidFlowError, match="shape"):
+            check_flow_conservation(g, np.zeros(3), np.zeros(g.num_nodes))
+
     def test_feasible_combined(self, path3):
         check_feasible_flow(path3, [1.0, 1.0], [1.0, 0.0, -1.0])
 
     def test_flow_value(self, path3):
         assert flow_value(path3, [1.5, 1.5], 0, 2) == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("source, sink", [(-1, 0), (10, 0), (0, -1), (0, 10)])
+    def test_flow_value_rejects_bad_terminals(self, source, sink):
+        """A negative id must not read another node's excess, and an
+        id past n - 1 must not raise a bare IndexError."""
+        g = random_connected(10, 0.3, rng=1)
+        with pytest.raises(GraphError, match="out of range"):
+            flow_value(g, np.ones(g.num_edges), source, sink)
+
+    def test_flow_value_rejects_wrong_flow_length(self):
+        g = random_connected(10, 0.3, rng=1)
+        with pytest.raises(InvalidFlowError, match="shape"):
+            flow_value(g, np.ones(3), 0, 1)
 
     def test_max_congestion(self, path3):
         assert max_congestion(path3, [1.0, -2.0]) == pytest.approx(1.0)
