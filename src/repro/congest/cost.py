@@ -152,9 +152,12 @@ class CostModel:
         self, num_trees: int, products: int, iterations: int = 1
     ) -> float:
         """``iterations`` AlmostRoute iterations (Section 9.1), each
-        ``products`` products with R or Rᵀ (the plain loop does two,
-        for y and for π; the accelerated loop three, with y also at the
-        look-ahead point), plus O(D) scalar aggregations for φ and δ."""
+        ``products`` products with R or Rᵀ, plus O(D) scalar
+        aggregations for φ and δ. Both loops do two: R·b for y and Rᵀ·g
+        for π. The accelerated loop's y at the look-ahead point is
+        ``y(f) + β(y(f) − y(f_prev))``: y is affine in the iterate, and
+        row (T, v) of each lives at the subtree root v, so the
+        combination is local and costs no round."""
         per_step = products * num_trees * self.base * self.log_n
         scalars = 4 * self.diameter
         return self.ledger.charge(

@@ -20,6 +20,27 @@ Validation, the line-1 scaling and the final unscale are
 iteration below are this loop's own. Benchmarks compare the two
 head-to-head
 (``benchmarks/test_bench_ablations.py::test_ablation_accelerated_descent``).
+
+Per iteration the loop runs two products with R, as the plain loop
+does:
+
+* at the iterate f, ``Graph.excess``, one ``R·b`` for
+  ``y(f) = 2α·R(b + Bf)`` and both soft-maxes, values only: the
+  potential decides the 17/16 steps and the momentum restart, and
+  nothing reads its gradient;
+* at the look-ahead z, ``c1 = z/caps``, y(z), both soft-maxes with
+  their gradients, and one ``Rᵀ·g`` (:func:`_gradient_delta`). y is
+  affine in the iterate, so ``y(z) = y(f) + β(y(f) − y(f_prev))``, and
+  the workspace keeps ``y(f_prev)`` beside ``f_prev``: scaled with it
+  on every 17/16 step, reset with it on a restart, rotated with it
+  after the step. The look-ahead runs no excess and no ``R·b``. In
+  the paper's CONGEST terms (§9.1, Corollary 9.3) row (T, v) of y
+  lives at the subtree root v, so the combination is local there.
+
+y(f) is recomputed at every iteration, so the combination's rounding
+does not accumulate; the accelerated answers differ from a direct
+``R·b`` at z by rounding only.
+
 Like the plain variant, the inner loop is allocation free: all
 per-iteration vectors live in the call's own
 :class:`~repro.core.almost_route.RouteWorkspace` (plus the f/f_prev/z
@@ -48,9 +69,38 @@ from repro.core.almost_route import (
     _sign_step,
 )
 from repro.core.approximator import TreeCongestionApproximator
+from repro.core.softmax import smax_and_gradient
 from repro.graphs.graph import Graph
+from repro.hotpath import hot_kernel
 
 __all__ = ["accelerated_almost_route", "accelerated_almost_route_batch"]
+
+
+@hot_kernel
+def _evaluate_lookahead(
+    ws: RouteWorkspace,
+    caps: np.ndarray,
+    f: np.ndarray,
+    f_prev: np.ndarray,
+    z: np.ndarray,
+    beta: float,
+) -> None:
+    """Soft-max gradients at ``z = f + β(f − f_prev)`` into ws.g1/g2.
+
+    ``y(f) = 2α·R(b + Bf)`` is affine in f, so the look-ahead's cut
+    loads are ``y(z) = y(f) + β(y(f) − y(f_prev))``, combined from
+    ws.y and ws.y_prev into ws.y_lookahead with the same three ops as
+    z: no excess and no R product. ws.y is exact at every iteration
+    (:func:`~repro.core.almost_route._evaluate`), so the rounding of
+    the combination does not accumulate.
+    """
+    for cur, prev, out in ((f, f_prev, z), (ws.y, ws.y_prev, ws.y_lookahead)):
+        np.subtract(cur, prev, out=out)
+        np.multiply(out, beta, out=out)
+        np.add(out, cur, out=out)
+    np.divide(z, caps, out=ws.c1)
+    smax_and_gradient(ws.c1, out=ws.g1, scratch=ws.m_scratch)
+    smax_and_gradient(ws.y_lookahead, out=ws.g2, scratch=ws.r_scratch)
 
 
 def accelerated_almost_route(
@@ -85,7 +135,6 @@ def accelerated_almost_route(
         if budget is None:
             budget = int(min(300_000, 200 + 40 * alpha * ln_n / eps**2))
         caps = graph.capacities()
-        tails, heads = graph.edge_index_arrays()
         two_alpha = 2.0 * alpha
         f = ws.flow
         f_prev = ws.flow_prev
@@ -108,6 +157,7 @@ def accelerated_almost_route(
             while potential < target and inner_guard < MAX_SCALINGS_PER_STEP:
                 np.multiply(f, SCALE_STEP, out=f)
                 np.multiply(f_prev, SCALE_STEP, out=f_prev)
+                np.multiply(ws.y_prev, SCALE_STEP, out=ws.y_prev)
                 np.multiply(b, SCALE_STEP, out=b)
                 kf *= SCALE_STEP
                 scalings += 1
@@ -119,14 +169,12 @@ def accelerated_almost_route(
             if potential > last_potential:
                 momentum_age = 0
                 f_prev[:] = f
+                ws.y_prev[:] = ws.y
             last_potential = potential
             beta = momentum_age / (momentum_age + 3.0)
-            np.subtract(f, f_prev, out=z)
-            np.multiply(z, beta, out=z)
-            np.add(z, f, out=z)
-            _evaluate(ws, graph, approximator, caps, two_alpha, b, z)
+            _evaluate_lookahead(ws, caps, f, f_prev, z, beta)
             delta = _gradient_delta(
-                ws, approximator, caps, tails, heads, two_alpha
+                ws, approximator, caps, ws.tails, ws.heads, two_alpha
             )
             if delta < eps / 4.0:
                 converged = True
@@ -136,6 +184,9 @@ def accelerated_almost_route(
             # discarded previous-previous iterate receives the new point.
             np.subtract(z, ws.step, out=f_prev)
             f, f_prev = f_prev, f
+            # y(f) becomes the anchor's y; the next _evaluate writes
+            # y at the new iterate over the old anchor's.
+            ws.y, ws.y_prev = ws.y_prev, ws.y
             momentum_age += 1
             iterations += 1
         return f, kf, iterations, scalings, potential, delta, converged

@@ -19,7 +19,15 @@ product (for y) and one Rᵀ product (for the node potentials π); then
 ``∂φ₂/∂f_e = 2α (π_head − π_tail)``. Distributedly these are the
 convergecast/downcast of Corollary 9.3; here they are one flat stacked
 pass over all virtual trees
-(:class:`~repro.core.stacked.StackedTreeOperator`).
+(:class:`~repro.core.stacked.StackedTreeOperator`). The soft-max
+gradients g1 and g2 enter only through that Rᵀ product and the
+per-edge combination (:func:`_gradient_delta`), once per iteration, so
+every soft-max that only decides whether to rescale computes its value
+alone (:func:`_potential`). The plain loop then finishes g1 and g2
+from the exponentials its last fully evaluated step left in the pair
+scratches (:func:`_finish_gradients`), with the same subtract and
+divide :func:`~repro.core.softmax.smax_and_gradient` runs, so its
+answers are bit-identical to computing every gradient.
 
 The inner loop is **allocation free**: every per-iteration vector
 (residual, y, gradients, sign-step) lives in the call's own
@@ -27,8 +35,9 @@ The inner loop is **allocation free**: every per-iteration vector
 shared with another call, and every NumPy step writes through
 ``out=``. The 17/16 re-scaling sub-loop exploits
 linearity — ``C⁻¹(sf)`` and ``R(b + Bf)`` both scale by ``s`` — so a
-scaling step re-evaluates only the two soft-maxes instead of paying a
-full residual + R product evaluation. Most steps skip even those. Each
+scaling step re-evaluates only the two value-only soft-maxes instead of
+paying a full residual + R product evaluation. Most steps skip even
+those. Each
 exponential a soft-max computes is at most 1, so
 ``smax(x) ≤ max|x| + ln(2·len(x))``, and the potential is at most
 ``max|c1| + max|y| + ln(2m) + ln(2·rows)``. While that bound plus 1
@@ -56,7 +65,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.approximator import TreeCongestionApproximator
-from repro.core.softmax import smax_and_gradient
+from repro.core.softmax import _pair_gradient, _smax_pair
 from repro.errors import GraphError
 from repro.graphs.csr import WIDE_DTYPE
 from repro.graphs.graph import Graph
@@ -113,20 +122,55 @@ class RouteWorkspace:
         self.g1 = np.empty(m)
         self.grad = np.empty(m)
         self.step = np.empty(m)
+        # Edge endpoints as intp copies: np.take converts an int32 index
+        # array on every call.
+        tails, heads = graph.edge_index_arrays()
+        self.tails = tails.astype(WIDE_DTYPE)
+        self.heads = heads.astype(WIDE_DTYPE)
         # n-shaped
         self.excess = np.empty(n)
         self.residual = np.empty(n)
         self.pi = np.empty(n)
-        # row-shaped
+        # row-shaped: y at the iterate, y at the accelerated loop's
+        # momentum anchor, and y at its look-ahead point. The anchor's
+        # y is first set when the first step rotates it in; until then
+        # β = 0 weights it, and zeros keep that product finite.
         self.y = np.empty(rows)
+        self.y_prev = np.zeros(rows)
+        self.y_lookahead = np.empty(rows)
         self.g2 = np.empty(rows)
         # Soft-max pair scratches (2×-shaped): both exponential halves
-        # of smax_and_gradient live in one contiguous buffer so a
-        # single np.exp evaluates them (see repro.core.softmax).
+        # of a soft-max live in one contiguous buffer so a single
+        # np.exp evaluates them (see repro.core.softmax). After a
+        # value-only soft-max they still hold its exponentials, and
+        # m_total / r_total their sums, for _finish_gradients.
         self.m_scratch = np.empty(2 * m)
         self.r_scratch = np.empty(2 * rows)
+        self.m_total = 0.0
+        self.r_total = 0.0
         # The log terms of _rescale_cached's potential bound.
         self.smax_slack = _smax_slack(m, rows)
+
+
+@hot_kernel
+def _potential(ws: RouteWorkspace) -> float:
+    """φ at the cached soft-max arguments ws.c1 and ws.y, values only.
+
+    Both soft-maxes leave their exponentials in the pair scratches and
+    their sums in ws.m_total / ws.r_total; no gradient is written.
+    """
+    phi1, ws.m_total = _smax_pair(ws.c1, ws.m_scratch)
+    phi2, ws.r_total = _smax_pair(ws.y, ws.r_scratch)
+    return phi1 + phi2
+
+
+@hot_kernel
+def _finish_gradients(ws: RouteWorkspace) -> None:
+    """ws.g1 and ws.g2 of the last :func:`_potential` call, from the
+    exponentials and sums it left in ws: the subtract and divide
+    :func:`~repro.core.softmax.smax_and_gradient` ends with."""
+    _pair_gradient(ws.m_scratch, ws.m_total, ws.g1)
+    _pair_gradient(ws.r_scratch, ws.r_total, ws.g2)
 
 
 @hot_kernel
@@ -139,20 +183,19 @@ def _evaluate(
     b: np.ndarray,
     flow: np.ndarray,
 ) -> float:
-    """Full potential evaluation at ``flow``; fills ws.c1/g1/y/g2.
+    """Full potential evaluation at ``flow``; fills ws.c1 and ws.y.
 
     Shared verbatim by :func:`almost_route` and
     :func:`~repro.core.accelerated.accelerated_almost_route` so the two
-    solvers can never diverge in fold order.
+    solvers can never diverge in fold order. The soft-maxes are
+    value-only (:func:`_potential`).
     """
     graph.excess(flow, out=ws.excess)
     np.add(b, ws.excess, out=ws.residual)
     np.divide(flow, caps, out=ws.c1)
-    phi1, _ = smax_and_gradient(ws.c1, out=ws.g1, scratch=ws.m_scratch)
     approximator.apply(ws.residual, out=ws.y)
     np.multiply(ws.y, two_alpha, out=ws.y)
-    phi2, _ = smax_and_gradient(ws.y, out=ws.g2, scratch=ws.r_scratch)
-    return phi1 + phi2
+    return _potential(ws)
 
 
 @hot_kernel
@@ -161,13 +204,13 @@ def _rescale_cached(ws: RouteWorkspace, target: float, last: bool) -> float:
 
     Both potential halves are linear in (f, b) — ``C⁻¹(sf)`` and
     ``R(s·(b + Bf))`` scale by s — so a scaling step only rescales the
-    cached arguments and re-runs the two soft-maxes: no residual
-    recomputation, no R product. Returns the new potential.
+    cached arguments and re-runs the two value-only soft-maxes: no
+    residual recomputation, no R product. Returns the new potential.
 
     Unless this is the ``last`` step the loop allows, the soft-maxes
     are skipped when ``max|c1| + max|y| + ln(2m) + ln(2·rows) + 1``
     is below ``target`` (and below ``_SKIP_LIMIT``), and that bound is
-    returned instead. Every exponential ``smax_and_gradient`` computes
+    returned instead. Every exponential a soft-max computes
     is at most 1, so each soft-max is at most its ``max|·|`` plus
     ln(2·length), and the +1 covers rounding: the exact potential is
     below ``target`` too, and the loop would have taken the next step
@@ -184,9 +227,7 @@ def _rescale_cached(ws: RouteWorkspace, target: float, last: bool) -> float:
         )
         if bound < target and bound < _SKIP_LIMIT:
             return float(bound)
-    phi1, _ = smax_and_gradient(ws.c1, out=ws.g1, scratch=ws.m_scratch)
-    phi2, _ = smax_and_gradient(ws.y, out=ws.g2, scratch=ws.r_scratch)
-    return phi1 + phi2
+    return _potential(ws)
 
 
 @hot_kernel
@@ -363,7 +404,6 @@ def almost_route(
         if budget is None:
             budget = int(min(300_000, 200 + 40 * alpha**2 * ln_n / eps**3))
         caps = graph.capacities()
-        tails, heads = graph.edge_index_arrays()
         two_alpha = 2.0 * alpha
         f = ws.flow
         kf = 1.0
@@ -389,8 +429,11 @@ def almost_route(
                 potential = _rescale_cached(
                     ws, target, last=inner_guard == MAX_SCALINGS_PER_STEP
                 )
+            # The sub-loop leaves on a fully evaluated step, whose
+            # gradients are finished here.
+            _finish_gradients(ws)
             delta = _gradient_delta(
-                ws, approximator, caps, tails, heads, two_alpha
+                ws, approximator, caps, ws.tails, ws.heads, two_alpha
             )
             if delta < eps / 4.0:
                 converged = True

@@ -87,9 +87,10 @@ def estimate_rounds(
             model.tree_decomposition()  # Lemma 8.2
     construction = model.ledger.total
     # --- gradient descent (§9.1 cost per step) ------------------------
-    # Algorithm 1 runs the accelerated loop: R·b at f and at the
-    # look-ahead point, then Rᵀ·g, per iteration.
-    model.gradient_step(len(samples), 3, flow_result.iterations)
+    # Algorithm 1 runs the accelerated loop: R·b at f and Rᵀ·g at the
+    # look-ahead point, per iteration. The look-ahead's R·b is combined
+    # locally at each subtree root from y(f) and y(f_prev).
+    model.gradient_step(len(samples), 2, flow_result.iterations)
     # Every round routes its residual over the one spanning tree and
     # convergecasts the fix-up's maximum congestion for the stop test.
     model.mst_and_residual_routing(flow_result.almost_route_calls)

@@ -17,12 +17,22 @@ allocation. The scratch is one **contiguous pair buffer** of
 shape ``(2k,)``: both exponential families ``e^{y−m}`` and ``e^{−y−m}``
 are then evaluated by a *single* ``np.exp`` ufunc call over the stacked
 buffer (a two-call form paid a second dispatch + loop startup for the
-same element count — measurably so, since the soft-max is ~a quarter
-of every AlmostRoute gradient step; see
-``benchmarks/test_bench_gradient.py``). The buffered and unbuffered
+same element count; ``benchmarks/test_bench_gradient.py`` prints the
+soft-max share of a gradient step). ``max|y|`` is taken from ``|y|``
+written into the second half, which the exponentials overwrite next.
+The buffered and unbuffered
 paths execute the identical per-element operations and the identical
 two-half summation fold, so results are bit-identical (golden-tested
 in ``tests/test_softmax.py``).
+
+The call is two steps, and the AlmostRoute loops run them apart.
+``_smax_pair`` computes the value and leaves the exponentials and their
+sum behind. ``_pair_gradient`` turns them into the gradient. Most
+soft-maxes of a descent are value-only: the potential at the iterate
+and on every 17/16 step is compared with the target, and its gradient
+is overwritten (accelerated loop) or needed only for the last fully
+evaluated step (plain loop, which finishes it from that step's pair
+buffer with the same subtract and divide).
 
 :func:`smax_and_gradient_batch` is the ``(Q, k)`` plane form: one
 :func:`smax_and_gradient` call per row, so each row is that call's
@@ -106,21 +116,46 @@ def smax_and_gradient(
         raise GraphError(
             f"scratch must have shape {(2 * k,)}, got {scratch.shape}"
         )
-    m = float(np.abs(y).max())
     pair = scratch if scratch is not None else np.empty(2 * k)  # alloc-ok (unbuffered fallback)
+    value, total = _smax_pair(y, pair)
+    grad = out if out is not None else np.empty_like(y)  # alloc-ok (unbuffered fallback)
+    _pair_gradient(pair, total, grad)
+    return value, grad
+
+
+@hot_kernel
+def _smax_pair(y: np.ndarray, pair: np.ndarray) -> tuple[float, float]:
+    """The soft-max value alone: ``(smax(y), Σ_i (e^{y_i−m} + e^{−y_i−m}))``.
+
+    Leaves ``e^{y−m}`` in ``pair[:k]`` and ``e^{−y−m}`` in ``pair[k:]``,
+    so :func:`_pair_gradient` can finish the gradient later from
+    ``pair`` and the returned sum. ``pair`` must be ``(2k,)``-shaped
+    and must not alias ``y`` (unchecked: callers pass their own
+    workspace buffers).
+    """
+    k = y.size
+    if k == 0:
+        return float("-inf"), 0.0
     pos = pair[:k]
     neg = pair[k:]
+    # |y| goes where e^{−y−m} goes next, so the max allocates nothing.
+    np.abs(y, out=neg)
+    m = float(neg.max())
     np.subtract(y, m, out=pos)
-    np.negative(y, out=neg)
-    np.subtract(neg, m, out=neg)
+    np.subtract(-m, y, out=neg)
     # One ufunc dispatch for both exponential families.
     np.exp(pair, out=pair)
     total = pos.sum() + neg.sum()
-    value = m + float(np.log(total))
-    grad = out if out is not None else np.empty_like(y)  # alloc-ok (unbuffered fallback)
-    np.subtract(pos, neg, out=grad)
-    np.true_divide(grad, total, out=grad)
-    return value, grad
+    return m + float(np.log(total)), total
+
+
+@hot_kernel
+def _pair_gradient(pair: np.ndarray, total: float, out: np.ndarray) -> None:
+    """Write ``(e^{y−m} − e^{−y−m}) / total`` into ``out``, reading the
+    exponentials :func:`_smax_pair` left in ``pair``."""
+    k = out.size
+    np.subtract(pair[:k], pair[k:], out=out)
+    np.true_divide(out, total, out=out)
 
 
 def smax_and_gradient_batch(

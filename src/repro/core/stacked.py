@@ -55,9 +55,12 @@ per-tree array is a fixed-width segment and the stack is a dense plane:
   pairwise, which breaks the bit-identity contract.)
 * ``_pot_rows`` — ``(T, n)`` plane of flattened indices ``t·n + tin``
   (all nodes) into the row-wise cumsum of the diff plane; the per-tree
-  node potentials are gathered in one take and accumulated tree by
-  tree (``0 + x == x`` exactly, so the accumulation matches the
-  per-tree ``out += block`` loop bit for bit).
+  node potentials are gathered in one take and summed over the tree
+  axis by one ``np.add.reduce(axis=0)``. Axis 0 is the outer axis of
+  the C-contiguous plane, so NumPy adds the rows one after another
+  into ``out`` — tree 0, then + tree 1, … — the same left fold as the
+  per-tree ``out += block`` loop, bit for bit (pairwise summation only
+  applies along a contiguous inner axis).
 
 Segments sharing one global cumsum would leak floating-point carry
 across tree boundaries; the ``(T, ·)`` plane resets every row for free.
@@ -238,9 +241,7 @@ class StackedTreeOperator:
         ).reshape(self.num_trees, self.num_nodes + 1)
         np.cumsum(diff[:, :-1], axis=1, out=self._cum)
         np.take(self._cum, self._pot_rows, out=self._pots, mode="clip")
-        out[:] = self._pots[0]
-        for t in range(1, self.num_trees):
-            np.add(out, self._pots[t], out=out)
+        np.add.reduce(self._pots, axis=0, out=out)
         return out
 
     @hot_kernel

@@ -74,6 +74,16 @@ def _endpoint(node: int) -> int:
     return int(node)
 
 
+def _check_id(value: object, limit: int, kind: str) -> None:
+    """:class:`GraphError` unless ``value`` is a Python or NumPy integer
+    in ``0..limit-1`` (a float id, even 2.0, would reach NumPy indexing
+    and raise its bare ``IndexError``)."""
+    if not isinstance(value, (int, np.integer)):
+        raise GraphError(f"{kind} {value!r} is not an integer")
+    if not 0 <= value < limit:
+        raise GraphError(f"{kind} {value} out of range 0..{limit - 1}")
+
+
 def _endpoints(ends: np.ndarray) -> np.ndarray:
     """:func:`_endpoint` for an array, before its cast to int; integer
     arrays pass as they are."""
@@ -449,17 +459,15 @@ class Graph:
         return self._csr_cache
 
     def _check_node(self, node: int) -> None:
-        """Raise :class:`GraphError` unless ``node`` is in ``0..n-1``
-        (a negative id would otherwise index from the end)."""
-        if not 0 <= node < self._n:
-            raise GraphError(f"node {node} out of range 0..{self._n - 1}")
+        """Raise :class:`GraphError` unless ``node`` is an integer in
+        ``0..n-1`` (a negative id would otherwise index from the end)."""
+        _check_id(node, self._n, "node")
 
     def _check_edge(self, eid: int) -> None:
-        """Raise :class:`GraphError` unless ``eid`` is in ``0..m-1`` (the
-        buffers over-allocate, so neither a negative id nor one past m
-        may reach them)."""
-        if not 0 <= eid < self._m:
-            raise GraphError(f"edge id {eid} out of range 0..{self._m - 1}")
+        """Raise :class:`GraphError` unless ``eid`` is an integer in
+        ``0..m-1`` (the buffers over-allocate, so neither a negative id
+        nor one past m may reach them)."""
+        _check_id(eid, self._m, "edge id")
 
     def neighbors(self, node: int) -> list[tuple[int, int]]:
         """Return the adjacency list of ``node`` as ``(neighbor, edge_id)``

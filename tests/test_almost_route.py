@@ -20,7 +20,7 @@ from repro.core.almost_route import (
     almost_route,
 )
 from repro.core.approximator import build_congestion_approximator
-from repro.core.softmax import smax
+from repro.core.softmax import smax, smax_and_gradient
 from repro.errors import GraphError
 from repro.graphs.generators import random_connected
 from repro.util.validation import st_demand
@@ -205,7 +205,9 @@ class TestRescaleSkip:
         target leaves the sub-loop on the guard. Its first two steps
         skip their soft-maxes and the third is evaluated in full, so
         the potential and the step taken from its gradients match a
-        run that skips nothing, bit for bit."""
+        run that skips nothing, bit for bit. Every soft-max counts: the
+        value-only ones of the evaluation and the 17/16 steps, and the
+        accelerated look-ahead's."""
         g, approx = setup
         eps = 0.3
         demand = st_demand(g, 0, 15, 1.0)
@@ -217,13 +219,16 @@ class TestRescaleSkip:
         for module in modules:
             monkeypatch.setattr(module, "MAX_SCALINGS_PER_STEP", 3)
         calls = []
-        smax_and_gradient = modules[0].smax_and_gradient
+        for module, name in (
+            (modules[0], "_smax_pair"),
+            (modules[1], "smax_and_gradient"),
+        ):
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return smax_and_gradient(*args, **kwargs)
+            def counted(*args, _original=getattr(module, name), **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(modules[0], "smax_and_gradient", counted)
+            monkeypatch.setattr(module, name, counted)
 
         def run():
             del calls[:]
@@ -242,3 +247,40 @@ class TestRescaleSkip:
         assert skipping.potential == full.potential
         assert skipping.delta == full.delta
         assert np.array_equal(skipping.flow, full.flow)
+
+
+# ----------------------------------------------------------------------
+# Value-only soft-maxes
+# ----------------------------------------------------------------------
+class TestValueOnlySoftmax:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_plain_loop_matches_gradients_at_every_softmax(
+        self, setup, monkeypatch, warm
+    ):
+        """The plain loop computes soft-max values only and finishes the
+        gradients from the pair buffers of its last fully evaluated
+        step. That is, bit for bit, a run in which every soft-max
+        computes its gradient with ``smax_and_gradient``."""
+        g, approx = setup
+        eps = 0.3
+        demand = st_demand(g, 0, 15, 1.0)
+        seed = 0.7 * almost_route(g, approx, demand, eps).flow if warm else None
+        value_only = almost_route(g, approx, demand, eps, initial_flow=seed)
+        module = importlib.import_module("repro.core.almost_route")
+
+        def potential_with_gradients(ws):
+            phi1, _ = smax_and_gradient(ws.c1, out=ws.g1, scratch=ws.m_scratch)
+            phi2, _ = smax_and_gradient(ws.y, out=ws.g2, scratch=ws.r_scratch)
+            return phi1 + phi2
+
+        monkeypatch.setattr(module, "_potential", potential_with_gradients)
+        monkeypatch.setattr(module, "_finish_gradients", lambda ws: None)
+        full = almost_route(g, approx, demand, eps, initial_flow=seed)
+        assert value_only.scalings > 0
+        assert (value_only.iterations, value_only.scalings) == (
+            full.iterations,
+            full.scalings,
+        )
+        assert value_only.potential == full.potential
+        assert value_only.delta == full.delta
+        assert np.array_equal(value_only.flow, full.flow)

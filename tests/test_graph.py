@@ -12,6 +12,7 @@ from repro.errors import DisconnectedGraphError, GraphError
 from repro.graphs.generators import random_connected
 from repro.graphs.graph import Edge, Graph
 from repro.graphs.trees import bfs_tree, spanning_tree_from_edges
+from repro.util.validation import flow_value
 
 
 def triangle() -> Graph:
@@ -190,6 +191,47 @@ class TestAccessors:
         edge_ids = bfs_tree(g).parent_edge
         with pytest.raises(GraphError, match="out of range"):
             spanning_tree_from_edges(g, edge_ids[edge_ids >= 0], root=node)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda g: g.degree(1.5),
+            lambda g: g.neighbors(2.0),
+            lambda g: g.bfs_distances(1.5),
+            lambda g: g.edge(2.0),
+            lambda g: g.endpoints(2.0),
+            lambda g: g.capacity(1.5),
+            lambda g: g.set_capacity(1.5, 3.0),
+            lambda g: flow_value(g, np.ones(g.num_edges), 1.5, 0),
+            lambda g: flow_value(g, np.ones(g.num_edges), 0, np.float64(3)),
+        ],
+        ids=[
+            "degree",
+            "neighbors",
+            "bfs_distances",
+            "edge",
+            "endpoints",
+            "capacity",
+            "set_capacity",
+            "flow_value_source",
+            "flow_value_sink",
+        ],
+    )
+    def test_non_integer_id_rejected(self, query):
+        """A node or edge id that is not a Python or NumPy integer raises
+        GraphError, not NumPy's bare IndexError or a TypeError; a
+        rejected write leaves the version and the journal as they
+        were."""
+        g = random_connected(10, 0.3, rng=1)
+        version, journal = g._version, g.journal_size
+        with pytest.raises(GraphError, match="not an integer"):
+            query(g)
+        assert (g._version, g.journal_size) == (version, journal)
+
+    def test_numpy_integer_ids_accepted(self):
+        g = random_connected(10, 0.3, rng=1)
+        assert g.degree(np.int64(2)) == g.degree(2) == 4
+        assert g.capacity(np.int32(3)) == g.capacity(3)
 
     def test_capacities_vector(self):
         caps = triangle().capacities()

@@ -309,11 +309,16 @@ def test_hot_path_alloc_honors_alloc_ok_and_undecorated():
 #: The per-iteration kernels of the routing loop, as ROADMAP's "Static
 #: contracts" section lists them.
 DOCUMENTED_HOT_KERNELS = {
+    "repro.core.almost_route._potential",
+    "repro.core.almost_route._finish_gradients",
     "repro.core.almost_route._evaluate",
     "repro.core.almost_route._rescale_cached",
     "repro.core.almost_route._gradient_delta",
     "repro.core.almost_route._sign_step",
+    "repro.core.accelerated._evaluate_lookahead",
     "repro.core.softmax.smax_and_gradient",
+    "repro.core.softmax._smax_pair",
+    "repro.core.softmax._pair_gradient",
     "repro.core.stacked.StackedTreeOperator.apply",
     "repro.core.stacked.StackedTreeOperator.apply_transpose",
     "repro.core.stacked.StackedTreeOperator.estimate",

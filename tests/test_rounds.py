@@ -56,21 +56,23 @@ class TestEstimate:
         )
         assert per_iter > 0
 
-    def test_gradient_step_charges_three_products(self, pipeline_run):
-        """An accelerated iteration does R·b at f, R·b at the look-ahead
-        point and Rᵀ·g: three products per sampled tree, plus 4D."""
+    def test_gradient_step_charges_two_products(self, pipeline_run):
+        """An accelerated iteration does R·b at f and Rᵀ·g at the
+        look-ahead point; y at the look-ahead point is combined locally
+        from y(f) and y(f_prev). Two products per sampled tree, plus
+        4D."""
         g, samples, result = pipeline_run
         diameter = g.diameter()
         routed = result.congestion_result
         est = estimate_rounds(g, samples, routed, 0.5, diameter=diameter)
         model = CostModel(g.num_nodes, diameter)
-        three_products = (
-            3 * len(samples) * model.base * model.log_n + 4 * diameter
+        two_products = (
+            2 * len(samples) * model.base * model.log_n + 4 * diameter
         )
         per_iter = est.breakdown["gradient_step"] / routed.iterations
-        assert per_iter == pytest.approx(three_products)
-        assert model.gradient_step(len(samples), 3) == pytest.approx(
-            three_products
+        assert per_iter == pytest.approx(two_products)
+        assert model.gradient_step(len(samples), 2) == pytest.approx(
+            two_products
         )
 
     def test_fixup_charged_once_per_round(self, pipeline_run):
